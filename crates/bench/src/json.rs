@@ -220,55 +220,56 @@ impl Parser<'_> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Decode the maximal run of unescaped bytes with one UTF-8
+            // check. `"` and `\` never occur inside a multi-byte UTF-8
+            // sequence, so the run always ends on a character boundary.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|e| JsonError {
+                offset: start + e.valid_up_to(),
+                message: "invalid UTF-8 in string",
+            })?;
+            out.push_str(text);
+            self.pos = start + run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos = end;
-                            // Surrogate pairs never appear in the bench
-                            // artifacts; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape character")),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let end = self.pos + 4;
+                    let hex = self
+                        .bytes
+                        .get(self.pos..end)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    self.pos = end;
+                    // Surrogate pairs never appear in the bench
+                    // artifacts; map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-scan the full UTF-8 scalar starting at b.
-                    let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let Some(ch) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    self.pos = start + ch.len_utf8();
-                    out.push(ch);
-                }
+                _ => return Err(self.err("unknown escape character")),
             }
         }
     }
@@ -335,6 +336,45 @@ mod tests {
     fn strings_decode_escapes_and_unicode() {
         let v = parse(r#""a\\b\n\t\"\u0041 π""#).unwrap();
         assert_eq!(v.as_str(), Some("a\\b\n\t\"A π"));
+    }
+
+    #[test]
+    fn megabyte_string_decodes_in_one_pass() {
+        // ASCII, 2-, 3- and 4-byte characters and escapes, ~1 MiB in all.
+        let unit = "plain ascii π→😀 \"q\" \\ \n";
+        let expected = unit.repeat((1 << 20) / unit.len());
+        let literal = format!(
+            "\"{}\"",
+            expected
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n")
+        );
+        assert!(literal.len() > 1 << 20);
+        assert_eq!(parse(&literal).unwrap().as_str(), Some(expected.as_str()));
+    }
+
+    #[test]
+    fn invalid_utf8_reports_the_offset_of_the_bad_byte() {
+        let mut bytes = vec![b'"'];
+        bytes.extend(std::iter::repeat_n(b'a', 500_000));
+        bytes.push(0xff);
+        bytes.extend(std::iter::repeat_n(b'a', 500_000));
+        bytes.push(b'"');
+        let mut p = Parser {
+            bytes: &bytes,
+            pos: 0,
+        };
+        let err = p.string().unwrap_err();
+        assert_eq!(err.offset, 500_001);
+        assert_eq!(err.message, "invalid UTF-8 in string");
+    }
+
+    #[test]
+    fn unterminated_string_reports_the_end_of_input() {
+        let err = parse("\"abc\\n def").unwrap_err();
+        assert_eq!(err.offset, 10);
+        assert_eq!(err.message, "unterminated string");
     }
 
     #[test]

@@ -497,6 +497,30 @@ mod tests {
     }
 
     #[test]
+    fn near_limit_line_with_a_huge_string_gets_a_structured_error() {
+        let prefix = r#"{"id":"big","cmd":"route","benchmark":""#;
+        let name = "r1π".repeat((MAX_LINE_BYTES - prefix.len() - 2) / 4);
+        let line = format!("{prefix}{name}\"}}");
+        assert!(line.len() <= MAX_LINE_BYTES && line.len() > MAX_LINE_BYTES - 8);
+        // Well-formed: the name survives decoding, and the service's
+        // benchmark lookup turns it into an error response.
+        let r = parse_request(&line).unwrap();
+        assert_eq!(r.benchmark.as_deref(), Some(name.as_str()));
+        assert_eq!(crate::engine::benchmark_by_name(&name), None);
+        // Unterminated: a malformed-JSON error located at the end of the
+        // line.
+        let cut = &line[..line.len() - 2];
+        let err = parse_request(cut).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "malformed JSON: JSON error at byte {}: unterminated string",
+                cut.len()
+            )
+        );
+    }
+
+    #[test]
     fn response_renders_and_parses_back() {
         let mut resp = Response::ok("a1");
         resp.cmd = Some("route");
