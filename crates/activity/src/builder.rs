@@ -661,6 +661,12 @@ fn count_pulled(
 /// chunk by chunk and never materialized, so peak memory is
 /// O(threads · chunk + observed pairs).
 ///
+/// Reports `activity.scan > activity.chunks / activity.merge` spans and
+/// cycle/throughput counters through [`Tracer::current`] (see
+/// `docs/observability.md`). The two inner spans and the counters are
+/// emitted after their timed windows close, so tracing does not perturb
+/// the allocation counts.
+///
 /// # Errors
 ///
 /// Returns [`ActivityError::CapacityExceeded`] for oversized RTLs,
@@ -672,39 +678,17 @@ fn count_pulled(
 /// The source must only yield ids of `rtl` (sources constructed through
 /// this crate only yield validated ids); an id outside it panics or
 /// corrupts the counts. Panics if a worker thread panics.
+#[expect(
+    clippy::expect_used,
+    reason = "ensure() shapes at least one worker slot"
+)]
 pub fn scan_source(
     rtl: &Rtl,
     source: &mut dyn TraceSource,
     params: &ScanParams,
     scratch: &mut ScanScratch,
 ) -> Result<(ActivityTables, ScanProfile), ActivityError> {
-    scan_source_traced(rtl, source, params, scratch, &Tracer::disabled())
-}
-
-/// As [`scan_source`], reporting `activity.scan > activity.chunks /
-/// activity.merge` spans and cycle/throughput counters through `tracer`
-/// (see `docs/observability.md`). The two inner spans and the counters
-/// are emitted after their timed windows close, so tracing does not
-/// perturb the allocation counts.
-///
-/// # Errors
-///
-/// As [`scan_source`].
-///
-/// # Panics
-///
-/// As [`scan_source`].
-#[expect(
-    clippy::expect_used,
-    reason = "ensure() shapes at least one worker slot"
-)]
-pub fn scan_source_traced(
-    rtl: &Rtl,
-    source: &mut dyn TraceSource,
-    params: &ScanParams,
-    scratch: &mut ScanScratch,
-    tracer: &Tracer,
-) -> Result<(ActivityTables, ScanProfile), ActivityError> {
+    let tracer = &Tracer::current();
     let _scan = tracer.span("activity.scan");
     let k = rtl.num_instructions();
     Itmatt::check_capacity(k)?;
@@ -1006,8 +990,8 @@ mod tests {
         };
         let mut scratch = ScanScratch::new();
         let mut source = SliceSource::new(&stream);
-        let (tables, _) =
-            scan_source_traced(&rtl, &mut source, &params, &mut scratch, &tracer).unwrap();
+        let _entered = tracer.enter();
+        let (tables, _) = scan_source(&rtl, &mut source, &params, &mut scratch).unwrap();
         assert_matches_reference(&tables, &stream);
         let json = sink.to_json();
         for name in [

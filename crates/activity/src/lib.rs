@@ -82,8 +82,8 @@ mod stream;
 mod tables;
 
 pub use builder::{
-    scan_source, scan_source_traced, set_alloc_probe, ScanParams, ScanProfile, ScanScratch,
-    TableBuilder, DEFAULT_CHUNK_CYCLES, DEFAULT_DENSE_LIMIT,
+    scan_source, set_alloc_probe, ScanParams, ScanProfile, ScanScratch, TableBuilder,
+    DEFAULT_CHUNK_CYCLES, DEFAULT_DENSE_LIMIT,
 };
 pub use error::ActivityError;
 pub use model::{CpuModel, CpuModelBuilder, ModelTraceSource};

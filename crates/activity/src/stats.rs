@@ -193,8 +193,11 @@ mod tests {
         let rtl = paper_example_rtl();
         let s = InstructionStream::from_indices(&rtl, [0, 1, 2, 3, 0, 2]).unwrap();
         let sink = Arc::new(MemorySink::new());
-        let traced = ActivityTables::scan_traced(&rtl, &s, &Tracer::new(sink.clone()));
         let plain = ActivityTables::scan(&rtl, &s);
+        let traced = {
+            let _entered = Tracer::new(sink.clone()).enter();
+            ActivityTables::scan(&rtl, &s)
+        };
         assert_eq!(traced.ift(), plain.ift());
         assert_eq!(traced.itmatt(), plain.itmatt());
         let nesting = sink.nesting().unwrap();

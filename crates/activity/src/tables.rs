@@ -1,8 +1,8 @@
 use std::fmt;
 
 use crate::{
-    scan_source_traced, ActivityError, InstructionId, InstructionStream, ModuleSet, Rtl,
-    ScanParams, ScanScratch, SliceSource,
+    scan_source, ActivityError, InstructionId, InstructionStream, ModuleSet, Rtl, ScanParams,
+    ScanScratch, SliceSource,
 };
 
 /// The Instruction Frequency Table (Table 2 of the paper): the probability
@@ -234,32 +234,19 @@ pub struct ActivityTables {
 impl ActivityTables {
     /// Builds both tables with a single O(B) scan of `stream`: the
     /// streaming pipeline ([`crate::scan_source`]) over a
-    /// [`crate::SliceSource`] at one thread.
+    /// [`crate::SliceSource`] at one thread, traced like it.
     ///
     /// # Panics
     ///
     /// Panics when `rtl` exceeds [`Itmatt::MAX_INSTRUCTIONS`]; use
     /// [`Self::try_scan`] to handle that structurally.
     #[must_use]
-    pub fn scan(rtl: &Rtl, stream: &InstructionStream) -> Self {
-        Self::scan_traced(rtl, stream, &gcr_trace::Tracer::disabled())
-    }
-
-    /// As [`Self::scan`], reporting `activity.scan > activity.chunks /
-    /// activity.merge` spans and size counters through `tracer` (see
-    /// `docs/observability.md` for the taxonomy).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rtl` exceeds [`Itmatt::MAX_INSTRUCTIONS`].
-    #[must_use]
     #[expect(
         clippy::expect_used,
-        reason = "documented panic; try_scan_traced is the fallible form"
+        reason = "documented panic; try_scan is the fallible form"
     )]
-    pub fn scan_traced(rtl: &Rtl, stream: &InstructionStream, tracer: &gcr_trace::Tracer) -> Self {
-        Self::try_scan_traced(rtl, stream, tracer)
-            .expect("instruction count exceeds Itmatt::MAX_INSTRUCTIONS")
+    pub fn scan(rtl: &Rtl, stream: &InstructionStream) -> Self {
+        Self::try_scan(rtl, stream).expect("instruction count exceeds Itmatt::MAX_INSTRUCTIONS")
     }
 
     /// As [`Self::scan`], returning a structured error instead of
@@ -270,28 +257,12 @@ impl ActivityTables {
     /// Returns [`ActivityError::CapacityExceeded`] when `rtl` defines more
     /// than [`Itmatt::MAX_INSTRUCTIONS`] instructions.
     pub fn try_scan(rtl: &Rtl, stream: &InstructionStream) -> Result<Self, ActivityError> {
-        Self::try_scan_traced(rtl, stream, &gcr_trace::Tracer::disabled())
-    }
-
-    /// As [`Self::try_scan`], reporting spans and size counters through
-    /// `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError::CapacityExceeded`] when `rtl` defines more
-    /// than [`Itmatt::MAX_INSTRUCTIONS`] instructions.
-    pub fn try_scan_traced(
-        rtl: &Rtl,
-        stream: &InstructionStream,
-        tracer: &gcr_trace::Tracer,
-    ) -> Result<Self, ActivityError> {
         let params = ScanParams {
             threads: Some(1),
             ..ScanParams::default()
         };
         let mut source = SliceSource::new(stream);
-        scan_source_traced(rtl, &mut source, &params, &mut ScanScratch::new(), tracer)
-            .map(|(tables, _)| tables)
+        scan_source(rtl, &mut source, &params, &mut ScanScratch::new()).map(|(tables, _)| tables)
     }
 
     /// Assembles tables from already-built parts (the streaming builder's

@@ -60,14 +60,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gcr_core::{
-    evaluate_traced, gated_region_factory, route_gated_coarsened_traced, route_gated_mapped_traced,
-    DeviceRole, GatedObjective, RouterConfig,
+    evaluate, gated_region_factory, route_gated_coarsened, route_gated_mapped, DeviceRole,
+    GatedObjective, RouterConfig,
 };
 use gcr_cts::{
-    apply_eco, plan_eco_leaves, run_greedy_coarsened, run_greedy_coarsened_traced,
-    run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, run_greedy_with_scratch_traced,
-    CoarsenParams, CoarsenScratch, EcoEdit, EcoScratch, GreedyParams, GreedyProfile, GreedyScratch,
-    GreedyStats, MergeObjective, NearestNeighborObjective, Sink,
+    apply_eco, plan_eco_leaves, run_greedy_coarsened, run_greedy_exhaustive_with_scratch,
+    run_greedy_with_scratch, CoarsenParams, CoarsenScratch, EcoEdit, EcoScratch, GreedyParams,
+    GreedyProfile, GreedyScratch, GreedyStats, MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -203,11 +202,13 @@ fn compare<O: MergeObjective + Clone>(
     run_greedy_with_scratch(n, &mut cold_obj, &params, &mut scratch)
         .expect("pruned greedy failed on a generated workload");
     let mut pruned_obj = objective.clone();
+    let entered = tracer.enter();
     let t1 = Instant::now();
     let (pruned_topology, pruned_stats, pruned_profile) =
-        run_greedy_with_scratch_traced(n, &mut pruned_obj, &params, &mut scratch, tracer)
+        run_greedy_with_scratch(n, &mut pruned_obj, &params, &mut scratch)
             .expect("pruned greedy failed on a generated workload");
     let pruned_ms = t1.elapsed().as_secs_f64() * 1e3;
+    drop(entered);
 
     Comparison {
         benchmark,
@@ -265,17 +266,13 @@ where
 
     let warm_params = CoarsenParams::default();
     let mut warm_obj = objective.clone();
+    let entered = tracer.enter();
     let t0 = Instant::now();
-    let (topology, stats, profile) = run_greedy_coarsened_traced(
-        n,
-        &mut warm_obj,
-        factory,
-        &warm_params,
-        &mut scratch,
-        tracer,
-    )
-    .expect("coarsened greedy failed on a generated workload");
+    let (topology, stats, profile) =
+        run_greedy_coarsened(n, &mut warm_obj, factory, &warm_params, &mut scratch)
+            .expect("coarsened greedy failed on a generated workload");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    drop(entered);
 
     Comparison {
         benchmark,
@@ -410,8 +407,10 @@ fn run_benchmark(
     eco: bool,
     tracer: &Tracer,
 ) -> Vec<Comparison> {
-    let workload =
-        Workload::generate_traced(which, params, tracer).expect("workload generation failed");
+    let workload = {
+        let _entered = tracer.enter();
+        Workload::generate(which, params).expect("workload generation failed")
+    };
     let sinks = &workload.benchmark.sinks;
     let n = sinks.len();
     let tech = Technology::default();
@@ -482,27 +481,26 @@ fn run_benchmark(
     // Scale benchmarks route through the coarsened path, like the
     // measured runs.
     if tracer.enabled() {
+        let _entered = tracer.enter();
         let routing = if n > EXHAUSTIVE_LIMIT {
-            route_gated_coarsened_traced(
+            route_gated_coarsened(
                 sinks,
                 &module_of,
                 &workload.tables,
                 &config,
                 &CoarsenParams::default(),
-                tracer,
             )
             .expect("gated routing failed on a generated workload")
         } else {
-            route_gated_mapped_traced(sinks, &module_of, &workload.tables, &config, tracer)
+            route_gated_mapped(sinks, &module_of, &workload.tables, &config)
                 .expect("gated routing failed on a generated workload")
         };
-        let report = evaluate_traced(
+        let report = evaluate(
             &routing.tree,
             &routing.node_stats,
             config.controller(),
             config.tech(),
             DeviceRole::Gate,
-            tracer,
         );
         assert!(report.total_switched_cap.is_finite());
     }

@@ -308,7 +308,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: a fixed size or a
+    /// Element-count specification for [`vec()`]: a fixed size or a
     /// half-open range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
@@ -332,7 +332,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

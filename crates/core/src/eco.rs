@@ -18,12 +18,13 @@
 
 use gcr_activity::ActivityTables;
 use gcr_cts::{
-    apply_eco_traced, embed_sized_traced, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome,
-    EcoScratch, GreedyParams, Sink, SizingLimits,
+    apply_eco, embed_sized, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch,
+    GreedyParams, Sink, SizingLimits,
 };
 use gcr_geometry::Point;
 use gcr_trace::Tracer;
 
+use crate::router::check_module_of;
 use crate::{GatedObjective, GatedRouting, RouteError, RouterConfig};
 
 /// The result of one incremental gated re-route: the new routing plus
@@ -43,32 +44,6 @@ pub struct GatedEcoResult {
     pub outcome: EcoOutcome,
 }
 
-/// [`route_gated_eco_traced`] without tracing.
-///
-/// # Errors
-///
-/// As [`route_gated_eco_traced`].
-pub fn route_gated_eco(
-    old: &GatedRouting,
-    old_sinks: &[Sink],
-    old_module_of: &[usize],
-    edits: &[EcoEdit],
-    tables: &ActivityTables,
-    config: &RouterConfig,
-    scratch: &mut EcoScratch,
-) -> Result<GatedEcoResult, RouteError> {
-    route_gated_eco_traced(
-        old,
-        old_sinks,
-        old_module_of,
-        edits,
-        tables,
-        config,
-        scratch,
-        &Tracer::disabled(),
-    )
-}
-
 /// Incrementally re-routes `old` under an ECO edit batch.
 ///
 /// `old_sinks` / `old_module_of` describe the design `old` was routed
@@ -79,9 +54,14 @@ pub fn route_gated_eco(
 /// topology bit-identically; geometric edits re-search only the dirty
 /// frontier (see the `gcr_cts::eco` module docs for the contract).
 ///
-/// Emits the `eco.apply > eco.frontier / eco.splice / eco.search` span
-/// family inside a `route.gated_eco` span, then the usual `embed.*`
-/// spans for the re-embedding.
+/// `params` configures the splice search; long-lived services pin the
+/// worker-thread count resolved once at startup
+/// ([`gcr_trace::threads::resolve`]) instead of re-reading `GCR_THREADS`
+/// on every request, which [`GreedyParams::default`] does.
+///
+/// Emits through [`Tracer::current`] the `eco.apply > eco.frontier /
+/// eco.splice / eco.search` span family inside a `route.gated_eco` span,
+/// then the usual `embed.*` spans for the re-embedding.
 ///
 /// # Errors
 ///
@@ -91,45 +71,9 @@ pub fn route_gated_eco(
 /// embedding failure.
 #[expect(
     clippy::too_many_arguments,
-    reason = "mirrors the traced route entry points"
+    reason = "the design lists, the edits and the engine state are all distinct inputs"
 )]
-pub fn route_gated_eco_traced(
-    old: &GatedRouting,
-    old_sinks: &[Sink],
-    old_module_of: &[usize],
-    edits: &[EcoEdit],
-    tables: &ActivityTables,
-    config: &RouterConfig,
-    scratch: &mut EcoScratch,
-    tracer: &Tracer,
-) -> Result<GatedEcoResult, RouteError> {
-    route_gated_eco_with_params(
-        old,
-        old_sinks,
-        old_module_of,
-        edits,
-        tables,
-        config,
-        &GreedyParams::default(),
-        scratch,
-        tracer,
-    )
-}
-
-/// [`route_gated_eco_traced`] with explicit [`GreedyParams`] for the
-/// splice search. Long-lived services use this to pin the worker-thread
-/// count resolved once at startup ([`gcr_trace::threads::resolve`])
-/// instead of re-reading `GCR_THREADS` on every request, which the
-/// default-params entry points do.
-///
-/// # Errors
-///
-/// As [`route_gated_eco_traced`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors the traced route entry points"
-)]
-pub fn route_gated_eco_with_params(
+pub fn route_gated_eco(
     old: &GatedRouting,
     old_sinks: &[Sink],
     old_module_of: &[usize],
@@ -138,18 +82,15 @@ pub fn route_gated_eco_with_params(
     config: &RouterConfig,
     params: &GreedyParams,
     scratch: &mut EcoScratch,
-    tracer: &Tracer,
 ) -> Result<GatedEcoResult, RouteError> {
     let num_modules = tables.rtl().num_modules();
-    if old_sinks.len() != old.topology.num_leaves()
-        || old_module_of.len() != old_sinks.len()
-        || old_module_of.iter().any(|&m| m >= num_modules)
-    {
+    if old_sinks.len() != old.topology.num_leaves() {
         return Err(RouteError::SinkModuleMismatch {
             sinks: old_sinks.len(),
             modules: num_modules,
         });
     }
+    check_module_of(old_sinks, old_module_of, tables)?;
     let plan = plan_eco_leaves(old_sinks.len(), edits)?;
     if plan.added.iter().any(|&(_, m)| m >= num_modules) {
         return Err(RouteError::SinkModuleMismatch {
@@ -160,6 +101,7 @@ pub fn route_gated_eco_with_params(
     let sinks = plan.new_sinks(old_sinks);
     let module_of = plan.new_module_of(old_module_of);
 
+    let tracer = Tracer::current();
     let _route = tracer.span("route.gated_eco");
     let mut objective = {
         let _span = tracer.span("route.objective");
@@ -173,24 +115,22 @@ pub fn route_gated_eco_with_params(
     };
     tracer.counter("route.sinks", sinks.len() as f64);
     let old_locations: Vec<Point> = old_sinks.iter().map(Sink::location).collect();
-    let outcome = apply_eco_traced(
+    let outcome = apply_eco(
         &old.topology,
         &old_locations,
         edits,
         &mut objective,
         params,
         scratch,
-        tracer,
     )?;
     let assignment = DeviceAssignment::everywhere(&outcome.topology, config.tech().and_gate());
-    let tree = embed_sized_traced(
+    let tree = embed_sized(
         &outcome.topology,
         &sinks,
         config.tech(),
         &assignment,
         config.source(),
         SizingLimits::default(),
-        tracer,
     )?;
     let routing = GatedRouting {
         topology: outcome.topology.clone(),
@@ -261,6 +201,7 @@ mod tests {
             &[EcoEdit::SwapActivity { module: 5 }],
             &new_tables,
             &config,
+            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -298,6 +239,7 @@ mod tests {
             &[EcoEdit::MoveSink { index: 7, to }],
             &tables,
             &config,
+            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -342,6 +284,7 @@ mod tests {
             ],
             &tables,
             &config,
+            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -371,6 +314,7 @@ mod tests {
                 &[],
                 &tables,
                 &config,
+                &GreedyParams::default(),
                 &mut scratch
             ),
             Err(RouteError::SinkModuleMismatch { .. })
@@ -386,6 +330,7 @@ mod tests {
                 }],
                 &tables,
                 &config,
+                &GreedyParams::default(),
                 &mut scratch,
             ),
             Err(RouteError::SinkModuleMismatch { .. })
@@ -398,6 +343,7 @@ mod tests {
                 &[EcoEdit::RemoveSink { index: 42 }],
                 &tables,
                 &config,
+                &GreedyParams::default(),
                 &mut scratch,
             ),
             Err(RouteError::Cts(gcr_cts::CtsError::InvalidEco { .. }))

@@ -85,6 +85,9 @@ impl fmt::Display for PowerReport {
 /// probability; under [`DeviceRole::Buffer`] everything switches each
 /// cycle and no control routing exists.
 ///
+/// Reports through [`Tracer::current`](gcr_trace::Tracer::current): a
+/// span `evaluate.equation3` plus `evaluate.*` result counters.
+///
 /// # Panics
 ///
 /// Panics if `node_stats.len() != tree.len()`.
@@ -96,36 +99,11 @@ pub fn evaluate(
     tech: &Technology,
     role: DeviceRole,
 ) -> PowerReport {
-    evaluate_traced(
-        tree,
-        node_stats,
-        controller,
-        tech,
-        role,
-        &gcr_trace::Tracer::disabled(),
-    )
-}
-
-/// As [`evaluate`], reporting the Equation-3 evaluation through `tracer`
-/// (span `evaluate.equation3` plus `evaluate.*` result counters).
-///
-/// # Panics
-///
-/// As [`evaluate`].
-#[must_use]
-pub fn evaluate_traced(
-    tree: &ClockTree,
-    node_stats: &[EnableStats],
-    controller: &ControllerPlan,
-    tech: &Technology,
-    role: DeviceRole,
-    tracer: &gcr_trace::Tracer,
-) -> PowerReport {
     let controlled = match role {
         DeviceRole::Gate => vec![true; tree.len()],
         DeviceRole::Buffer => vec![false; tree.len()],
     };
-    evaluate_with_mask_traced(tree, node_stats, controller, tech, &controlled, tracer)
+    evaluate_with_mask(tree, node_stats, controller, tech, &controlled)
 }
 
 /// As [`evaluate`], but with per-edge control: `controlled[i]` says whether
@@ -133,7 +111,7 @@ pub fn evaluate_traced(
 /// the controller and gating its subtree — or an always-on buffer (an AND
 /// gate with its enable tied high). The §4.3 gate-reduction heuristic in
 /// untie mode produces exactly such masks: reduced gates stay in place
-/// electrically but lose their enable wire.
+/// electrically but lose their enable wire. Traces like [`evaluate`].
 ///
 /// # Panics
 ///
@@ -146,31 +124,7 @@ pub fn evaluate_with_mask(
     tech: &Technology,
     controlled: &[bool],
 ) -> PowerReport {
-    evaluate_with_mask_traced(
-        tree,
-        node_stats,
-        controller,
-        tech,
-        controlled,
-        &gcr_trace::Tracer::disabled(),
-    )
-}
-
-/// As [`evaluate_with_mask`], reporting the evaluation through `tracer`
-/// (same spans as [`evaluate_traced`]).
-///
-/// # Panics
-///
-/// As [`evaluate_with_mask`].
-#[must_use]
-pub fn evaluate_with_mask_traced(
-    tree: &ClockTree,
-    node_stats: &[EnableStats],
-    controller: &ControllerPlan,
-    tech: &Technology,
-    controlled: &[bool],
-    tracer: &gcr_trace::Tracer,
-) -> PowerReport {
+    let tracer = gcr_trace::Tracer::current();
     let _span = tracer.span("evaluate.equation3");
     assert_eq!(
         node_stats.len(),

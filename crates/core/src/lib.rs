@@ -78,20 +78,18 @@ mod tellez;
 pub use controller::ControllerPlan;
 pub use corners::{corner_analysis, CornerResult};
 pub use cost::merge_switched_cap;
-pub use eco::{
-    route_gated_eco, route_gated_eco_traced, route_gated_eco_with_params, GatedEcoResult,
-};
+pub use eco::{route_gated_eco, GatedEcoResult};
 pub use error::RouteError;
 pub use evaluate::{
-    evaluate, evaluate_breakdown, evaluate_buffered, evaluate_traced, evaluate_with_mask,
-    evaluate_with_mask_traced, DeviceRole, LevelBreakdown, PowerReport,
+    evaluate, evaluate_breakdown, evaluate_buffered, evaluate_with_mask, DeviceRole,
+    LevelBreakdown, PowerReport,
 };
 pub use optimal::reduce_gates_optimal;
 pub use reduction::{reduce_gates, reduce_gates_untied, ReductionParams};
 pub use router::{
     gated_region_factory, gated_routing_for_topology, gated_routing_for_topology_mapped,
-    route_gated, route_gated_coarsened, route_gated_coarsened_traced, route_gated_mapped,
-    route_gated_mapped_traced, route_gated_traced, GatedObjective, GatedRouting, RouterConfig,
+    route_gated, route_gated_coarsened, route_gated_mapped, GatedObjective, GatedRouting,
+    RouterConfig,
 };
 pub use simulate::{simulate_stream, SimulationReport, WINDOW};
 pub use tellez::{route_activity_driven, ActivityDrivenObjective};

@@ -1,8 +1,8 @@
 use gcr_activity::{ActivityTables, EnableStats, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, embed_sized, embed_sized_traced, run_greedy_coarsened_traced,
-    run_greedy_traced, ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment,
-    MergeArena, MergeObjective, Sink, SizingLimits, Topology, BOUND_LANES,
+    clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
+    ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment, GreedyParams,
+    GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, Topology, BOUND_LANES,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{Device, Technology};
@@ -113,8 +113,9 @@ pub(crate) fn row_modules(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// appends without reallocating.
 ///
 /// Public so benchmarks and cross-validation can drive it through any of
-/// the greedy engines (`run_greedy`, `run_greedy_exhaustive`,
-/// `run_greedy_checked`); [`route_gated`] remains the intended high-level
+/// the greedy engines (`run_greedy_with_scratch`,
+/// `run_greedy_exhaustive_with_scratch`, `run_greedy_checked`);
+/// [`route_gated`] remains the intended high-level
 /// entry point.
 pub struct GatedObjective<'a> {
     tech: &'a Technology,
@@ -599,13 +600,7 @@ pub fn gated_routing_for_topology_mapped(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    if module_of.len() != sinks.len() || module_of.iter().any(|&m| m >= tables.rtl().num_modules())
-    {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
+    check_module_of(sinks, module_of, tables)?;
     let n_modules = tables.rtl().num_modules();
     let mut node_modules: Vec<ModuleSet> = Vec::with_capacity(topology.len());
     let mut node_stats: Vec<EnableStats> = Vec::with_capacity(topology.len());
@@ -639,12 +634,35 @@ pub fn gated_routing_for_topology_mapped(
     })
 }
 
+/// Checks that `module_of` maps every sink to a module of `tables`.
+pub(crate) fn check_module_of(
+    sinks: &[Sink],
+    module_of: &[usize],
+    tables: &ActivityTables,
+) -> Result<(), RouteError> {
+    let modules = tables.rtl().num_modules();
+    if module_of.len() != sinks.len() || module_of.iter().any(|&m| m >= modules) {
+        return Err(RouteError::SinkModuleMismatch {
+            sinks: sinks.len(),
+            modules,
+        });
+    }
+    Ok(())
+}
+
 /// The paper's `GatedClockRouting` procedure (§4.2): greedy bottom-up
 /// merging ordered by the Equation-3 switched capacitance, a masking gate
 /// on every edge, then top-down zero-skew placement.
 ///
 /// Sink `i` must correspond to module `i` of the activity model ("the
 /// sinks correspond to the locations of modules").
+///
+/// Reports the full flow through
+/// [`Tracer::current`](gcr_trace::Tracer::current): objective
+/// construction (`route.objective` — the leaf `P(EN)`/`P_tr(EN)`
+/// derivation), the greedy merge (`greedy.*` spans), and the zero-skew
+/// embedding (`embed.*` spans), all nested in a `route.gated` span. The
+/// routing is bit-identical at any tracing state.
 ///
 /// # Errors
 ///
@@ -656,24 +674,6 @@ pub fn route_gated(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    route_gated_traced(sinks, tables, config, &Tracer::disabled())
-}
-
-/// [`route_gated`] reporting the full flow through `tracer`: objective
-/// construction (`route.objective` — the leaf `P(EN)`/`P_tr(EN)`
-/// derivation), the greedy merge (`greedy.*` spans), and the zero-skew
-/// embedding (`embed.*` spans), all nested in a `route.gated` span. The
-/// routing is bit-identical to [`route_gated`]'s at any tracing state.
-///
-/// # Errors
-///
-/// As [`route_gated`].
-pub fn route_gated_traced(
-    sinks: &[Sink],
-    tables: &ActivityTables,
-    config: &RouterConfig,
-    tracer: &Tracer,
-) -> Result<GatedRouting, RouteError> {
     if sinks.len() != tables.rtl().num_modules() {
         return Err(RouteError::SinkModuleMismatch {
             sinks: sinks.len(),
@@ -681,7 +681,7 @@ pub fn route_gated_traced(
         });
     }
     let identity: Vec<usize> = (0..sinks.len()).collect();
-    route_gated_mapped_traced(sinks, &identity, tables, config, tracer)
+    route_gated_mapped(sinks, &identity, tables, config)
 }
 
 /// As [`route_gated`], for designs where a module clocks **several**
@@ -701,54 +701,47 @@ pub fn route_gated_mapped(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    route_gated_mapped_traced(sinks, module_of, tables, config, &Tracer::disabled())
+    route_with(sinks, module_of, tables, config, |objective| {
+        let params = GreedyParams::default();
+        run_greedy_with_scratch(sinks.len(), objective, &params, &mut GreedyScratch::new())
+            .map(|(topology, _, _)| topology)
+    })
 }
 
-/// [`route_gated_mapped`] reporting the full flow through `tracer` (see
-/// [`route_gated_traced`] for the span taxonomy).
-///
-/// # Errors
-///
-/// As [`route_gated_mapped`].
-pub fn route_gated_mapped_traced(
+/// The body shared by the flat and coarsened routers: validate, build the
+/// objective under `route.objective`, `merge`, embed with sizing, and
+/// collect the node statistics, all in a `route.gated` span.
+fn route_with(
     sinks: &[Sink],
     module_of: &[usize],
     tables: &ActivityTables,
     config: &RouterConfig,
-    tracer: &Tracer,
+    merge: impl FnOnce(&mut GatedObjective<'_>) -> Result<Topology, CtsError>,
 ) -> Result<GatedRouting, RouteError> {
-    if module_of.len() != sinks.len() || module_of.iter().any(|&m| m >= tables.rtl().num_modules())
-    {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
+    check_module_of(sinks, module_of, tables)?;
+    let tracer = Tracer::current();
     let _route = tracer.span("route.gated");
     let mut objective = {
         let _span = tracer.span("route.objective");
         GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of)
     };
     tracer.counter("route.sinks", sinks.len() as f64);
-    let topology = run_greedy_traced(sinks.len(), &mut objective, tracer)?;
+    let topology = merge(&mut objective)?;
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized_traced(
+    let tree = embed_sized(
         &topology,
         sinks,
         config.tech(),
         &assignment,
         config.source(),
         SizingLimits::default(),
-        tracer,
     )?;
-    let node_stats = objective.node_stats();
-    let node_modules = objective.node_modules();
     Ok(GatedRouting {
         topology,
         assignment,
         tree,
-        node_stats,
-        node_modules,
+        node_stats: objective.node_stats(),
+        node_modules: objective.node_modules(),
     })
 }
 
@@ -782,7 +775,8 @@ pub fn gated_region_factory<'a>(
 ///
 /// See the `gcr_cts::coarsen` module docs for the exactness caveat: the
 /// coarsened topology is a deterministic approximation of the flat
-/// greedy's, not bit-identical to it.
+/// greedy's, not bit-identical to it. Traces like [`route_gated`], with
+/// the `coarsen.*` spans in place of the `greedy.*` ones.
 ///
 /// # Errors
 ///
@@ -794,73 +788,12 @@ pub fn route_gated_coarsened(
     config: &RouterConfig,
     params: &CoarsenParams,
 ) -> Result<GatedRouting, RouteError> {
-    route_gated_coarsened_traced(
-        sinks,
-        module_of,
-        tables,
-        config,
-        params,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`route_gated_coarsened`] reporting the full flow through `tracer`
-/// (`route.objective`, the `coarsen.*` spans, then the `embed.*` spans,
-/// nested in `route.gated`).
-///
-/// # Errors
-///
-/// As [`route_gated_mapped`].
-pub fn route_gated_coarsened_traced(
-    sinks: &[Sink],
-    module_of: &[usize],
-    tables: &ActivityTables,
-    config: &RouterConfig,
-    params: &CoarsenParams,
-    tracer: &Tracer,
-) -> Result<GatedRouting, RouteError> {
-    if module_of.len() != sinks.len() || module_of.iter().any(|&m| m >= tables.rtl().num_modules())
-    {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
-    let _route = tracer.span("route.gated");
-    let mut objective = {
-        let _span = tracer.span("route.objective");
-        GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of)
-    };
-    tracer.counter("route.sinks", sinks.len() as f64);
-    let factory =
-        gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
-    let mut scratch = CoarsenScratch::new();
-    let (topology, _, _) = run_greedy_coarsened_traced(
-        sinks.len(),
-        &mut objective,
-        factory,
-        params,
-        &mut scratch,
-        tracer,
-    )?;
-    let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized_traced(
-        &topology,
-        sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-        tracer,
-    )?;
-    let node_stats = objective.node_stats();
-    let node_modules = objective.node_modules();
-    Ok(GatedRouting {
-        topology,
-        assignment,
-        tree,
-        node_stats,
-        node_modules,
+    route_with(sinks, module_of, tables, config, |objective| {
+        let factory =
+            gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
+        let mut scratch = CoarsenScratch::new();
+        run_greedy_coarsened(sinks.len(), objective, factory, params, &mut scratch)
+            .map(|(topology, _, _)| topology)
     })
 }
 

@@ -1,7 +1,7 @@
 use gcr_activity::{ActivityTables, EnableStats, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, embed_sized, run_greedy, CtsError, DeviceAssignment, MergeArena,
-    MergeObjective, Sink, SizingLimits, BOUND_LANES,
+    clone_preserving_capacity, embed_sized, run_greedy_with_scratch, CtsError, DeviceAssignment,
+    GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, BOUND_LANES,
 };
 use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
@@ -237,7 +237,13 @@ pub fn route_activity_driven(
     }
     let mut objective =
         ActivityDrivenObjective::new(config.tech(), tables, sinks, config.die().half_perimeter());
-    let topology = run_greedy(sinks.len(), &mut objective)?;
+    let params = GreedyParams::default();
+    let (topology, _, _) = run_greedy_with_scratch(
+        sinks.len(),
+        &mut objective,
+        &params,
+        &mut GreedyScratch::new(),
+    )?;
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
     let tree = embed_sized(
         &topology,

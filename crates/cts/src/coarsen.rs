@@ -47,8 +47,8 @@ use gcr_geometry::Point;
 use gcr_trace::Tracer;
 
 use crate::greedy::{
-    resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch_traced,
-    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
+    resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, GreedyParams,
+    GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
 };
 use crate::{CtsError, Topology};
 
@@ -272,33 +272,6 @@ impl<O: MergeObjective> MergeObjective for RootObjective<'_, O> {
     }
 }
 
-/// [`run_greedy_coarsened_traced`] without tracing.
-///
-/// # Errors
-///
-/// As [`run_greedy_coarsened_traced`].
-pub fn run_greedy_coarsened<O, R, F>(
-    num_leaves: usize,
-    objective: &mut O,
-    region_objective: F,
-    params: &CoarsenParams,
-    scratch: &mut CoarsenScratch,
-) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError>
-where
-    O: MergeObjective,
-    R: MergeObjective,
-    F: Fn(&[u32]) -> R + Sync,
-{
-    run_greedy_coarsened_traced(
-        num_leaves,
-        objective,
-        region_objective,
-        params,
-        scratch,
-        &Tracer::disabled(),
-    )
-}
-
 /// Builds a topology over `num_leaves` sinks by hierarchical region
 /// coarsening (see the module docs for the flow and its guarantees).
 ///
@@ -315,13 +288,14 @@ where
 /// results, same decision log, none of the coarsening caveats.
 ///
 /// Emits `coarsen.partition` / `coarsen.regions` / `coarsen.replay` /
-/// `coarsen.top` phase spans under a `coarsen.run` span when `tracer`
-/// is enabled.
+/// `coarsen.top` phase spans under a `coarsen.run` span through
+/// [`Tracer::current`]. The region and root-level engine runs inside it
+/// are not traced; a flat fallback traces as the flat engine.
 ///
 /// # Errors
 ///
-/// As [`run_greedy`](crate::run_greedy), for any constituent engine run
-/// or replayed merge.
+/// As [`run_greedy_with_scratch`], for any constituent engine run or
+/// replayed merge.
 ///
 /// # Panics
 ///
@@ -335,31 +309,25 @@ where
     clippy::too_many_lines,
     reason = "one function per engine flow, like the flat engines"
 )]
-pub fn run_greedy_coarsened_traced<O, R, F>(
+pub fn run_greedy_coarsened<O, R, F>(
     num_leaves: usize,
     objective: &mut O,
     region_objective: F,
     params: &CoarsenParams,
     scratch: &mut CoarsenScratch,
-    tracer: &Tracer,
 ) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError>
 where
     O: MergeObjective,
     R: MergeObjective,
     F: Fn(&[u32]) -> R + Sync,
 {
+    let tracer = &Tracer::current();
     let flat_params = GreedyParams {
         threads: params.greedy.threads,
         log_decisions: params.greedy.log_decisions,
     };
     if num_leaves < 2 * params.region_size() {
-        let out = run_greedy_with_scratch_traced(
-            num_leaves,
-            objective,
-            &flat_params,
-            &mut scratch.top,
-            tracer,
-        )?;
+        let out = run_greedy_with_scratch(num_leaves, objective, &flat_params, &mut scratch.top)?;
         scratch.decisions.clear();
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
@@ -376,13 +344,7 @@ where
     drop(locations);
     tracer.complete_span("coarsen.partition", part_start, elapsed_ns(t0.elapsed()));
     if regions.len() <= 1 {
-        let out = run_greedy_with_scratch_traced(
-            num_leaves,
-            objective,
-            &flat_params,
-            &mut scratch.top,
-            tracer,
-        )?;
+        let out = run_greedy_with_scratch(num_leaves, objective, &flat_params, &mut scratch.top)?;
         scratch.decisions.clear();
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
@@ -425,13 +387,14 @@ where
                             log.rows.push((r as u32, log.decisions.len() as u32, 0));
                             continue;
                         }
+                        // A spawned thread has no tracer entered, so the
+                        // region runs are untraced.
                         let mut local = region_objective(members);
-                        let (_, stats, profile) = run_greedy_with_scratch_traced(
+                        let (_, stats, profile) = run_greedy_with_scratch(
                             members.len(),
                             &mut local,
                             &region_params,
                             region_scratch,
-                            &Tracer::disabled(),
                         )?;
                         let start = log.decisions.len() as u32;
                         log.decisions.extend_from_slice(region_scratch.decisions());
@@ -525,8 +488,10 @@ where
         threads: Some(threads),
         log_decisions: true,
     };
-    let (_, top_stats, top_profile) =
-        run_greedy_exhaustive_with_scratch(num_roots, &mut top, &top_params, &mut scratch.top)?;
+    let (_, top_stats, top_profile) = {
+        let _untraced = Tracer::disabled().enter();
+        run_greedy_exhaustive_with_scratch(num_roots, &mut top, &top_params, &mut scratch.top)?
+    };
     add_stats(&mut stats, &top_stats);
     add_profile(&mut profile, &top_profile);
     let map = top.map;

@@ -19,7 +19,7 @@
 //! 3. **Splice search** — the surviving subtree roots, the dirty-but-kept
 //!    leaves, and the added leaves become the *locals*: pre-priced
 //!    super-leaves over which the unchanged pruned best-first engine
-//!    ([`run_greedy_with_scratch_traced`]) runs a full greedy merge,
+//!    ([`run_greedy_with_scratch`]) runs a full greedy merge,
 //!    splicing the survivors back into one tree.
 //!
 //! # Soundness and the ε contract
@@ -64,8 +64,8 @@ use gcr_trace::Tracer;
 
 use crate::arena::NODE_INDEX_LIMIT;
 use crate::greedy::{
-    alloc_count, run_greedy_with_scratch_traced, GreedyParams, GreedyScratch, GreedyStats,
-    MergeDecision, MergeObjective,
+    alloc_count, run_greedy_with_scratch, GreedyParams, GreedyScratch, GreedyStats, MergeDecision,
+    MergeObjective,
 };
 use crate::nearest::BucketGrid;
 use crate::topology::TopoNode;
@@ -430,30 +430,6 @@ impl<O: MergeObjective> MergeObjective for SpliceObjective<'_, O> {
     }
 }
 
-/// [`apply_eco_traced`] without tracing.
-///
-/// # Errors
-///
-/// As [`apply_eco_traced`].
-pub fn apply_eco<O: MergeObjective>(
-    old: &Topology,
-    old_locations: &[Point],
-    edits: &[EcoEdit],
-    objective: &mut O,
-    params: &GreedyParams,
-    scratch: &mut EcoScratch,
-) -> Result<EcoOutcome, CtsError> {
-    apply_eco_traced(
-        old,
-        old_locations,
-        edits,
-        objective,
-        params,
-        scratch,
-        &Tracer::disabled(),
-    )
-}
-
 /// Incrementally re-routes `old` under an edit batch (see the module
 /// docs for the frontier → replay → splice flow).
 ///
@@ -466,8 +442,8 @@ pub fn apply_eco<O: MergeObjective>(
 /// returned topology, exactly as after a flat run.
 ///
 /// Emits an `eco.apply` span with `eco.frontier` / `eco.splice` /
-/// `eco.search` sub-phase spans and `eco.*` counters when `tracer` is
-/// enabled; tracing never changes the result.
+/// `eco.search` sub-phase spans and `eco.*` counters through
+/// [`Tracer::current`]; tracing never changes the result.
 ///
 /// # Errors
 ///
@@ -478,21 +454,21 @@ pub fn apply_eco<O: MergeObjective>(
 ///
 /// # Panics
 ///
-/// As [`run_greedy_with_scratch_traced`], if the objective returns a NaN
+/// As [`run_greedy_with_scratch`], if the objective returns a NaN
 /// cost or bound during the splice search.
 #[expect(
     clippy::too_many_lines,
     reason = "one function per engine flow, like the flat and coarsened engines"
 )]
-pub fn apply_eco_traced<O: MergeObjective>(
+pub fn apply_eco<O: MergeObjective>(
     old: &Topology,
     old_locations: &[Point],
     edits: &[EcoEdit],
     objective: &mut O,
     params: &GreedyParams,
     scratch: &mut EcoScratch,
-    tracer: &Tracer,
 ) -> Result<EcoOutcome, CtsError> {
+    let tracer = &Tracer::current();
     let old_n = old.num_leaves();
     if old_locations.len() != old_n {
         return Err(CtsError::InvalidEco {
@@ -704,7 +680,7 @@ pub fn apply_eco_traced<O: MergeObjective>(
         search_span_start = tracer.now_ns();
         let search_t0 = Instant::now();
         let (_, inner_stats, inner_profile) =
-            run_greedy_with_scratch_traced(num_locals, &mut splice, &inner_params, greedy, tracer)?;
+            run_greedy_with_scratch(num_locals, &mut splice, &inner_params, greedy)?;
         search_ns = elapsed_ns(search_t0.elapsed());
         next_global = splice.next_global;
         stats = inner_stats;
@@ -1098,16 +1074,15 @@ mod tests {
         )
         .unwrap();
         let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
+        let _entered = Tracer::new(sink.clone()).enter();
         let mut obj2 = PointObjective::over(&new_points);
-        let traced = apply_eco_traced(
+        let traced = apply_eco(
             &old,
             &points,
             &edits,
             &mut obj2,
             &GreedyParams::default(),
             &mut scratch,
-            &tracer,
         )
         .unwrap();
         assert_eq!(plain.topology, traced.topology);

@@ -94,6 +94,9 @@ impl DeviceAssignment {
 /// assignment covers a different node count, and
 /// [`CtsError::MergeRegionDisjoint`] when non-finite sink data makes a
 /// zero-skew merge impossible.
+///
+/// Reports the embedding phases (`embed.bottom_up`, `embed.top_down`,
+/// nested in `embed.run`) through [`Tracer::current`](gcr_trace::Tracer::current).
 pub fn embed(
     topology: &Topology,
     sinks: &[Sink],
@@ -101,32 +104,7 @@ pub fn embed(
     assignment: &DeviceAssignment,
     source: Point,
 ) -> Result<ClockTree, CtsError> {
-    embed_impl(
-        topology,
-        sinks,
-        tech,
-        assignment,
-        source,
-        None,
-        &gcr_trace::Tracer::disabled(),
-    )
-}
-
-/// [`embed`] reporting the embedding phases (`embed.bottom_up`,
-/// `embed.top_down`, nested in `embed.run`) through `tracer`.
-///
-/// # Errors
-///
-/// Same as [`embed`].
-pub fn embed_traced(
-    topology: &Topology,
-    sinks: &[Sink],
-    tech: &Technology,
-    assignment: &DeviceAssignment,
-    source: Point,
-    tracer: &gcr_trace::Tracer,
-) -> Result<ClockTree, CtsError> {
-    embed_impl(topology, sinks, tech, assignment, source, None, tracer)
+    embed_impl(topology, sinks, tech, assignment, source, None)
 }
 
 /// As [`embed`], but allows the embedder to **resize edge devices** within
@@ -151,44 +129,9 @@ pub fn embed_sized(
     source: Point,
     limits: crate::SizingLimits,
 ) -> Result<ClockTree, CtsError> {
-    embed_impl(
-        topology,
-        sinks,
-        tech,
-        assignment,
-        source,
-        Some(limits),
-        &gcr_trace::Tracer::disabled(),
-    )
+    embed_impl(topology, sinks, tech, assignment, source, Some(limits))
 }
 
-/// [`embed_sized`] reporting the embedding phases through `tracer` (same
-/// spans as [`embed_traced`]).
-///
-/// # Errors
-///
-/// Same as [`embed`].
-pub fn embed_sized_traced(
-    topology: &Topology,
-    sinks: &[Sink],
-    tech: &Technology,
-    assignment: &DeviceAssignment,
-    source: Point,
-    limits: crate::SizingLimits,
-    tracer: &gcr_trace::Tracer,
-) -> Result<ClockTree, CtsError> {
-    embed_impl(
-        topology,
-        sinks,
-        tech,
-        assignment,
-        source,
-        Some(limits),
-        tracer,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn embed_impl(
     topology: &Topology,
     sinks: &[Sink],
@@ -196,8 +139,8 @@ fn embed_impl(
     assignment: &DeviceAssignment,
     source: Point,
     sizing: Option<crate::SizingLimits>,
-    tracer: &gcr_trace::Tracer,
 ) -> Result<ClockTree, CtsError> {
+    let tracer = gcr_trace::Tracer::current();
     let _run = tracer.span("embed.run");
     if sinks.len() != topology.num_leaves() {
         return Err(CtsError::InvalidTopology {

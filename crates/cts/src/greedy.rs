@@ -27,8 +27,8 @@ use crate::{CtsError, Topology};
 ///
 /// # Exactness contract
 ///
-/// The pruned engine ([`run_greedy`]) commits exactly the merges the
-/// exhaustive engine ([`run_greedy_exhaustive`]) would, *provided* the
+/// The pruned engine ([`run_greedy_with_scratch`]) commits exactly the merges the
+/// exhaustive engine ([`run_greedy_exhaustive_with_scratch`]) would, *provided* the
 /// bound methods are **admissible**:
 ///
 /// * `cost_lower_bound(a, b) <= cost(a, b)` for every live pair, and
@@ -1087,7 +1087,8 @@ fn expansion_key<O: MergeObjective>(
 
 /// Runs the paper's greedy bottom-up merge loop: repeatedly merge the live
 /// pair of minimum cost until a single root remains, returning the
-/// resulting [`Topology`].
+/// resulting [`Topology`] with its [`GreedyStats`] and per-phase
+/// [`GreedyProfile`].
 ///
 /// This is the **pruned** engine: candidates start as cheap admissible
 /// lower bounds generated from a bucket grid over the sink locations
@@ -1102,9 +1103,23 @@ fn expansion_key<O: MergeObjective>(
 /// minimum becomes competitive with the center's best known cost (see
 /// docs/performance.md §Bound kernels and candidate filtering). Best-first
 /// search with admissible bounds commits exactly the merges of
-/// [`run_greedy_exhaustive`], bit-identically (see
+/// [`run_greedy_exhaustive_with_scratch`], bit-identically (see
 /// [`MergeObjective`]'s exactness contract), while evaluating a small
 /// fraction of the exact costs.
+///
+/// `params` fixes the worker threads and whether the decision log is
+/// kept; `scratch` is caller-owned, and on a warm scratch (second run of
+/// the same size) the merge loop performs no heap allocations.
+///
+/// Reports phase spans, per-kind loop sub-phases (`greedy.ring` /
+/// `greedy.defer` / `greedy.bound` / `greedy.merge`) and the
+/// [`GreedyStats`] counters through [`Tracer::current`]. The merge loop
+/// itself never calls the tracer: per-kind wall time is accumulated in
+/// plain stack integers and emitted as aggregated
+/// [`complete-span`](Tracer::complete_span) events after the loop's
+/// allocation window closes, so `loop_allocs == 0` holds on a warm
+/// scratch even under an **active** sink, and the committed merges are
+/// the same at any tracing state.
 ///
 /// # Errors
 ///
@@ -1116,108 +1131,19 @@ fn expansion_key<O: MergeObjective>(
 /// # Panics
 ///
 /// Panics if the objective returns a NaN cost or bound.
-pub fn run_greedy<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-) -> Result<Topology, CtsError> {
-    run_greedy_instrumented(num_leaves, objective).map(|(topology, _)| topology)
-}
-
-/// [`run_greedy`] reporting phase spans, loop sub-phases, and counters
-/// through `tracer` (see [`run_greedy_with_scratch_traced`] for the span
-/// taxonomy). The committed merges are bit-identical to [`run_greedy`]'s
-/// at any tracing state — instrumentation never influences the search.
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-pub fn run_greedy_traced<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-    tracer: &Tracer,
-) -> Result<Topology, CtsError> {
-    let mut scratch = GreedyScratch::new();
-    run_greedy_with_scratch_traced(
-        num_leaves,
-        objective,
-        &GreedyParams::default(),
-        &mut scratch,
-        tracer,
-    )
-    .map(|(topology, _, _)| topology)
-}
-
-/// [`run_greedy`] with its [`GreedyStats`] instrumentation.
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-pub fn run_greedy_instrumented<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-) -> Result<(Topology, GreedyStats), CtsError> {
-    let mut scratch = GreedyScratch::new();
-    run_greedy_with_scratch(
-        num_leaves,
-        objective,
-        &GreedyParams::default(),
-        &mut scratch,
-    )
-    .map(|(topology, stats, _)| (topology, stats))
-}
-
-/// The pruned engine with explicit [`GreedyParams`] and a caller-owned
-/// [`GreedyScratch`], returning the per-phase [`GreedyProfile`] alongside
-/// the stats. This is the allocation-free entry point: on a warm scratch
-/// (second run of the same size) the merge loop performs no heap
-/// allocations.
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-///
-/// # Panics
-///
-/// Panics if the objective returns a NaN cost or bound.
-pub fn run_greedy_with_scratch<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-    params: &GreedyParams,
-    scratch: &mut GreedyScratch,
-) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError> {
-    run_greedy_with_scratch_traced(num_leaves, objective, params, scratch, &Tracer::disabled())
-}
-
-/// [`run_greedy_with_scratch`] reporting phase spans, per-kind loop
-/// sub-phases (`greedy.ring` / `greedy.defer` / `greedy.bound` /
-/// `greedy.merge`) and the [`GreedyStats`] counters through `tracer`.
-///
-/// The merge loop itself never calls the tracer: per-kind wall time is
-/// accumulated in plain stack integers and emitted as aggregated
-/// [`complete-span`](Tracer::complete_span) events after the loop's
-/// allocation window closes, so `loop_allocs == 0` holds on a warm
-/// scratch even under an **active** sink.
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-///
-/// # Panics
-///
-/// As [`run_greedy_with_scratch`].
 #[expect(
     clippy::expect_used,
     reason = "every live pair is covered by a bound, exact, expansion, or \
               deferred entry until one root remains (see the coverage \
               argument in docs/algorithms.md §Candidate pruning)"
 )]
-pub fn run_greedy_with_scratch_traced<O: MergeObjective>(
+pub fn run_greedy_with_scratch<O: MergeObjective>(
     num_leaves: usize,
     objective: &mut O,
     params: &GreedyParams,
     scratch: &mut GreedyScratch,
-    tracer: &Tracer,
 ) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError> {
+    let tracer = &Tracer::current();
     let mut stats = GreedyStats::default();
     let mut profile = GreedyProfile::default();
     if num_leaves == 0 {
@@ -1630,69 +1556,14 @@ fn emit_greedy_counters(tracer: &Tracer, stats: &GreedyStats, profile: &GreedyPr
 /// The pre-pruning engine: evaluates the exact cost of **every** live pair
 /// (~N²/2 initial candidates plus a full live-set sweep per merge). Kept
 /// as the reference implementation for [`run_greedy_checked`], the
-/// property tests, and the `BENCH_greedy` baselines.
+/// property tests, and the `BENCH_greedy` baselines. Takes the same
+/// `params` and caller-owned `scratch` as [`run_greedy_with_scratch`],
+/// and reports through [`Tracer::current`] (outer span
+/// `greedy.exhaustive`, phases `greedy.seed` / `greedy.loop`).
 ///
 /// # Errors
-///
-/// As [`run_greedy`].
-pub fn run_greedy_exhaustive<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-) -> Result<Topology, CtsError> {
-    run_greedy_exhaustive_instrumented(num_leaves, objective).map(|(topology, _)| topology)
-}
-
-/// [`run_greedy_exhaustive`] with its [`GreedyStats`] instrumentation.
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-pub fn run_greedy_exhaustive_instrumented<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-) -> Result<(Topology, GreedyStats), CtsError> {
-    let mut scratch = GreedyScratch::new();
-    run_greedy_exhaustive_with_scratch(
-        num_leaves,
-        objective,
-        &GreedyParams::default(),
-        &mut scratch,
-    )
-    .map(|(topology, stats, _)| (topology, stats))
-}
-
-/// The exhaustive engine with explicit [`GreedyParams`] and a caller-owned
-/// [`GreedyScratch`], returning the per-phase [`GreedyProfile`].
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-///
-/// # Panics
 ///
 /// As [`run_greedy_with_scratch`].
-pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
-    num_leaves: usize,
-    objective: &mut O,
-    params: &GreedyParams,
-    scratch: &mut GreedyScratch,
-) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError> {
-    run_greedy_exhaustive_with_scratch_traced(
-        num_leaves,
-        objective,
-        params,
-        scratch,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_greedy_exhaustive_with_scratch`] reporting phase spans and
-/// counters through `tracer` (outer span `greedy.exhaustive`, phases
-/// `greedy.seed` / `greedy.loop`).
-///
-/// # Errors
-///
-/// As [`run_greedy`].
 ///
 /// # Panics
 ///
@@ -1701,13 +1572,13 @@ pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
     clippy::expect_used,
     reason = "the heap holds a candidate for every live pair until one root remains"
 )]
-pub fn run_greedy_exhaustive_with_scratch_traced<O: MergeObjective>(
+pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
     num_leaves: usize,
     objective: &mut O,
     params: &GreedyParams,
     scratch: &mut GreedyScratch,
-    tracer: &Tracer,
 ) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError> {
+    let tracer = &Tracer::current();
     let mut stats = GreedyStats::default();
     let mut profile = GreedyProfile::default();
     if num_leaves == 0 {
@@ -1814,41 +1685,25 @@ pub fn run_greedy_exhaustive_with_scratch_traced<O: MergeObjective>(
 }
 
 /// `ExhaustiveCheck` debug mode: runs **both** engines on clones of the
-/// same objective and asserts the topologies are bit-identical before
-/// returning the pruned result. Meant for tests and debugging sessions —
-/// it deliberately pays the exhaustive engine's full cost.
+/// same objective, asserts their decision logs are **bit-identical** —
+/// same merge order, same partners, same winning keys down to the `f64`
+/// bits, a strictly stronger check than topology equality — and returns
+/// the pruned run's topology and decision log. Meant for tests and
+/// debugging sessions: it deliberately pays the exhaustive engine's full
+/// cost. The log feeds the `determinism` verifier pass and the per-merge
+/// scoped verification in `gcr-verify` (which owns the tree-level
+/// replay, since the verifier depends on this crate and not vice versa).
 ///
 /// # Errors
 ///
-/// As [`run_greedy`].
+/// As [`run_greedy_with_scratch`].
 ///
 /// # Panics
 ///
-/// Panics when the pruned topology differs from the exhaustive one, i.e.
-/// when an objective violates the admissibility contract.
+/// Panics when the pruned topology or decision log differs from the
+/// exhaustive one, i.e. when an objective violates the admissibility
+/// contract.
 pub fn run_greedy_checked<O: MergeObjective + Clone>(
-    num_leaves: usize,
-    objective: &mut O,
-) -> Result<Topology, CtsError> {
-    run_greedy_checked_logged(num_leaves, objective).map(|(topology, _)| topology)
-}
-
-/// [`run_greedy_checked`] returning the pruned run's decision log after
-/// additionally asserting it is **bit-identical** to the exhaustive
-/// engine's — same merge order, same partners, same winning keys down to
-/// the `f64` bits, a strictly stronger check than topology equality. The
-/// log feeds the `determinism` verifier pass and the per-merge scoped
-/// verification in `gcr-verify` (which owns the tree-level replay, since
-/// the verifier depends on this crate and not vice versa).
-///
-/// # Errors
-///
-/// As [`run_greedy`].
-///
-/// # Panics
-///
-/// As [`run_greedy_checked`], plus a decision-log mismatch.
-pub fn run_greedy_checked_logged<O: MergeObjective + Clone>(
     num_leaves: usize,
     objective: &mut O,
 ) -> Result<(Topology, Vec<MergeDecision>), CtsError> {
@@ -1886,6 +1741,26 @@ mod tests {
         points: Vec<Point>,
     }
 
+    /// The pruned engine on a cold scratch with default params.
+    fn run_pruned<O: MergeObjective>(
+        n: usize,
+        objective: &mut O,
+    ) -> Result<(Topology, GreedyStats), CtsError> {
+        let mut scratch = GreedyScratch::new();
+        run_greedy_with_scratch(n, objective, &GreedyParams::default(), &mut scratch)
+            .map(|(topology, stats, _)| (topology, stats))
+    }
+
+    /// The exhaustive engine on a cold scratch with default params.
+    fn run_exhaustive<O: MergeObjective>(
+        n: usize,
+        objective: &mut O,
+    ) -> Result<(Topology, GreedyStats), CtsError> {
+        let mut scratch = GreedyScratch::new();
+        run_greedy_exhaustive_with_scratch(n, objective, &GreedyParams::default(), &mut scratch)
+            .map(|(topology, stats, _)| (topology, stats))
+    }
+
     impl MergeObjective for PointObjective {
         fn cost(&self, a: usize, b: usize) -> f64 {
             self.points[a].manhattan(self.points[b])
@@ -1919,7 +1794,7 @@ mod tests {
                 Point::new(101.0, 0.0),
             ],
         };
-        let topo = run_greedy(4, &mut obj).unwrap();
+        let topo = run_pruned(4, &mut obj).unwrap().0;
         // Nodes 4 and 5 are the cluster merges; the root merges them.
         assert_eq!(
             topo.node(4),
@@ -1943,7 +1818,7 @@ mod tests {
                     .map(|i| Point::new((i * 13 % 97) as f64, (i * 29 % 83) as f64))
                     .collect(),
             };
-            let topo = run_greedy(n, &mut obj).unwrap();
+            let topo = run_pruned(n, &mut obj).unwrap().0;
             assert_eq!(topo.num_leaves(), n);
             assert_eq!(topo.len(), 2 * n - 1);
             assert_eq!(topo.subtree_sizes()[topo.root()], n);
@@ -1953,12 +1828,9 @@ mod tests {
     #[test]
     fn zero_sinks_is_an_error() {
         let mut obj = PointObjective { points: vec![] };
-        assert_eq!(run_greedy(0, &mut obj).unwrap_err(), CtsError::NoSinks);
+        assert_eq!(run_pruned(0, &mut obj).unwrap_err(), CtsError::NoSinks);
         let mut obj = PointObjective { points: vec![] };
-        assert_eq!(
-            run_greedy_exhaustive(0, &mut obj).unwrap_err(),
-            CtsError::NoSinks
-        );
+        assert_eq!(run_exhaustive(0, &mut obj).unwrap_err(), CtsError::NoSinks);
     }
 
     #[test]
@@ -1972,9 +1844,9 @@ mod tests {
             limit: NODE_INDEX_LIMIT,
         };
         let mut obj = PointObjective { points: vec![] };
-        assert_eq!(run_greedy(n, &mut obj).unwrap_err(), expected);
+        assert_eq!(run_pruned(n, &mut obj).unwrap_err(), expected);
         let mut obj = PointObjective { points: vec![] };
-        assert_eq!(run_greedy_exhaustive(n, &mut obj).unwrap_err(), expected);
+        assert_eq!(run_exhaustive(n, &mut obj).unwrap_err(), expected);
     }
 
     #[test]
@@ -1991,7 +1863,7 @@ mod tests {
             let mut obj = PointObjective {
                 points: points.clone(),
             };
-            run_greedy(4, &mut obj).unwrap()
+            run_pruned(4, &mut obj).unwrap().0
         };
         assert_eq!(run(), run());
     }
@@ -2050,9 +1922,8 @@ mod tests {
                 points: points.clone(),
             };
             let mut exhaustive_obj = PointObjective { points };
-            let (pruned, stats) = run_greedy_instrumented(n, &mut pruned_obj).unwrap();
-            let (exhaustive, ref_stats) =
-                run_greedy_exhaustive_instrumented(n, &mut exhaustive_obj).unwrap();
+            let (pruned, stats) = run_pruned(n, &mut pruned_obj).unwrap();
+            let (exhaustive, ref_stats) = run_exhaustive(n, &mut exhaustive_obj).unwrap();
             assert_eq!(pruned, exhaustive, "n = {n}");
             assert!(
                 stats.exact_cost_evals <= ref_stats.exact_cost_evals,
@@ -2072,9 +1943,8 @@ mod tests {
             points: points.clone(),
         };
         let mut exhaustive_obj = PointObjective { points };
-        let (pruned, stats) = run_greedy_instrumented(300, &mut pruned_obj).unwrap();
-        let (exhaustive, ref_stats) =
-            run_greedy_exhaustive_instrumented(300, &mut exhaustive_obj).unwrap();
+        let (pruned, stats) = run_pruned(300, &mut pruned_obj).unwrap();
+        let (exhaustive, ref_stats) = run_exhaustive(300, &mut exhaustive_obj).unwrap();
         assert_eq!(pruned, exhaustive);
         assert!(
             stats.exact_cost_evals * 5 <= ref_stats.exact_cost_evals,
@@ -2092,7 +1962,7 @@ mod tests {
                 .map(|i| Point::new(f64::from(i * 37 % 199), f64::from(i * 53 % 211)))
                 .collect(),
         };
-        let topo = run_greedy_checked(50, &mut obj).unwrap();
+        let (topo, _) = run_greedy_checked(50, &mut obj).unwrap();
         assert_eq!(topo.num_leaves(), 50);
     }
 
@@ -2152,7 +2022,7 @@ mod tests {
         assert!(scratch.decisions().is_empty());
     }
 
-    /// `run_greedy_checked_logged` returns the log the plain flag-driven
+    /// `run_greedy_checked` returns the log the plain flag-driven
     /// run would have produced.
     #[test]
     fn checked_logged_returns_the_pruned_log() {
@@ -2161,7 +2031,7 @@ mod tests {
                 .map(|i| Point::new(f64::from(i * 41 % 113), f64::from(i * 59 % 127)))
                 .collect(),
         };
-        let (topo, log) = run_greedy_checked_logged(24, &mut obj).unwrap();
+        let (topo, log) = run_greedy_checked(24, &mut obj).unwrap();
         assert_eq!(topo.num_leaves(), 24);
         assert_eq!(log.len(), 23);
     }
@@ -2181,7 +2051,7 @@ mod tests {
                     .map(|i| Point::new(f64::from(i * 37 % 199), f64::from(i * 53 % 211)))
                     .collect(),
             };
-            let topo = run_greedy(60, &mut obj).unwrap();
+            let topo = run_pruned(60, &mut obj).unwrap().0;
             assert_eq!(topo.num_leaves(), 60);
         }
 
@@ -2212,7 +2082,7 @@ mod tests {
                     .map(|i| Point::new(f64::from(i * 31 % 89), f64::from(i * 17 % 97)))
                     .collect(),
             });
-            let _ = run_greedy(12, &mut obj);
+            let _ = run_pruned(12, &mut obj);
         }
     }
 
@@ -2388,7 +2258,7 @@ mod tests {
                     .map(|i| Point::new((i * 13 % 97) as f64, (i * 29 % 83) as f64))
                     .collect(),
             };
-            let fresh = run_greedy(n, &mut fresh_obj).unwrap();
+            let fresh = run_pruned(n, &mut fresh_obj).unwrap().0;
             assert_eq!(topo, fresh, "n = {n}");
             if n == 33 {
                 if let Some(prev) = last.take() {
@@ -2451,12 +2321,14 @@ mod tests {
         let mut plain_obj = PointObjective {
             points: points.clone(),
         };
-        let (plain, plain_stats) = run_greedy_instrumented(60, &mut plain_obj).unwrap();
+        let (plain, plain_stats) = run_pruned(60, &mut plain_obj).unwrap();
 
         let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone());
         let mut traced_obj = PointObjective { points };
-        let traced = run_greedy_traced(60, &mut traced_obj, &tracer).unwrap();
+        let (traced, _) = {
+            let _entered = Tracer::new(sink.clone()).enter();
+            run_pruned(60, &mut traced_obj).unwrap()
+        };
         assert_eq!(traced, plain, "tracing must not influence the search");
 
         let nesting = sink.nesting().unwrap();

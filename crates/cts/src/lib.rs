@@ -6,14 +6,14 @@
 //!
 //! The flow is split into three orthogonal pieces:
 //!
-//! 1. **Topology construction** — [`run_greedy`] repeatedly merges the pair
+//! 1. **Topology construction** — [`run_greedy_with_scratch`] repeatedly merges the pair
 //!    of live subtrees with minimum cost under a pluggable
 //!    [`MergeObjective`]; [`nearest_neighbor_topology`] is the classic
 //!    geometric objective (and the paper's baseline), while the gated
 //!    router in `gcr-core` plugs in the switched-capacitance objective of
 //!    Equation (3). The engine prunes with admissible lower bounds over a
 //!    [`BucketGrid`] of the sink locations, committing bit-identical
-//!    merges to the exhaustive reference ([`run_greedy_exhaustive`]) at a
+//!    merges to the exhaustive reference ([`run_greedy_exhaustive_with_scratch`]) at a
 //!    fraction of the exact cost evaluations.
 //! 2. **Zero-skew merging** — [`zero_skew_merge`] computes, for two
 //!    subtrees, the exact tap-point split `e_a`/`e_b` (with wire snaking
@@ -73,22 +73,18 @@ mod tree;
 pub use arena::{clone_preserving_capacity, MergeArena, BOUND_LANES};
 pub use bst::{bounded_skew_merge, embed_bounded_skew, BstOutcome, BstState};
 pub use coarsen::{
-    partition_regions, run_greedy_coarsened, run_greedy_coarsened_traced, CoarsenParams,
-    CoarsenScratch, DEFAULT_REGION_SIZE,
+    partition_regions, run_greedy_coarsened, CoarsenParams, CoarsenScratch, DEFAULT_REGION_SIZE,
 };
 pub use design_io::{load_design, save_design, LoadedDesign};
 pub use eco::{
-    apply_eco, apply_eco_traced, plan_eco_leaves, EcoEdit, EcoLeafPlan, EcoOutcome, EcoProfile,
-    EcoScratch,
+    apply_eco, plan_eco_leaves, EcoEdit, EcoLeafPlan, EcoOutcome, EcoProfile, EcoScratch,
 };
-pub use embed::{embed, embed_sized, embed_sized_traced, embed_traced, DeviceAssignment};
+pub use embed::{embed, embed_sized, DeviceAssignment};
 pub use error::CtsError;
 pub use greedy::{
-    canonical_decision_log, run_greedy, run_greedy_checked, run_greedy_checked_logged,
-    run_greedy_exhaustive, run_greedy_exhaustive_instrumented, run_greedy_exhaustive_with_scratch,
-    run_greedy_exhaustive_with_scratch_traced, run_greedy_instrumented, run_greedy_traced,
-    run_greedy_with_scratch, run_greedy_with_scratch_traced, set_alloc_probe, GreedyParams,
-    GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
+    canonical_decision_log, run_greedy_checked, run_greedy_exhaustive_with_scratch,
+    run_greedy_with_scratch, set_alloc_probe, GreedyParams, GreedyProfile, GreedyScratch,
+    GreedyStats, MergeDecision, MergeObjective,
 };
 pub use merge::{balance_devices, zero_skew_merge, MergeOutcome, SizingLimits, SubtreeState};
 pub use mmm::mmm_topology;

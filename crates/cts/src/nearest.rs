@@ -2,8 +2,8 @@ use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
 
 use crate::{
-    embed, run_greedy, ClockTree, CtsError, DeviceAssignment, MergeArena, MergeObjective, Sink,
-    Topology,
+    embed, run_greedy_with_scratch, ClockTree, CtsError, DeviceAssignment, GreedyParams,
+    GreedyScratch, MergeArena, MergeObjective, Sink, Topology,
 };
 
 /// A uniform bucket grid over a fixed point set, in the spirit of
@@ -311,7 +311,14 @@ pub fn nearest_neighbor_topology(
     edge_device: Option<Device>,
 ) -> Result<Topology, CtsError> {
     let mut objective = NearestNeighborObjective::new(tech, sinks, edge_device);
-    run_greedy(sinks.len(), &mut objective)
+    let params = GreedyParams::default();
+    run_greedy_with_scratch(
+        sinks.len(),
+        &mut objective,
+        &params,
+        &mut GreedyScratch::new(),
+    )
+    .map(|(topology, _, _)| topology)
 }
 
 /// Builds the paper's §5.1 baseline in one call: nearest-neighbor

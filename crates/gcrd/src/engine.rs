@@ -10,7 +10,7 @@
 //! touches no engine code at all.
 //!
 //! [`route_design`] mirrors the single-shot CLI flow (`gcr-verify`'s
-//! audit path, [`gcr_core::route_gated_mapped_traced`]) exactly — same
+//! audit path, [`gcr_core::route_gated_mapped`]) exactly — same
 //! objective construction, same greedy engine, same embedding — so a
 //! daemon
 //! response is bit-identical to what the CLI produces for the same key.
@@ -23,16 +23,15 @@
 use std::sync::Arc;
 
 use gcr_core::{
-    evaluate_traced, gated_region_factory, route_gated_eco_with_params, DeviceRole, GatedObjective,
-    GatedRouting, PowerReport, RouterConfig,
+    evaluate, gated_region_factory, route_gated_eco, DeviceRole, GatedObjective, GatedRouting,
+    PowerReport, RouterConfig,
 };
 use gcr_cts::{
-    canonical_decision_log, embed_sized_traced, run_greedy_coarsened_traced,
-    run_greedy_with_scratch_traced, CoarsenParams, CoarsenScratch, DeviceAssignment, EcoEdit,
-    EcoOutcome, EcoScratch, GreedyParams, GreedyScratch, MergeDecision, SizingLimits,
+    canonical_decision_log, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
+    CoarsenParams, CoarsenScratch, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams,
+    GreedyScratch, MergeDecision, SizingLimits,
 };
 use gcr_rctree::Technology;
-use gcr_trace::Tracer;
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
 
 use crate::cache::fnv1a;
@@ -142,11 +141,11 @@ impl WorkerScratch {
 /// # Errors
 ///
 /// Returns a message for an invalid workload parameterization.
-pub fn build_design(key: DesignKey, tracer: &Tracer) -> Result<DesignEntry, String> {
+pub fn build_design(key: DesignKey) -> Result<DesignEntry, String> {
     let params = WorkloadParams::smoke()
         .with_stream_len(key.stream_len)
         .with_seed(key.seed);
-    let workload = Workload::generate_traced(key.benchmark, &params, tracer)
+    let workload = Workload::generate(key.benchmark, &params)
         .map_err(|e| format!("workload generation failed: {e}"))?;
     let module_of = workload.module_of();
     let config = RouterConfig::new(Technology::default(), workload.benchmark.die);
@@ -172,7 +171,6 @@ pub fn route_design(
     design: &DesignEntry,
     threads: usize,
     scratch: &mut WorkerScratch,
-    tracer: &Tracer,
 ) -> Result<RoutingEntry, String> {
     let sinks = &design.workload.benchmark.sinks;
     let tables = &design.workload.tables;
@@ -200,26 +198,20 @@ pub fn route_design(
             sinks,
             &design.module_of,
         );
-        let (topology, _, profile) = run_greedy_coarsened_traced(
+        let (topology, _, profile) = run_greedy_coarsened(
             sinks.len(),
             &mut objective,
             factory,
             &coarsen,
             &mut scratch.coarsen,
-            tracer,
         )
         .map_err(|e| format!("coarsened route failed: {e}"))?;
         let decisions = scratch.coarsen.decisions().to_vec();
         (topology, profile, decisions)
     } else {
-        let (topology, _, profile) = run_greedy_with_scratch_traced(
-            sinks.len(),
-            &mut objective,
-            &params,
-            &mut scratch.greedy,
-            tracer,
-        )
-        .map_err(|e| format!("route failed: {e}"))?;
+        let (topology, _, profile) =
+            run_greedy_with_scratch(sinks.len(), &mut objective, &params, &mut scratch.greedy)
+                .map_err(|e| format!("route failed: {e}"))?;
         // Copy, don't steal: `take_decisions` would leave the scratch's
         // log buffer empty and the next warm run would regrow it,
         // breaking the `loop_allocs == 0` steady state.
@@ -227,25 +219,23 @@ pub fn route_design(
         (topology, profile, decisions)
     };
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized_traced(
+    let tree = embed_sized(
         &topology,
         sinks,
         config.tech(),
         &assignment,
         config.source(),
         SizingLimits::default(),
-        tracer,
     )
     .map_err(|e| format!("embedding failed: {e}"))?;
     let node_stats = objective.node_stats();
     let node_modules = objective.node_modules();
-    let report = evaluate_traced(
+    let report = evaluate(
         &tree,
         &node_stats,
         config.controller(),
         config.tech(),
         DeviceRole::Gate,
-        tracer,
     );
     let log = canonical_decision_log(&decisions);
     let log_hash = fnv1a(log.as_bytes());
@@ -288,13 +278,12 @@ pub fn eco_design(
     edits: &[EcoEdit],
     threads: usize,
     scratch: &mut WorkerScratch,
-    tracer: &Tracer,
 ) -> Result<EcoAnswer, String> {
     let params = GreedyParams {
         threads: Some(threads),
         log_decisions: false,
     };
-    let result = route_gated_eco_with_params(
+    let result = route_gated_eco(
         &routing.routing,
         &design.workload.benchmark.sinks,
         &design.module_of,
@@ -303,16 +292,14 @@ pub fn eco_design(
         &design.config,
         &params,
         &mut scratch.eco,
-        tracer,
     )
     .map_err(|e| format!("eco failed: {e}"))?;
-    let report = evaluate_traced(
+    let report = evaluate(
         &result.routing.tree,
         &result.routing.node_stats,
         design.config.controller(),
         design.config.tech(),
         DeviceRole::Gate,
-        tracer,
     );
     Ok(EcoAnswer {
         report,
@@ -353,9 +340,8 @@ pub fn verify_routing(design: &DesignEntry, routing: &RoutingEntry) -> (u64, u64
 ///
 /// As [`build_design`] / [`route_design`].
 pub fn single_shot_reference(key: DesignKey) -> Result<(Arc<DesignEntry>, RoutingEntry), String> {
-    let tracer = Tracer::disabled();
-    let design = Arc::new(build_design(key, &tracer)?);
-    let routing = route_design(&design, 1, &mut WorkerScratch::new(), &tracer)?;
+    let design = Arc::new(build_design(key)?);
+    let routing = route_design(&design, 1, &mut WorkerScratch::new())?;
     Ok((design, routing))
 }
 
@@ -393,11 +379,10 @@ mod tests {
             stream_len: 500,
             seed: 1998,
         };
-        let tracer = Tracer::disabled();
-        let design = build_design(key, &tracer).unwrap();
+        let design = build_design(key).unwrap();
         let mut scratch = WorkerScratch::new();
-        let cold = route_design(&design, 1, &mut scratch, &tracer).unwrap();
-        let warm = route_design(&design, 1, &mut scratch, &tracer).unwrap();
+        let cold = route_design(&design, 1, &mut scratch).unwrap();
+        let warm = route_design(&design, 1, &mut scratch).unwrap();
         assert_eq!(cold.log, warm.log);
         assert_eq!(cold.log_hash, warm.log_hash);
         assert_eq!(cold.routing.topology, warm.routing.topology);
@@ -408,7 +393,6 @@ mod tests {
             &[EcoEdit::SwapActivity { module: 0 }],
             1,
             &mut scratch,
-            &tracer,
         )
         .unwrap();
         assert!(eco.outcome.pure_replay);

@@ -20,7 +20,7 @@
 //!   answers `rejected` with a `retry_after_ms` hint instead of
 //!   blocking; requests may carry a queue deadline.
 //! - **Incremental ECO**: `eco` requests against a cached design take
-//!   the dirty-frontier path ([`gcr_core::route_gated_eco_with_params`])
+//!   the dirty-frontier path ([`gcr_core::route_gated_eco`])
 //!   — the 21–39× shortcut over re-routing from scratch.
 //! - **Graceful shutdown**: `shutdown` drains queued and in-flight work,
 //!   answers everything, then stops.
@@ -47,5 +47,5 @@ pub mod protocol;
 pub mod service;
 
 pub use engine::{DesignKey, WorkerScratch, COARSEN_LIMIT};
-pub use protocol::{Command, Request, Response, MAX_LINE_BYTES};
+pub use protocol::{Command, Request, Response, MAX_LINE_BYTES, MAX_STREAM_LEN};
 pub use service::{Service, ServiceConfig};

@@ -41,6 +41,13 @@ use gcr_geometry::Point;
 /// `error` response and skipped; the connection stays up.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Hard cap on a request's `stream_len`, 500× the 20 000 cycles of the
+/// paper's streams. A longer stream is answered with an `error`
+/// response before anything is allocated for it: the daemon generates
+/// the stream in memory, and an allocation failure would abort the
+/// whole process, which no panic isolation can catch.
+pub const MAX_STREAM_LEN: usize = 10_000_000;
+
 /// What a request asks the daemon to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Command {

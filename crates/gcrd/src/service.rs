@@ -6,7 +6,7 @@
 //! One nonblocking acceptor loop (the thread that called
 //! [`Service::run`]) spawns a thread per connection; connection threads
 //! parse request lines and either answer inline (`ping` / `stats` /
-//! `shutdown`) or enqueue a [`Job`] on the bounded queue. `workers`
+//! `shutdown`) or enqueue a `Job` on the bounded queue. `workers`
 //! threads pop jobs and compute through per-worker reusable engine
 //! scratch ([`WorkerScratch`]) — so a warm worker's flat-engine merge
 //! loop allocates nothing. Responses go back through a per-connection
@@ -55,7 +55,9 @@ use crate::engine::{
     benchmark_by_name, build_design, eco_design, route_design, verify_routing, DesignEntry,
     DesignKey, RoutingEntry, WorkerScratch,
 };
-use crate::protocol::{parse_request, Command, Request, Response, StatsSnapshot, MAX_LINE_BYTES};
+use crate::protocol::{
+    parse_request, Command, Request, Response, StatsSnapshot, MAX_LINE_BYTES, MAX_STREAM_LEN,
+};
 
 /// Service deployment knobs.
 #[derive(Clone, Copy, Debug)]
@@ -474,6 +476,8 @@ fn enqueue_work(shared: &Arc<Shared>, request: Request, writer: &Arc<ConnWriter>
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    // Every engine this worker calls traces to the daemon's tracer.
+    let _entered = shared.tracer.enter();
     let mut scratch = WorkerScratch::new();
     while let Some(job) = shared.queue.pop() {
         let id = job.request.id.clone();
@@ -522,11 +526,17 @@ fn design_key(shared: &Shared, request: &Request) -> Result<DesignKey, String> {
         .as_deref()
         .ok_or("missing \"benchmark\"")?;
     let benchmark = benchmark_by_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
+    let stream_len = request
+        .stream_len
+        .unwrap_or(shared.config.default_stream_len);
+    if stream_len > MAX_STREAM_LEN {
+        return Err(format!(
+            "stream_len {stream_len} exceeds the maximum {MAX_STREAM_LEN}"
+        ));
+    }
     Ok(DesignKey {
         benchmark,
-        stream_len: request
-            .stream_len
-            .unwrap_or(shared.config.default_stream_len),
+        stream_len,
         seed: request.seed.unwrap_or(shared.config.default_seed),
     })
 }
@@ -541,7 +551,7 @@ fn design_for(shared: &Shared, key: DesignKey) -> Result<Arc<DesignEntry>, Strin
     if let Some(entry) = lock_tolerant(&shared.designs).get(hash, &canonical) {
         return Ok(entry);
     }
-    let entry = Arc::new(build_design(key, &shared.tracer)?);
+    let entry = Arc::new(build_design(key)?);
     lock_tolerant(&shared.designs).insert(hash, &canonical, Arc::clone(&entry));
     Ok(entry)
 }
@@ -579,12 +589,7 @@ fn routing_for(
     );
     let design = design_for(shared, key)?;
     let route_start = shared.tracer.now_ns();
-    let entry = Arc::new(route_design(
-        &design,
-        shared.threads,
-        scratch,
-        &shared.tracer,
-    )?);
+    let entry = Arc::new(route_design(&design, shared.threads, scratch)?);
     shared.tracer.complete_span(
         "gcrd.route",
         route_start,
@@ -681,14 +686,7 @@ fn handle_job(
                 Ok(d) => d,
                 Err(msg) => return Response::error(&request.id, msg),
             };
-            match eco_design(
-                &design,
-                &entry,
-                &request.edits,
-                shared.threads,
-                scratch,
-                &shared.tracer,
-            ) {
+            match eco_design(&design, &entry, &request.edits, shared.threads, scratch) {
                 Ok(answer) => {
                     let mut resp = Response::ok(&request.id);
                     resp.cmd = Some("eco");

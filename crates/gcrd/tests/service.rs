@@ -190,6 +190,53 @@ fn malformed_requests_get_errors_and_daemon_survives() {
     daemon.join().unwrap();
 }
 
+/// A `stream_len` outside `2..=MAX_STREAM_LEN` gets an `error` response
+/// naming the field, from a check and not from a caught panic; the
+/// daemon keeps serving afterwards.
+#[test]
+fn out_of_range_stream_len_is_rejected_without_a_panic() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let too_long = gcrd::MAX_STREAM_LEN + 1;
+    let requests: Vec<String> = [
+        "0".to_owned(),
+        "1".to_owned(),
+        too_long.to_string(),
+        "1e30".to_owned(),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, len)| {
+        format!(r#"{{"id":"len{i}","cmd":"route","benchmark":"r1","stream_len":{len}}}"#)
+    })
+    .chain([r#"{"id":"alive","cmd":"ping"}"#.to_owned()])
+    .collect();
+    let responses = send_batch(&addr, &requests);
+    for resp in &responses {
+        if str_field(resp, "id") == "alive" {
+            assert_eq!(status(resp), "ok");
+            continue;
+        }
+        assert_eq!(status(resp), "error", "line: {resp:?}");
+        assert!(
+            str_field(resp, "error").contains("stream_len"),
+            "error must name the field: {resp:?}"
+        );
+    }
+    let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+    assert_eq!(
+        stats[0]
+            .get("stats")
+            .and_then(|s| s.get("panics"))
+            .and_then(Json::as_f64),
+        Some(0.0)
+    );
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
 /// A one-slot queue behind one busy worker rejects overflow immediately
 /// with `status: "rejected"` and a `retry_after_ms` hint.
 #[test]

@@ -15,9 +15,9 @@
 
 use std::sync::Arc;
 
-use gcr_activity::{scan_source_traced, CpuModel, ScanParams, ScanScratch, SliceSource};
+use gcr_activity::{scan_source, CpuModel, ScanParams, ScanScratch, SliceSource};
 use gcr_cts::{
-    run_greedy_with_scratch_traced, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink,
+    run_greedy_with_scratch, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -30,6 +30,7 @@ fn greedy_and_activity_emit_identical_threads_warning() {
     // Greedy engine path: params.threads = None forces the env read.
     let greedy_sink = Arc::new(MemorySink::new());
     let greedy_tracer = Tracer::new(greedy_sink.clone());
+    let entered = greedy_tracer.enter();
     let tech = Technology::default();
     let sinks: Vec<Sink> = (0..6)
         .map(|i| {
@@ -43,18 +44,13 @@ fn greedy_and_activity_emit_identical_threads_warning() {
         log_decisions: false,
     };
     let mut scratch = GreedyScratch::new();
-    run_greedy_with_scratch_traced(
-        sinks.len(),
-        &mut objective,
-        &params,
-        &mut scratch,
-        &greedy_tracer,
-    )
-    .unwrap();
+    run_greedy_with_scratch(sinks.len(), &mut objective, &params, &mut scratch).unwrap();
+    drop(entered);
 
     // Activity scanner path: same env, same `threads: None`.
     let activity_sink = Arc::new(MemorySink::new());
     let activity_tracer = Tracer::new(activity_sink.clone());
+    let _entered = activity_tracer.enter();
     let model = CpuModel::builder(6)
         .instructions(4)
         .usage_fraction(0.5)
@@ -68,14 +64,7 @@ fn greedy_and_activity_emit_identical_threads_warning() {
         ..ScanParams::default()
     };
     let mut scan_scratch = ScanScratch::new();
-    scan_source_traced(
-        model.rtl(),
-        &mut source,
-        &scan_params,
-        &mut scan_scratch,
-        &activity_tracer,
-    )
-    .unwrap();
+    scan_source(model.rtl(), &mut source, &scan_params, &mut scan_scratch).unwrap();
 
     std::env::remove_var("GCR_THREADS");
 

@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use gcr_activity::{io as aio, ActivityTables};
 use gcr_core::{
-    evaluate, evaluate_buffered, evaluate_traced, evaluate_with_mask_traced, reduce_gates_untied,
-    route_gated_traced, ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
+    evaluate, evaluate_buffered, evaluate_with_mask, reduce_gates_untied, route_gated,
+    ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
 };
 use gcr_cts::{build_buffered_tree, Sink};
 use gcr_geometry::{BBox, Point};
@@ -117,7 +117,6 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let sinks = parse_sinks(&fs::read_to_string(&sinks_path)?)?;
     let rtl = aio::parse_rtl(&fs::read_to_string(&rtl_path)?, Some(sinks.len()))?;
     let stream = aio::parse_trace(&rtl, &fs::read_to_string(&trace_path)?)?;
-    let tables = ActivityTables::scan_traced(&rtl, &stream, &tracer);
 
     let die = match die {
         Some((w, h)) => BBox::new(Point::ORIGIN, Point::new(w, h)),
@@ -131,14 +130,16 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let buffered = evaluate_buffered(&build_buffered_tree(&tech, &sinks, config.source())?, &tech);
-    let routing = route_gated_traced(&sinks, &tables, &config, &tracer)?;
-    let gated = evaluate_traced(
+    // The timeline covers the gated flow only, not the buffered baseline.
+    let _entered = tracer.enter();
+    let tables = ActivityTables::scan(&rtl, &stream);
+    let routing = route_gated(&sinks, &tables, &config)?;
+    let gated = evaluate(
         &routing.tree,
         &routing.node_stats,
         config.controller(),
         &tech,
         DeviceRole::Gate,
-        &tracer,
     );
     let mask = if optimal {
         gcr_core::reduce_gates_optimal(&routing, &tech, config.controller())
@@ -149,13 +150,12 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             &ReductionParams::from_strength_scaled(strength, &tech, die.half_perimeter() / 8.0),
         )
     };
-    let reduced = evaluate_with_mask_traced(
+    let reduced = evaluate_with_mask(
         &routing.tree,
         &routing.node_stats,
         config.controller(),
         &tech,
         &mask,
-        &tracer,
     );
 
     println!("sinks      : {}", sinks.len());

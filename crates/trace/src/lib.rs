@@ -13,6 +13,17 @@
 //! * [`ChromeTraceSink`] — accumulates events and renders them as a
 //!   Chrome-trace JSON file (`chrome://tracing`, Perfetto, Speedscope).
 //!
+//! # Reaching the engines
+//!
+//! Engines take no tracer argument. A caller that wants a trace
+//! [`enter`](Tracer::enter)s a tracer; until the returned guard drops,
+//! that tracer is the calling thread's [`current`](Tracer::current)
+//! one. Each engine entry point reads [`Tracer::current`] once, on the
+//! calling thread and before any measured allocation window, and hands
+//! the handle down explicitly from there. Spawned threads start with no
+//! tracer entered, so worker threads trace only through a handle passed
+//! to them.
+//!
 //! # Cost model
 //!
 //! A disabled tracer ([`Tracer::disabled`]) is a `None` behind one
@@ -39,12 +50,22 @@
 //! }
 //! assert_eq!(sink.counter("widgets"), Some(3.0));
 //! assert_eq!(sink.nesting().unwrap(), vec![("outer", 0), ("inner", 1)]);
+//!
+//! // What an engine sees: the entered tracer, then the disabled default.
+//! {
+//!     let _entered = tracer.enter();
+//!     Tracer::current().counter("entered", 1.0);
+//! }
+//! assert!(!Tracer::current().enabled());
+//! assert_eq!(sink.counter("entered"), Some(1.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -461,6 +482,29 @@ impl Tracer {
         Self { inner: None }
     }
 
+    /// Makes this tracer the calling thread's [current](Tracer::current)
+    /// one until the returned guard drops. Guards nest: dropping one
+    /// restores the tracer that was current when it was entered, also
+    /// when a panic unwinds through it. Other threads, including ones
+    /// spawned while the guard is live, are unaffected.
+    #[must_use = "the tracer stops being current when the guard drops — bind it with `let`"]
+    pub fn enter(&self) -> EnterGuard {
+        let previous = CURRENT.with(|c| c.replace(Some(self.clone())));
+        EnterGuard {
+            previous,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// The tracer most recently [entered](Tracer::enter) on the calling
+    /// thread and still live, or [`Tracer::disabled`] if there is none.
+    /// Engines call this once per entry point; it clones one [`Arc`] and
+    /// never allocates.
+    #[must_use]
+    pub fn current() -> Self {
+        CURRENT.with(|c| c.borrow().clone().unwrap_or_default())
+    }
+
     /// Whether events are being recorded. Check this before doing any
     /// work (formatting, counting) that only feeds the tracer.
     #[must_use]
@@ -534,6 +578,26 @@ impl Tracer {
                 ts_ns: saturating_ns(t.epoch.elapsed().as_nanos()),
             });
         }
+    }
+}
+
+thread_local! {
+    /// The calling thread's entered tracer; `None` reads as disabled.
+    static CURRENT: RefCell<Option<Tracer>> = const { RefCell::new(None) };
+}
+
+/// Guard of an [entered](Tracer::enter) tracer; restores the previously
+/// current tracer on drop. Tied to the thread that entered it.
+pub struct EnterGuard {
+    previous: Option<Tracer>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for EnterGuard {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        // The replaced tracer drops after the cell's borrow has ended.
+        drop(CURRENT.with(|c| c.replace(previous)));
     }
 }
 
@@ -677,6 +741,58 @@ mod tests {
             "unbalanced braces"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn nothing_entered_reads_as_disabled() {
+        assert!(!Tracer::current().enabled());
+    }
+
+    #[test]
+    fn nested_enter_restores_the_outer_tracer() {
+        let outer_sink = Arc::new(MemorySink::new());
+        let inner_sink = Arc::new(MemorySink::new());
+        let outer = Tracer::new(outer_sink.clone());
+        let inner = Tracer::new(inner_sink.clone());
+        {
+            let _outer = outer.enter();
+            Tracer::current().counter("seen", 1.0);
+            {
+                let _inner = inner.enter();
+                Tracer::current().counter("seen", 2.0);
+            }
+            Tracer::current().counter("seen", 3.0);
+        }
+        assert!(!Tracer::current().enabled());
+        assert_eq!(outer_sink.counter("seen"), Some(3.0));
+        assert_eq!(inner_sink.counter("seen"), Some(2.0));
+        assert_eq!(outer_sink.events().len(), 2);
+    }
+
+    #[test]
+    fn a_panic_unwinding_through_the_guard_restores_the_outer_tracer() {
+        let outer_sink = Arc::new(MemorySink::new());
+        let outer = Tracer::new(outer_sink.clone());
+        let _outer = outer.enter();
+        let inner = Tracer::new(Arc::new(MemorySink::new()));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _inner = inner.enter();
+            panic!("engine failure");
+        }));
+        assert!(unwound.is_err());
+        Tracer::current().counter("after", 1.0);
+        assert_eq!(outer_sink.counter("after"), Some(1.0));
+    }
+
+    #[test]
+    fn spawned_threads_do_not_inherit_the_tracer() {
+        let tracer = Tracer::new(Arc::new(MemorySink::new()));
+        let _entered = tracer.enter();
+        assert!(Tracer::current().enabled());
+        let inherited = std::thread::spawn(|| Tracer::current().enabled())
+            .join()
+            .unwrap();
+        assert!(!inherited);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gcr_core::{gated_region_factory, ControllerPlan, DeviceRole, GatedObjective};
 use gcr_cts::{
-    canonical_decision_log, embed, embed_sized, load_design, run_greedy_coarsened_traced,
-    run_greedy_with_scratch_traced, CoarsenParams, CoarsenScratch, DeviceAssignment, GreedyParams,
+    canonical_decision_log, embed, embed_sized, load_design, run_greedy_coarsened,
+    run_greedy_with_scratch, CoarsenParams, CoarsenScratch, DeviceAssignment, GreedyParams,
     GreedyScratch, MergeObjective, SizingLimits,
 };
 use gcr_geometry::{BBox, Point};
@@ -270,13 +270,13 @@ const COARSEN_AUDIT_LIMIT: usize = 10_000;
 /// Replays one benchmark through the gated greedy router under `params`,
 /// returning the canonical decision log. `region_factory` is consulted
 /// only above [`COARSEN_AUDIT_LIMIT`] sinks, where the run goes through
-/// the coarsening engine.
+/// the coarsening engine. The run traces to whatever tracer the caller
+/// entered.
 fn replay<'a, F>(
     base: &GatedObjective<'a>,
     num_sinks: usize,
     params: &GreedyParams,
     region_factory: &F,
-    tracer: &Tracer,
 ) -> Result<(gcr_cts::Topology, Vec<gcr_cts::MergeDecision>), String>
 where
     F: Fn(&[u32]) -> GatedObjective<'a> + Sync,
@@ -288,20 +288,19 @@ where
             greedy: *params,
             target_region_size: 0,
         };
-        let (topology, _, _) = run_greedy_coarsened_traced(
+        let (topology, _, _) = run_greedy_coarsened(
             num_sinks,
             &mut objective,
             region_factory,
             &coarsen,
             &mut scratch,
-            tracer,
         )
         .map_err(|e| format!("coarsened greedy route failed: {e}"))?;
         Ok((topology, scratch.take_decisions()))
     } else {
         let mut scratch = GreedyScratch::new();
         let (topology, _, _) =
-            run_greedy_with_scratch_traced(num_sinks, &mut objective, params, &mut scratch, tracer)
+            run_greedy_with_scratch(num_sinks, &mut objective, params, &mut scratch)
                 .map_err(|e| format!("greedy route failed: {e}"))?;
         Ok((topology, scratch.take_decisions()))
     }
@@ -331,13 +330,7 @@ fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
             threads: Some(threads),
             log_decisions: true,
         };
-        let (topology, baseline) = replay(
-            &base,
-            sinks.len(),
-            &greedy(opts.threads[0]),
-            &factory,
-            &Tracer::disabled(),
-        )?;
+        let (topology, baseline) = replay(&base, sinks.len(), &greedy(opts.threads[0]), &factory)?;
         let baseline_log = canonical_decision_log(&baseline);
         let mut divergent = 0usize;
         let mut configs = 1usize;
@@ -351,7 +344,8 @@ fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
                 } else {
                     Tracer::disabled()
                 };
-                let (_, log) = replay(&base, sinks.len(), &greedy(threads), &factory, &tracer)?;
+                let _entered = tracer.enter();
+                let (_, log) = replay(&base, sinks.len(), &greedy(threads), &factory)?;
                 configs += 1;
                 if canonical_decision_log(&log) != baseline_log {
                     divergent += 1;

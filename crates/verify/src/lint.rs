@@ -92,16 +92,14 @@ impl Verifier {
     /// likewise skipped (and recorded), and every finding is filtered to
     /// locations the scope covers — the scoped-oracle contract: the
     /// report equals a full run's report restricted to the scope.
+    ///
+    /// Records a span per pass (named by the lint id) under a
+    /// `verify.run` parent, plus diagnostic counters, on
+    /// [`Tracer::current`](gcr_trace::Tracer::current). Skipped passes
+    /// emit a `verify.skipped` warn event.
     #[must_use]
     pub fn run(&self, input: &VerifyInput<'_>) -> VerifyReport {
-        self.run_traced(input, &gcr_trace::Tracer::disabled())
-    }
-
-    /// [`Verifier::run`] with a span per pass (named by the lint id) under
-    /// a `verify.run` parent, plus diagnostic counters, recorded on
-    /// `tracer`. Skipped passes emit a `verify.skipped` warn event.
-    #[must_use]
-    pub fn run_traced(&self, input: &VerifyInput<'_>, tracer: &gcr_trace::Tracer) -> VerifyReport {
+        let tracer = gcr_trace::Tracer::current();
         let _run = tracer.span("verify.run");
         let partial_scope = !input.scope.is_full();
         let mut diagnostics = Vec::new();

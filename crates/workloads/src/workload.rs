@@ -160,54 +160,37 @@ impl Workload {
     /// Returns [`ActivityError`] when the parameters are out of range
     /// (e.g. `usage_fraction` not in (0, 1]).
     pub fn generate(which: TsayBenchmark, params: &WorkloadParams) -> Result<Self, ActivityError> {
-        Self::generate_traced(which, params, &gcr_trace::Tracer::disabled())
-    }
-
-    /// [`Workload::generate`] with workload-synthesis spans recorded on
-    /// `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError`] when the parameters are out of range.
-    pub fn generate_traced(
-        which: TsayBenchmark,
-        params: &WorkloadParams,
-        tracer: &gcr_trace::Tracer,
-    ) -> Result<Self, ActivityError> {
         let benchmark = if params.groups > 0 {
             Benchmark::tsay_clustered(which, params.seed, params.groups)
         } else {
             Benchmark::tsay(which, params.seed)
         };
-        Self::for_benchmark_traced(benchmark, params, tracer)
+        Self::for_benchmark(benchmark, params)
     }
 
     /// Generates the activity side of a workload for an arbitrary
-    /// benchmark.
+    /// benchmark. Records workload-synthesis spans on
+    /// [`Tracer::current`](gcr_trace::Tracer::current):
+    /// `workload.generate` wraps model construction, stream generation
+    /// and the [`ActivityTables`] scan (whose `activity.*` spans nest
+    /// underneath).
     ///
     /// # Errors
     ///
-    /// Returns [`ActivityError`] when the parameters are out of range.
+    /// Returns [`ActivityError`] when the parameters are out of range,
+    /// including [`ActivityError::InvalidParameter`] for a `stream_len`
+    /// below 2 (the tables need at least one instruction pair).
     pub fn for_benchmark(
         benchmark: Benchmark,
         params: &WorkloadParams,
     ) -> Result<Self, ActivityError> {
-        Self::for_benchmark_traced(benchmark, params, &gcr_trace::Tracer::disabled())
-    }
-
-    /// [`Workload::for_benchmark`] with workload-synthesis spans recorded
-    /// on `tracer`: `workload.generate` wraps model construction, stream
-    /// generation and the [`ActivityTables`] scan (whose `activity.*`
-    /// spans nest underneath).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError`] when the parameters are out of range.
-    pub fn for_benchmark_traced(
-        benchmark: Benchmark,
-        params: &WorkloadParams,
-        tracer: &gcr_trace::Tracer,
-    ) -> Result<Self, ActivityError> {
+        if params.stream_len < 2 {
+            return Err(ActivityError::InvalidParameter {
+                name: "stream_len",
+                value: params.stream_len as f64,
+            });
+        }
+        let tracer = gcr_trace::Tracer::current();
         let _generate = tracer.span("workload.generate");
         let model = {
             let _span = tracer.span("workload.model");
@@ -223,7 +206,7 @@ impl Workload {
             let _span = tracer.span("workload.stream");
             model.generate_stream(params.stream_len)
         };
-        let tables = ActivityTables::scan_traced(model.rtl(), &stream, tracer);
+        let tables = ActivityTables::scan(model.rtl(), &stream);
         let stats = {
             let _span = tracer.span("workload.stats");
             StreamStats::collect(model.rtl(), &stream)
@@ -274,6 +257,22 @@ mod tests {
         );
         // One module per sink at published sizes: the map is the identity.
         assert_eq!(w.module_of(), (0..267).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn streams_shorter_than_two_cycles_are_a_parameter_error() {
+        for stream_len in [0, 1] {
+            let params = WorkloadParams::smoke().with_stream_len(stream_len);
+            let bench = Benchmark::uniform(8, 1_000.0, 3);
+            assert_eq!(
+                Workload::for_benchmark(bench, &params).unwrap_err(),
+                ActivityError::InvalidParameter {
+                    name: "stream_len",
+                    value: stream_len as f64,
+                }
+            );
+            assert!(Workload::generate(TsayBenchmark::R1, &params).is_err());
+        }
     }
 
     #[test]

@@ -70,6 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batch,
             tables,
             &config,
+            &GreedyParams::default(),
             &mut scratch,
         )?;
         let ms = t.elapsed().as_secs_f64() * 1e3;

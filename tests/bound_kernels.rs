@@ -12,7 +12,8 @@
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{ActivityDrivenObjective, GatedObjective, RouterConfig};
 use gcr_cts::{
-    run_greedy_exhaustive, run_greedy_instrumented, MergeObjective, NearestNeighborObjective, Sink,
+    run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, GreedyParams, GreedyScratch,
+    MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -141,29 +142,37 @@ fn filtering_engages_on_r1_without_changing_merge_order() {
         &module_of,
     );
 
+    let params = GreedyParams::default();
     let mut nn_pruned = nn.clone();
-    let (topology, stats) = run_greedy_instrumented(n, &mut nn_pruned).unwrap();
+    let (topology, stats, _) =
+        run_greedy_with_scratch(n, &mut nn_pruned, &params, &mut GreedyScratch::new()).unwrap();
     assert!(
         stats.bounds_filtered > 0,
         "candidate filtering never engaged on r1 (nearest-neighbor)"
     );
     assert!(stats.bound_batches > 0, "no batched bound sweeps on r1");
     let mut nn_ref = nn.clone();
-    let reference = run_greedy_exhaustive(n, &mut nn_ref).unwrap();
+    let (reference, _, _) =
+        run_greedy_exhaustive_with_scratch(n, &mut nn_ref, &params, &mut GreedyScratch::new())
+            .unwrap();
     assert_eq!(
         topology, reference,
         "filtering changed the nearest-neighbor merge order on r1"
     );
 
+    let params = GreedyParams::default();
     let mut gated_pruned = gated.clone();
-    let (topology, stats) = run_greedy_instrumented(n, &mut gated_pruned).unwrap();
+    let (topology, stats, _) =
+        run_greedy_with_scratch(n, &mut gated_pruned, &params, &mut GreedyScratch::new()).unwrap();
     assert!(
         stats.bounds_filtered > 0,
         "candidate filtering never engaged on r1 (equation-3)"
     );
     assert!(stats.bound_batches > 0, "no batched bound sweeps on r1");
     let mut gated_ref = gated.clone();
-    let reference = run_greedy_exhaustive(n, &mut gated_ref).unwrap();
+    let (reference, _, _) =
+        run_greedy_exhaustive_with_scratch(n, &mut gated_ref, &params, &mut GreedyScratch::new())
+            .unwrap();
     assert_eq!(
         topology, reference,
         "filtering changed the equation-3 merge order on r1"

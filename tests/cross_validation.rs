@@ -125,7 +125,13 @@ fn route_gated_matches_exhaustive_reference() {
         sinks,
         &module_of,
     );
-    let reference = gcr_cts::run_greedy_exhaustive(sinks.len(), &mut objective).unwrap();
+    let (reference, _, _) = gcr_cts::run_greedy_exhaustive_with_scratch(
+        sinks.len(),
+        &mut objective,
+        &gcr_cts::GreedyParams::default(),
+        &mut gcr_cts::GreedyScratch::new(),
+    )
+    .unwrap();
     assert_eq!(
         routing.topology, reference,
         "pruned router topology diverged from the exhaustive reference"

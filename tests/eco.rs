@@ -15,7 +15,7 @@
 #![recursion_limit = "256"]
 
 use gcr_core::{route_gated_eco, route_gated_mapped, GatedRouting, RouterConfig};
-use gcr_cts::{EcoScratch, Sink};
+use gcr_cts::{EcoScratch, GreedyParams, Sink};
 use gcr_rctree::Technology;
 use gcr_verify::{check_eco, Verifier, VerifyInput, DEFAULT_QUALITY_EPS};
 use gcr_workloads::{
@@ -78,6 +78,7 @@ proptest! {
                 batch,
                 &workload.tables,
                 &config,
+                &GreedyParams::default(),
                 &mut scratch,
             )
             .unwrap();
@@ -127,6 +128,7 @@ proptest! {
                 batch,
                 &workload.tables,
                 &config,
+                &GreedyParams::default(),
                 &mut scratch,
             )
             .unwrap();
@@ -159,6 +161,7 @@ fn long_mixed_stream_on_r1_stays_verified() {
             batch,
             &workload.tables,
             &config,
+            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();

@@ -8,9 +8,7 @@
 
 use gcr_activity::{ActivityTables, InstructionStream, Rtl};
 use gcr_core::{GatedObjective, RouterConfig};
-use gcr_cts::{
-    run_greedy_exhaustive, run_greedy_instrumented, NearestNeighborObjective, Sink, Topology,
-};
+use gcr_cts::{run_greedy_checked, NearestNeighborObjective, Sink, Topology};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 
@@ -20,12 +18,8 @@ fn pruned_equals_exhaustive<O>(n: usize, objective: &O) -> Topology
 where
     O: gcr_cts::MergeObjective + Clone,
 {
-    let mut reference_obj = objective.clone();
-    let reference = run_greedy_exhaustive(n, &mut reference_obj).unwrap();
-    let mut pruned_obj = objective.clone();
-    let (pruned, _) = run_greedy_instrumented(n, &mut pruned_obj).unwrap();
-    assert_eq!(pruned, reference, "engines diverged on {n} sinks");
-    pruned
+    // Panics unless both engines commit bit-identical decision logs.
+    run_greedy_checked(n, &mut objective.clone()).unwrap().0
 }
 
 /// An activity model in which none of the first `num_modules` modules is

@@ -10,9 +10,7 @@
 
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{gated_routing_for_topology, GatedObjective, RouterConfig};
-use gcr_cts::{
-    run_greedy_exhaustive, run_greedy_instrumented, NearestNeighborObjective, Sink, Topology,
-};
+use gcr_cts::{run_greedy_checked, NearestNeighborObjective, Sink, Topology};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 use gcr_verify::{Verifier, VerifyInput};
@@ -41,22 +39,13 @@ fn tables_for(num_sinks: usize, seed: u64) -> ActivityTables {
 }
 
 /// Runs both engines over clones of `objective` and returns the pruned
-/// topology after asserting bit-identity with the exhaustive reference.
+/// topology; `run_greedy_checked` panics unless its decision log is
+/// bit-identical to the exhaustive reference's.
 fn pruned_equals_exhaustive<O>(n: usize, objective: &O) -> Topology
 where
     O: gcr_cts::MergeObjective + Clone,
 {
-    let mut reference_obj = objective.clone();
-    let reference = run_greedy_exhaustive(n, &mut reference_obj).unwrap();
-    let mut pruned_obj = objective.clone();
-    let (pruned, stats) = run_greedy_instrumented(n, &mut pruned_obj).unwrap();
-    assert_eq!(
-        pruned, reference,
-        "pruned engine diverged from exhaustive on {n} sinks \
-         ({} exact evals pruned)",
-        stats.exact_cost_evals
-    );
-    pruned
+    run_greedy_checked(n, &mut objective.clone()).unwrap().0
 }
 
 /// Routes `topology` with the full gated pipeline and runs the verifier

@@ -2,14 +2,18 @@
 //! runs must (a) report a well-nested span tree covering every pipeline
 //! layer with counters matching the engine's own statistics, and (b) be
 //! **bit-identical** to untraced runs — tracing observes the flow, it
-//! never steers it. See `docs/observability.md` for the span taxonomy.
+//! never steers it. Every traced run enters its tracer, which each
+//! engine picks up with `Tracer::current`. See `docs/observability.md`
+//! for the span taxonomy.
 // Test code: unwrap/expect on infallible setup is idiomatic here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
-use gcr_core::{evaluate_traced, route_gated, route_gated_traced, DeviceRole, RouterConfig};
-use gcr_cts::{run_greedy, run_greedy_traced, NearestNeighborObjective, Sink};
+use gcr_core::{evaluate, route_gated, DeviceRole, RouterConfig};
+use gcr_cts::{
+    run_greedy_with_scratch, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink, Topology,
+};
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
 use gcr_trace::{MemorySink, NullSink, TraceSink, Tracer};
@@ -28,24 +32,18 @@ fn full_flow_trace_covers_every_layer_with_correct_nesting() {
     let params = WorkloadParams::smoke().with_stream_len(400);
     let sink = Arc::new(MemorySink::new());
     let tracer = Tracer::new(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    let _entered = tracer.enter();
 
-    let workload = Workload::generate_traced(TsayBenchmark::R1, &params, &tracer).unwrap();
+    let workload = Workload::generate(TsayBenchmark::R1, &params).unwrap();
     let n = workload.benchmark.sinks.len();
     let config = RouterConfig::new(Technology::default(), workload.benchmark.die);
-    let routing = route_gated_traced(
-        &workload.benchmark.sinks,
-        &workload.tables,
-        &config,
-        &tracer,
-    )
-    .unwrap();
-    let report = evaluate_traced(
+    let routing = route_gated(&workload.benchmark.sinks, &workload.tables, &config).unwrap();
+    let report = evaluate(
         &routing.tree,
         &routing.node_stats,
         config.controller(),
         config.tech(),
         DeviceRole::Gate,
-        &tracer,
     );
     assert!(report.total_switched_cap.is_finite());
 
@@ -102,14 +100,10 @@ fn traced_routing_is_bit_identical_on_r1() {
     let workload = small_r1();
     let config = RouterConfig::new(Technology::default(), workload.benchmark.die);
     let plain = route_gated(&workload.benchmark.sinks, &workload.tables, &config).unwrap();
-    let tracer = Tracer::new(Arc::new(NullSink));
-    let traced = route_gated_traced(
-        &workload.benchmark.sinks,
-        &workload.tables,
-        &config,
-        &tracer,
-    )
-    .unwrap();
+    let traced = {
+        let _entered = Tracer::new(Arc::new(NullSink)).enter();
+        route_gated(&workload.benchmark.sinks, &workload.tables, &config).unwrap()
+    };
     assert_eq!(plain.topology, traced.topology);
     assert_eq!(plain.tree, traced.tree);
 }
@@ -124,7 +118,10 @@ fn verifier_spans_follow_pass_order() {
     let tracer = Tracer::new(Arc::clone(&sink) as Arc<dyn TraceSink>);
     let verifier = Verifier::with_default_lints();
     let input = VerifyInput::new(&routing.tree, config.tech()).with_tables(&workload.tables);
-    let report = verifier.run_traced(&input, &tracer);
+    let report = {
+        let _entered = tracer.enter();
+        verifier.run(&input)
+    };
 
     let nesting = sink.nesting().expect("span stream must be balanced");
     assert_eq!(nesting[0], ("verify.run", 0));
@@ -150,6 +147,14 @@ fn sinks_strategy(max: usize) -> impl Strategy<Value = Vec<Sink>> {
     })
 }
 
+/// The pruned engine on a cold scratch, under whatever tracer is entered.
+fn pruned(n: usize, objective: &mut NearestNeighborObjective) -> Topology {
+    let params = GreedyParams::default();
+    let (topology, _, _) =
+        run_greedy_with_scratch(n, objective, &params, &mut GreedyScratch::new()).unwrap();
+    topology
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -160,10 +165,10 @@ proptest! {
         let tech = Technology::default();
         let n = sinks.len();
         let mut plain_obj = NearestNeighborObjective::new(&tech, &sinks, Some(tech.and_gate()));
-        let plain = run_greedy(n, &mut plain_obj).unwrap();
-        let tracer = Tracer::new(Arc::new(NullSink));
+        let plain = pruned(n, &mut plain_obj);
+        let _entered = Tracer::new(Arc::new(NullSink)).enter();
         let mut traced_obj = NearestNeighborObjective::new(&tech, &sinks, Some(tech.and_gate()));
-        let traced = run_greedy_traced(n, &mut traced_obj, &tracer).unwrap();
+        let traced = pruned(n, &mut traced_obj);
         prop_assert_eq!(plain, traced);
     }
 }

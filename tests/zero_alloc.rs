@@ -18,8 +18,8 @@ use std::sync::Arc;
 use gcr_activity::{ActivityTables, CpuModel, ScanParams, ScanScratch, SliceSource};
 use gcr_core::{GatedObjective, RouterConfig};
 use gcr_cts::{
-    apply_eco, plan_eco_leaves, run_greedy_with_scratch, run_greedy_with_scratch_traced, EcoEdit,
-    EcoScratch, GreedyParams, GreedyScratch, MergeObjective, NearestNeighborObjective, Sink,
+    apply_eco, plan_eco_leaves, run_greedy_with_scratch, EcoEdit, EcoScratch, GreedyParams,
+    GreedyScratch, MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -206,8 +206,9 @@ fn warm_greedy_loop_performs_zero_allocations() {
     let mut cold = gated.clone();
     run_greedy_with_scratch(n, &mut cold, &params, &mut scratch).unwrap();
     let mut warm = gated.clone();
-    let (_, _, profile) =
-        run_greedy_with_scratch_traced(n, &mut warm, &params, &mut scratch, &tracer).unwrap();
+    let entered = tracer.enter();
+    let (_, _, profile) = run_greedy_with_scratch(n, &mut warm, &params, &mut scratch).unwrap();
+    drop(entered);
     assert_eq!(
         profile.loop_allocs, 0,
         "traced warm loop allocated {} times",
