@@ -223,15 +223,28 @@ impl<'a> GatedObjective<'a> {
             modules: Vec::with_capacity(capacity * module_words),
         };
         // Each leaf's activation row and module bit are written straight
-        // into the columns and priced in place: no per-leaf allocation.
+        // into the columns: no per-leaf allocation. A leaf's row and
+        // enable stats depend only on its module, so the first sink of
+        // each module prices them and later sinks copy that leaf's.
         let rtl = tables.rtl();
+        let mut first_leaf = vec![u32::MAX; num_modules];
         for (i, s) in sinks.iter().enumerate() {
             let m = module_of[i];
             assert!(m < num_modules, "module {m} outside universe {num_modules}");
-            let act = this.active.len();
-            this.active
-                .extend(rtl.instruction_ids().map(|id| rtl.uses(id, m)));
-            let stats = tables.enable_stats_for_active(&this.active[act..]);
+            let j = first_leaf[m] as usize;
+            let stats = if j < i {
+                this.active.extend_from_within(j * instr..(j + 1) * instr);
+                EnableStats {
+                    signal: this.signal[j],
+                    transition: this.transition[j],
+                }
+            } else {
+                first_leaf[m] = i as u32;
+                let act = this.active.len();
+                this.active
+                    .extend(rtl.instruction_ids().map(|id| rtl.uses(id, m)));
+                tables.enable_stats_for_active(&this.active[act..])
+            };
             this.arena.push_leaf(s, Some(gate));
             let row = this.modules.len();
             this.modules.resize(row + module_words, 0);
@@ -865,6 +878,71 @@ mod tests {
         assert_eq!(routing.tree.device_count(), routing.tree.len());
         let delay = routing.tree.source_to_sink_delay(config.tech());
         assert!(routing.tree.verify_skew(config.tech()) < 1e-9 * delay.max(1.0));
+    }
+
+    /// Sinks of one module copy the first such leaf's activation row and
+    /// enable stats; every column must match pricing each leaf on its
+    /// own, bit for bit.
+    #[test]
+    fn repeated_modules_match_per_leaf_pricing() {
+        let (_, tables, config) = setup(7, 11);
+        let (n, m) = (40, 7);
+        let sinks: Vec<Sink> = (0..n)
+            .map(|i| {
+                let (x, y) = ((i * 2_477) % 10_000, (i * 6_131) % 10_000);
+                Sink::new(Point::new(x as f64, y as f64), 0.02 + 0.01 * (i % 3) as f64)
+            })
+            .collect();
+        let module_of: Vec<usize> = (0..n).map(|i| i % m).collect();
+        let objective = GatedObjective::new(
+            config.tech(),
+            config.controller(),
+            &tables,
+            &sinks,
+            &module_of,
+        );
+
+        // Oracle: the same objective rewound and re-priced leaf by leaf.
+        let rtl = tables.rtl();
+        let mut oracle = objective.clone();
+        oracle.truncate(0);
+        for (s, &module) in sinks.iter().zip(&module_of) {
+            let row: Vec<bool> = rtl
+                .instruction_ids()
+                .map(|id| rtl.uses(id, module))
+                .collect();
+            oracle.active.extend_from_slice(&row);
+            oracle.arena.push_leaf(s, Some(oracle.gate));
+            let at = oracle.modules.len();
+            oracle.modules.resize(at + oracle.module_words, 0);
+            oracle.modules[at + module / 64] |= 1 << (module % 64);
+            let cp_dist = config.controller().enable_wire_length(s.location());
+            oracle.push_stats(tables.enable_stats_for_active(&row), s.cap(), cp_dist);
+        }
+
+        assert_eq!(objective.active, oracle.active);
+        let bits = |stats: Vec<EnableStats>| -> Vec<(u64, u64)> {
+            stats
+                .iter()
+                .map(|s| (s.signal.to_bits(), s.transition.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(objective.node_stats()), bits(oracle.node_stats()));
+        let expected_modules: Vec<ModuleSet> = module_of
+            .iter()
+            .map(|&module| ModuleSet::with_modules(m, [module]))
+            .collect();
+        assert_eq!(objective.node_modules(), expected_modules);
+        let min_signal = oracle.signal.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(objective.min_leaf_signal.to_bits(), min_signal.to_bits());
+        let candidates: Vec<u32> = (0..n as u32).collect();
+        let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+        for center in 0..n {
+            objective.bound_batch(center, &candidates, &mut got);
+            oracle.bound_batch(center, &candidates, &mut want);
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(to_bits(&got), to_bits(&want), "center {center}");
+        }
     }
 
     #[test]

@@ -35,13 +35,17 @@
 //!
 //! Regions are solved on worker threads against **local** objectives
 //! (local node `i` = the region's `i`-th member, ascending), each worker
-//! reusing its own [`GreedyScratch`]. The local decision logs are then
+//! reusing its own [`GreedyScratch`] and pulling the next region, largest
+//! first, from one shared cursor. The local decision logs are then
 //! replayed *sequentially, in region order* into the global objective,
 //! assigning global node ids in replay order. The local→global node map
 //! is strictly monotone (members ascend; internals are created in local
 //! order), so the canonical `a < b` orientation of every local decision
 //! survives the translation, and the global log passes the `gcr-verify`
 //! determinism pass unchanged.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use gcr_geometry::Point;
 use gcr_trace::Tracer;
@@ -92,6 +96,10 @@ pub struct CoarsenScratch {
     region: Vec<GreedyScratch>,
     /// Per-worker persistent result slabs (see [`WorkerLog`]).
     worker_logs: Vec<WorkerLog>,
+    /// Region ids in schedule order: size descending, ties by id.
+    order: Vec<u32>,
+    /// Per region, the `(worker, start, len)` slab row holding its log.
+    slots: Vec<(u32, u32, u32)>,
     /// Scratch of the root-level merge (and of the flat fallback path).
     top: GreedyScratch,
     /// Local→global node map of the region currently being replayed.
@@ -190,9 +198,9 @@ pub fn partition_regions(locations: &[Point], target: usize) -> Vec<Vec<u32>> {
 /// slab rows are appended in place and keep their capacity across runs —
 /// workers stop contending on the shared allocator for per-region
 /// decision copies, and the warm coarsened loop sheds one allocation per
-/// region per run. Worker `w` visits regions `w, w + W, …` in ascending
-/// order, so the orchestrator replays regions in global order by walking
-/// one cursor per worker.
+/// region per run. Which regions a worker visits depends on timing; each
+/// row names its region, so the orchestrator replays in region order
+/// whatever the visit order was.
 #[derive(Debug, Default)]
 struct WorkerLog {
     /// Region decision logs, concatenated in this worker's visit order.
@@ -204,6 +212,9 @@ struct WorkerLog {
     stats: GreedyStats,
     /// Engine profile summed over this worker's regions.
     profile: GreedyProfile,
+    /// Wall time spent solving regions (objective set-up, engine run,
+    /// log copy), read once before and once after each region.
+    busy_ns: u64,
 }
 
 impl WorkerLog {
@@ -213,6 +224,7 @@ impl WorkerLog {
         self.rows.clear();
         self.stats = GreedyStats::default();
         self.profile = GreedyProfile::default();
+        self.busy_ns = 0;
     }
 }
 
@@ -289,8 +301,10 @@ impl<O: MergeObjective> MergeObjective for RootObjective<'_, O> {
 ///
 /// Emits `coarsen.partition` / `coarsen.regions` / `coarsen.replay` /
 /// `coarsen.top` phase spans under a `coarsen.run` span through
-/// [`Tracer::current`]. The region and root-level engine runs inside it
-/// are not traced; a flat fallback traces as the flat engine.
+/// [`Tracer::current`], plus the `coarsen.regions`,
+/// `coarsen.region_max_sinks` and `coarsen.worker_idle_frac` counters
+/// after the region phase. The region and root-level engine runs inside
+/// it are not traced; a flat fallback traces as the flat engine.
 ///
 /// # Errors
 ///
@@ -338,7 +352,7 @@ where
 
     // Partition over the leaf locations (pure function of the input).
     let part_start = tracer.now_ns();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let locations: Vec<Point> = (0..num_leaves).map(|i| objective.location(i)).collect();
     let regions = partition_regions(&locations, params.region_size());
     drop(locations);
@@ -350,14 +364,23 @@ where
         return Ok(out);
     }
 
-    // Solve every region on the worker pool: worker `w` takes regions
-    // `w, w + W, …` with its own scratch and a fresh local objective per
-    // region. Regions run single-threaded (their batches are too small
-    // to fan out profitably) and always log decisions — the log *is* the
-    // replay script. Assignment striping affects only which worker
-    // computes a region, never its result.
+    // Solve every region on the worker pool: each worker pulls the next
+    // region from one shared cursor over the schedule and solves it with
+    // its own scratch and a fresh local objective. Greedy time grows
+    // about quadratically with region size, so the schedule runs the
+    // largest regions first and the small ones fill the tail. Regions
+    // run single-threaded (their batches are too small to fan out
+    // profitably) and always log decisions — the log *is* the replay
+    // script. The schedule decides only which worker computes a region,
+    // never its result.
     let regions_start = tracer.now_ns();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
+    scratch.order.clear();
+    scratch.order.extend(0..regions.len() as u32);
+    scratch.order.sort_unstable_by(|&a, &b| {
+        let (la, lb) = (regions[a as usize].len(), regions[b as usize].len());
+        lb.cmp(&la).then(a.cmp(&b))
+    });
     let workers = threads.min(regions.len());
     if scratch.region.len() < workers {
         scratch.region.resize_with(workers, GreedyScratch::new);
@@ -371,22 +394,24 @@ where
     };
     let region_objective = &region_objective;
     let regions_ref = &regions;
+    let order = &scratch.order;
+    let cursor = &AtomicUsize::new(0);
     let worker_outs: Vec<Result<(), CtsError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = scratch
             .region
             .iter_mut()
             .zip(scratch.worker_logs.iter_mut())
             .take(workers)
-            .enumerate()
-            .map(|(w, (region_scratch, log))| {
+            .map(|(region_scratch, log)| {
                 scope.spawn(move || {
                     log.reset();
-                    for r in (w..regions_ref.len()).step_by(workers) {
-                        let members = &regions_ref[r];
+                    while let Some(&r) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let members = &regions_ref[r as usize];
                         if members.len() == 1 {
-                            log.rows.push((r as u32, log.decisions.len() as u32, 0));
+                            log.rows.push((r, log.decisions.len() as u32, 0));
                             continue;
                         }
+                        let busy = Instant::now();
                         // A spawned thread has no tracer entered, so the
                         // region runs are untraced.
                         let mut local = region_objective(members);
@@ -399,9 +424,10 @@ where
                         let start = log.decisions.len() as u32;
                         log.decisions.extend_from_slice(region_scratch.decisions());
                         log.rows
-                            .push((r as u32, start, log.decisions.len() as u32 - start));
+                            .push((r, start, log.decisions.len() as u32 - start));
                         add_stats(&mut log.stats, &stats);
                         add_profile(&mut log.profile, &profile);
+                        log.busy_ns += elapsed_ns(busy.elapsed());
                     }
                     Ok(())
                 })
@@ -415,17 +441,32 @@ where
     for worker_out in worker_outs {
         worker_out?;
     }
+    let regions_ns = elapsed_ns(t0.elapsed());
     let mut stats = GreedyStats::default();
     let mut profile = GreedyProfile::default();
-    for log in scratch.worker_logs.iter().take(workers) {
+    let mut busy_ns = 0_u64;
+    scratch.slots.clear();
+    scratch.slots.resize(regions.len(), (0, 0, 0));
+    for (w, log) in scratch.worker_logs.iter().take(workers).enumerate() {
         add_stats(&mut stats, &log.stats);
         add_profile(&mut profile, &log.profile);
+        busy_ns += log.busy_ns;
+        for &(r, start, len) in &log.rows {
+            scratch.slots[r as usize] = (w as u32, start, len);
+        }
     }
-    tracer.complete_span("coarsen.regions", regions_start, elapsed_ns(t0.elapsed()));
+    tracer.complete_span("coarsen.regions", regions_start, regions_ns);
+    tracer.counter("coarsen.regions", regions.len() as f64);
+    let largest = &regions[scratch.order[0] as usize];
+    tracer.counter("coarsen.region_max_sinks", largest.len() as f64);
+    tracer.counter(
+        "coarsen.worker_idle_frac",
+        1.0 - busy_ns as f64 / (workers as f64 * regions_ns.max(1) as f64),
+    );
 
     // Sequential replay into the global objective, in region order.
     let replay_start = tracer.now_ns();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     scratch.merges.clear();
     scratch.decisions.clear();
     let mut next_global = num_leaves;
@@ -433,15 +474,8 @@ where
     // pushes one map entry per merge, and a mid-loop reallocation would
     // show up in the engine's `loop_allocs` profile.
     let mut roots: Vec<u32> = Vec::with_capacity(2 * regions.len() - 1);
-    // Regions replay in global order by walking each worker's slab rows
-    // with a cursor — worker `r % workers` solved region `r`, and its
-    // rows are in ascending region order.
-    let mut cursor = vec![0usize; workers];
-    for (r, members) in regions.iter().enumerate() {
-        let log = &scratch.worker_logs[r % workers];
-        let (row_region, start, len) = log.rows[cursor[r % workers]];
-        cursor[r % workers] += 1;
-        debug_assert_eq!(row_region as usize, r, "slab rows must follow visit order");
+    for (members, &(w, start, len)) in regions.iter().zip(&scratch.slots) {
+        let log = &scratch.worker_logs[w as usize];
         if members.len() == 1 {
             debug_assert_eq!(len, 0);
             roots.push(members[0]);
@@ -477,7 +511,7 @@ where
     // the objective beyond exact costs (no bound admissibility at the
     // root level, where merging regions are wide).
     let top_start = tracer.now_ns();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let num_roots = roots.len();
     let mut top = RootObjective {
         inner: objective,
@@ -707,6 +741,41 @@ mod tests {
         let cold = run(&mut scratch);
         let warm = run(&mut scratch);
         assert_eq!(cold, warm, "scratch reuse must not change results");
+    }
+
+    /// The region phase reports its shape: region count, largest region,
+    /// and an idle fraction in `[0, 1)`.
+    #[test]
+    fn region_phase_emits_schedule_counters() {
+        use gcr_trace::MemorySink;
+        use std::sync::Arc;
+
+        let points = scatter(600);
+        let regions = partition_regions(&points, 64);
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::new(Arc::clone(&sink) as Arc<dyn gcr_trace::TraceSink>);
+        let mut obj = PointObjective {
+            points: points.clone(),
+        };
+        {
+            let _entered = tracer.enter();
+            run_greedy_coarsened(
+                600,
+                &mut obj,
+                region_factory(&points),
+                &coarse_params(64),
+                &mut CoarsenScratch::new(),
+            )
+            .unwrap();
+        }
+        let largest = regions.iter().map(Vec::len).max().unwrap();
+        assert_eq!(sink.counter("coarsen.regions"), Some(regions.len() as f64));
+        assert_eq!(
+            sink.counter("coarsen.region_max_sinks"),
+            Some(largest as f64)
+        );
+        let idle = sink.counter("coarsen.worker_idle_frac").unwrap();
+        assert!((0.0..1.0).contains(&idle), "idle fraction {idle}");
     }
 
     /// Coincident sink clusters (degenerate region extents) route fine:

@@ -36,6 +36,11 @@ pub struct BucketGrid {
     /// cell, so sweeps over dead regions cost a few word reads.
     occupied: Vec<u64>,
     words_per_row: usize,
+    /// The same occupancy bits column-major (`words_per_col` words per
+    /// column), so a ring's two side columns are walked by set bit as
+    /// well as its rows.
+    occupied_cols: Vec<u64>,
+    words_per_col: usize,
     /// Live points remaining per cell ([`Self::mark_dead`] decrements).
     cell_live: Vec<u32>,
     /// Cell index of each point, for O(1) removal.
@@ -86,6 +91,7 @@ impl BucketGrid {
             Point::ORIGIN
         };
         let words_per_row = nx.div_ceil(64);
+        let words_per_col = ny.div_ceil(64);
         let mut grid = Self {
             origin,
             cell,
@@ -95,6 +101,8 @@ impl BucketGrid {
             items: vec![0; points.len()],
             occupied: vec![0; words_per_row * ny],
             words_per_row,
+            occupied_cols: vec![0; words_per_col * nx],
+            words_per_col,
             cell_live: vec![0; nx * ny],
             point_cell: vec![0; points.len()],
         };
@@ -119,6 +127,7 @@ impl BucketGrid {
             grid.point_cell[i] = c as u32;
             grid.cell_live[c] += 1;
             grid.occupied[cy * words_per_row + cx / 64] |= 1_u64 << (cx % 64);
+            grid.occupied_cols[cx * words_per_col + cy / 64] |= 1_u64 << (cy % 64);
         }
         grid
     }
@@ -133,6 +142,7 @@ impl BucketGrid {
         if self.cell_live[c] == 0 {
             let (cx, cy) = (c % self.nx, c / self.nx);
             self.occupied[cy * self.words_per_row + cx / 64] &= !(1_u64 << (cx % 64));
+            self.occupied_cols[cx * self.words_per_col + cy / 64] &= !(1_u64 << (cy % 64));
         }
     }
 
@@ -171,7 +181,9 @@ impl BucketGrid {
     /// `p`'s own cell) and still holds at least one live point. `out` is
     /// cleared first; indices come out in ascending order within each
     /// cell, cells scanned deterministically (top row, bottom row, then
-    /// the side columns).
+    /// the side columns row by row, left cell before right). Every part
+    /// walks set occupancy bits, so a sweep costs O(words) plus its
+    /// output, not O(ring).
     pub fn ring_members(&self, p: Point, ring: usize, out: &mut Vec<u32>) {
         out.clear();
         let (cx, cy) = self.cell_of(p);
@@ -183,9 +195,45 @@ impl BucketGrid {
         }
         self.visit_row(cy - r, cx - r, cx + r, out);
         self.visit_row(cy + r, cx - r, cx + r, out);
-        for iy in (cy - r + 1)..=(cy + r - 1) {
-            self.visit_row(iy, cx - r, cx - r, out);
-            self.visit_row(iy, cx + r, cx + r, out);
+        self.visit_sides(cy - r + 1, cy + r - 1, cx - r, cx + r, out);
+    }
+
+    /// Appends the members of every occupied cell of columns `xl` and
+    /// `xr` (either may lie off the grid), rows `y0..=y1` (clamped),
+    /// walking the set bits of both columns' occupancy words together:
+    /// ascending rows, and on a row holding both, the left cell first.
+    fn visit_sides(&self, y0: i64, y1: i64, xl: i64, xr: i64, out: &mut Vec<u32>) {
+        let Some((lo, hi)) = clamp_span(y0, y1, self.ny) else {
+            return;
+        };
+        let column = |x: i64| -> &[u64] {
+            if (0..self.nx as i64).contains(&x) {
+                let x = x as usize;
+                &self.occupied_cols[x * self.words_per_col..(x + 1) * self.words_per_col]
+            } else {
+                &[]
+            }
+        };
+        let (left, right) = (column(xl), column(xr));
+        for w in lo / 64..=hi / 64 {
+            let mask = word_mask(w, lo, hi);
+            let mut l = left.get(w).map_or(0, |&word| word & mask);
+            let mut r = right.get(w).map_or(0, |&word| word & mask);
+            while l | r != 0 {
+                // `trailing_zeros` of an empty word is 64, past any row.
+                let (bl, br) = (l.trailing_zeros(), r.trailing_zeros());
+                let (x, bit) = if bl <= br {
+                    l &= l - 1;
+                    (xl as usize, bl as usize)
+                } else {
+                    r &= r - 1;
+                    (xr as usize, br as usize)
+                };
+                let c = (w * 64 + bit) * self.nx + x;
+                out.extend_from_slice(
+                    &self.items[self.starts[c] as usize..self.starts[c + 1] as usize],
+                );
+            }
         }
     }
 
@@ -193,25 +241,16 @@ impl BucketGrid {
     /// `x0..=x1` (clamped to the grid), walking only the set bits of the
     /// row's occupancy words.
     fn visit_row(&self, iy: i64, x0: i64, x1: i64, out: &mut Vec<u32>) {
-        if iy < 0 || iy as usize >= self.ny || x1 < 0 {
+        if iy < 0 || iy as usize >= self.ny {
             return;
         }
+        let Some((lo, hi)) = clamp_span(x0, x1, self.nx) else {
+            return;
+        };
         let iy = iy as usize;
-        let lo = x0.max(0) as usize;
-        let hi = (x1 as usize).min(self.nx - 1);
-        if lo > hi {
-            return;
-        }
         let words = &self.occupied[iy * self.words_per_row..(iy + 1) * self.words_per_row];
-        let (w0, w1) = (lo / 64, hi / 64);
-        for (w, &word) in words.iter().enumerate().take(w1 + 1).skip(w0) {
-            let mut word = word;
-            if w == w0 {
-                word &= !0_u64 << (lo % 64);
-            }
-            if w == w1 {
-                word &= !0_u64 >> (63 - hi % 64);
-            }
+        for (w, &word) in words.iter().enumerate().take(hi / 64 + 1).skip(lo / 64) {
+            let mut word = word & word_mask(w, lo, hi);
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
@@ -230,6 +269,28 @@ impl BucketGrid {
         let (cx, cy) = self.cell_of(p);
         (cx.max(self.nx - 1 - cx)).max(cy.max(self.ny - 1 - cy))
     }
+}
+
+/// The cells `a..=b` of an axis of `n` cells, clamped to the grid, or
+/// `None` when none of them lies on it.
+fn clamp_span(a: i64, b: i64, n: usize) -> Option<(usize, usize)> {
+    if b < 0 {
+        return None;
+    }
+    let (lo, hi) = (a.max(0) as usize, (b as usize).min(n - 1));
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// The bits of occupancy word `w` that cover cells `lo..=hi`.
+fn word_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let mut mask = !0_u64;
+    if w == lo / 64 {
+        mask &= !0_u64 << (lo % 64);
+    }
+    if w == hi / 64 {
+        mask &= !0_u64 >> (63 - hi % 64);
+    }
+    mask
 }
 
 /// The nearest-neighbor merge objective (Edahiro \[3\]): merge the two live
@@ -507,6 +568,70 @@ mod tests {
             count += members.len();
         }
         assert_eq!(count, 9);
+    }
+
+    /// The bit-walked ring sweep against a brute-force oracle on a
+    /// non-square grid wider than one occupancy word on both axes: ring
+    /// `r` holds exactly the points whose cell sits at Chebyshev
+    /// cell-distance `r` and still holds a live point, before and after
+    /// half the points die, and repeated sweeps agree on the order.
+    #[test]
+    fn bucket_grid_rings_match_brute_force_oracle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1_u64 << 53) as f64
+        };
+        let points: Vec<Point> = (0..6_000)
+            .map(|_| Point::new(next() * 1_000.0, next() * 900.0))
+            .collect();
+        let mut grid = BucketGrid::build(&points);
+        assert!(grid.nx > 64 && grid.ny > 64 && grid.nx != grid.ny);
+        let cells: Vec<(i64, i64)> = points
+            .iter()
+            .map(|&p| {
+                let (x, y) = grid.cell_of(p);
+                (x as i64, y as i64)
+            })
+            .collect();
+        let mut alive = vec![true; points.len()];
+        let (mut got, mut again) = (Vec::new(), Vec::new());
+        for phase in 0..2 {
+            if phase == 1 {
+                for (i, live) in alive.iter_mut().enumerate() {
+                    if next() < 0.5 {
+                        *live = false;
+                        grid.mark_dead(i);
+                    }
+                }
+            }
+            let live_cells: std::collections::HashSet<(i64, i64)> = cells
+                .iter()
+                .zip(&alive)
+                .filter(|&(_, &a)| a)
+                .map(|(&c, _)| c)
+                .collect();
+            for q in (0..points.len()).step_by(750) {
+                let (qx, qy) = cells[q];
+                for ring in 0..=grid.max_ring(points[q]) {
+                    grid.ring_members(points[q], ring, &mut got);
+                    grid.ring_members(points[q], ring, &mut again);
+                    assert_eq!(got, again, "ring {ring} order is not stable");
+                    let mut want: Vec<u32> = (0..points.len() as u32)
+                        .filter(|&i| {
+                            let (x, y) = cells[i as usize];
+                            (x - qx).abs().max((y - qy).abs()) == ring as i64
+                                && live_cells.contains(&(x, y))
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "phase {phase}, query {q}, ring {ring}");
+                }
+            }
+        }
     }
 
     #[test]

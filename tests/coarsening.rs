@@ -43,8 +43,8 @@ fn tables_for(num_sinks: usize, seed: u64) -> ActivityTables {
 }
 
 /// Runs the coarsened engine at `threads` workers over the Equation-3
-/// objective, returning the topology, the decision log, and the fully
-/// merged objective for downstream verification.
+/// objective with `scratch`, returning the topology, the decision log,
+/// and the fully merged objective for downstream verification.
 fn coarsened_route<'a>(
     sinks: &'a [Sink],
     module_of: &'a [usize],
@@ -52,6 +52,7 @@ fn coarsened_route<'a>(
     config: &'a RouterConfig,
     target_region_size: usize,
     threads: usize,
+    scratch: &mut CoarsenScratch,
 ) -> (Topology, Vec<MergeDecision>, GatedObjective<'a>) {
     let mut objective =
         GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of);
@@ -64,9 +65,8 @@ fn coarsened_route<'a>(
         },
         target_region_size,
     };
-    let mut scratch = CoarsenScratch::new();
     let (topology, _, _) =
-        run_greedy_coarsened(sinks.len(), &mut objective, factory, &params, &mut scratch).unwrap();
+        run_greedy_coarsened(sinks.len(), &mut objective, factory, &params, scratch).unwrap();
     (topology, scratch.take_decisions(), objective)
 }
 
@@ -114,12 +114,14 @@ proptest! {
         let module_of: Vec<usize> = (0..sinks.len()).collect();
         // target 16 forces multiple regions even at 40 sinks.
         let (topology, log, _) =
-            coarsened_route(&sinks, &module_of, &tables, &config, 16, 1);
+            coarsened_route(&sinks, &module_of, &tables, &config, 16, 1, &mut CoarsenScratch::new());
         prop_assert_eq!(log.len(), sinks.len() - 1);
         let baseline = canonical_decision_log(&log);
         for threads in [2usize, 4, 8] {
             let (topo_t, log_t, _) =
-                coarsened_route(&sinks, &module_of, &tables, &config, 16, threads);
+                coarsened_route(
+                    &sinks, &module_of, &tables, &config, 16, threads, &mut CoarsenScratch::new(),
+                );
             prop_assert_eq!(&topo_t, &topology, "topology diverged at {} threads", threads);
             prop_assert_eq!(
                 canonical_decision_log(&log_t),
@@ -144,7 +146,7 @@ proptest! {
         let tables = tables_for(sinks.len(), seed);
         let module_of: Vec<usize> = (0..sinks.len()).collect();
         let (topology, log, objective) =
-            coarsened_route(&sinks, &module_of, &tables, &config, 16, 4);
+            coarsened_route(&sinks, &module_of, &tables, &config, 16, 4, &mut CoarsenScratch::new());
         let assignment =
             gcr_cts::DeviceAssignment::everywhere(&topology, config.tech().and_gate());
         let tree = gcr_cts::embed_sized(
@@ -166,5 +168,73 @@ proptest! {
                 .with_decision_log(&log),
         );
         prop_assert!(!report.has_errors(), "{}", report.render_text());
+    }
+}
+
+/// Region sizes that differ by an order of magnitude make the region
+/// schedule matter: which worker solves which region, and in what order,
+/// changes with the thread count and with what a warm scratch holds. The
+/// topology and decision log must not.
+#[test]
+fn coarsened_route_is_schedule_invariant_on_uneven_regions() {
+    let mut state = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1_u64 << 53) as f64
+    };
+    // Three dense clusters over a sparse uniform background.
+    let mut sinks = Vec::new();
+    for (cx, cy) in [
+        (6_000.0, 7_000.0),
+        (31_000.0, 12_000.0),
+        (20_000.0, 33_000.0),
+    ] {
+        for _ in 0..90 {
+            let p = Point::new(cx + next() * 1_500.0, cy + next() * 1_500.0);
+            sinks.push(Sink::new(p, 0.01 + 0.05 * next()));
+        }
+    }
+    for _ in 0..130 {
+        let p = Point::new(next() * SIDE, next() * SIDE);
+        sinks.push(Sink::new(p, 0.01 + 0.05 * next()));
+    }
+    let target = 24;
+    let locations: Vec<Point> = sinks.iter().map(Sink::location).collect();
+    let sizes: Vec<usize> = partition_regions(&locations, target)
+        .iter()
+        .map(Vec::len)
+        .collect();
+    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    assert!(max >= &(8 * min), "region sizes {min}..{max} are too even");
+
+    let tech = Technology::default();
+    let die = BBox::new(Point::ORIGIN, Point::new(SIDE, SIDE));
+    let config = RouterConfig::new(tech, die);
+    let modules = 16;
+    let tables = tables_for(modules, 7);
+    let module_of: Vec<usize> = (0..sinks.len()).map(|i| i % modules).collect();
+    let route = |threads: usize, scratch: &mut CoarsenScratch| {
+        let (topology, log, _) = coarsened_route(
+            &sinks, &module_of, &tables, &config, target, threads, scratch,
+        );
+        (topology, canonical_decision_log(&log))
+    };
+    let (topology, log) = route(1, &mut CoarsenScratch::new());
+    assert_eq!(topology.num_leaves(), sinks.len());
+    let mut warm = CoarsenScratch::new();
+    for threads in [1, 2, 3, 8] {
+        for (kind, scratch) in [("cold", &mut CoarsenScratch::new()), ("warm", &mut warm)] {
+            let (topo_t, log_t) = route(threads, scratch);
+            assert_eq!(
+                topo_t, topology,
+                "{kind} topology diverged at {threads} threads"
+            );
+            assert_eq!(
+                log_t, log,
+                "{kind} decision log diverged at {threads} threads"
+            );
+        }
     }
 }
