@@ -45,10 +45,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use gcr_trace::Tracer;
+use gcr_trace::{alloc_count, Tracer};
 
 use crate::{ActivityError, ActivityTables, Ift, InstructionId, Itmatt, Rtl, TraceSource};
 
@@ -103,12 +103,13 @@ impl Default for ScanParams {
 /// the calling thread like the greedy engine's `GreedyProfile`.
 ///
 /// Allocation counts come from the probe installed with
-/// [`set_alloc_probe`]; without a probe they stay 0. The steady-state
-/// invariant is `chunk_allocs == 0` on a **warm single-threaded** rescan
-/// (reused [`ScanScratch`], an in-memory or generator source): every
-/// chunk-loop buffer then already has capacity. Multi-threaded runs spawn
-/// scoped workers inside the chunk window, which allocates thread stacks;
-/// those runs report honest nonzero counts. The merge window builds the
+/// [`gcr_trace::set_alloc_probe`]; without a probe they stay 0. The
+/// steady-state invariant is `chunk_allocs == 0` on a **warm
+/// single-threaded** rescan (reused [`ScanScratch`], an in-memory or
+/// generator source): every chunk-loop buffer then already has capacity.
+/// Multi-threaded runs spawn scoped workers inside the chunk window,
+/// which allocates thread stacks; those runs report honest nonzero
+/// counts. The merge window builds the
 /// returned tables and always allocates (it is the output).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ScanProfile {
@@ -139,25 +140,6 @@ impl ScanProfile {
             0.0
         }
     }
-}
-
-/// Global allocation-count probe used by [`ScanProfile`].
-///
-/// The activity crate forbids `unsafe`, so it cannot host a counting
-/// `#[global_allocator]` itself; binaries that have one (the bench
-/// harness, the zero-alloc test) register a reader here.
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Installs the allocation-count reader consulted by [`scan_source`]'s
-/// profile. The probe must be monotone (a running total of allocations in
-/// the process). First installation wins; later calls are ignored.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Current allocation count, or 0 when no probe is installed.
-fn alloc_count() -> u64 {
-    ALLOC_PROBE.get().map_or(0, |probe| probe())
 }
 
 /// Worker-thread count for this scan: explicit [`ScanParams::threads`],

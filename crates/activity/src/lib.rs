@@ -82,10 +82,13 @@ mod stream;
 mod tables;
 
 pub use builder::{
-    scan_source, set_alloc_probe, ScanParams, ScanProfile, ScanScratch, TableBuilder,
-    DEFAULT_CHUNK_CYCLES, DEFAULT_DENSE_LIMIT,
+    scan_source, ScanParams, ScanProfile, ScanScratch, TableBuilder, DEFAULT_CHUNK_CYCLES,
+    DEFAULT_DENSE_LIMIT,
 };
 pub use error::ActivityError;
+/// Re-export of the workspace's one allocation probe, so binaries that
+/// install it through this crate keep working.
+pub use gcr_trace::set_alloc_probe;
 pub use model::{CpuModel, CpuModelBuilder, ModelTraceSource};
 pub use moduleset::ModuleSet;
 pub use rtl::{paper_example_rtl, InstructionId, Rtl, RtlBuilder};

@@ -19,7 +19,7 @@
 //!   allocate either.
 //!
 //! Allocation counts come from a counting global allocator fed through
-//! [`gcr_activity::set_alloc_probe`]. Rows are emitted with
+//! [`gcr_trace::set_alloc_probe`]. Rows are emitted with
 //! `"strict_zero_alloc": true`, which makes `bench_diff` fail — without
 //! needing a baseline — whenever a warm single-threaded chunk loop
 //! allocated (`pruned.loop_allocs` sums the slice and generator rescans);
@@ -303,7 +303,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
 }
 
 fn main() -> ExitCode {
-    gcr_activity::set_alloc_probe(alloc_probe);
+    gcr_trace::set_alloc_probe(alloc_probe);
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -374,6 +374,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcr_trace::json::{self, Json};
 
     #[test]
     fn parse_args_defaults() {
@@ -406,30 +407,25 @@ mod tests {
         let run = measure(ActivityScenario::LowPersistence, 5_000, 3);
         assert!(run.identical_tables);
         let json = render_json(5_000, 3, &[run]);
-        let doc = gcr_bench::json::parse(&json).unwrap();
-        let rows = doc
-            .get("runs")
-            .and_then(gcr_bench::json::Json::as_array)
-            .unwrap();
+        let doc = json::parse(&json).unwrap();
+        let rows = doc.get("runs").and_then(Json::as_array).unwrap();
         let row = &rows[0];
         assert_eq!(
-            row.get("benchmark").and_then(gcr_bench::json::Json::as_str),
+            row.get("benchmark").and_then(Json::as_str),
             Some("low-persistence")
         );
         assert_eq!(
-            row.get("strict_zero_alloc")
-                .and_then(gcr_bench::json::Json::as_bool),
+            row.get("strict_zero_alloc").and_then(Json::as_bool),
             Some(true)
         );
         assert_eq!(
-            row.get("identical_topology")
-                .and_then(gcr_bench::json::Json::as_bool),
+            row.get("identical_topology").and_then(Json::as_bool),
             Some(true)
         );
         assert!(row
             .get("pruned")
             .and_then(|p| p.get("loop_allocs"))
-            .and_then(gcr_bench::json::Json::as_f64)
+            .and_then(Json::as_f64)
             .is_some());
     }
 }

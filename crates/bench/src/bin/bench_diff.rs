@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use gcr_bench::json::{parse, Json};
+use gcr_trace::json::{parse, Json};
 use gcr_trace::{ChromeTraceSink, Tracer};
 
 /// The fields `bench_diff` needs from one `runs[]` entry.

@@ -13,7 +13,7 @@
 //! reusable [`GreedyScratch`] buffers, then the timed run reuses them — the
 //! steady-state regime of the arena engine, whose merge loop performs zero
 //! heap allocations (`loop_allocs`). A counting global allocator feeds the
-//! engine's allocation profile via [`gcr_cts::set_alloc_probe`].
+//! engine's allocation profile via [`gcr_trace::set_alloc_probe`].
 //!
 //! Usage: `greedy_bench [r1 r2 ...] [--eco] [--out BENCH_greedy.json]
 //! [--trace PATH]`
@@ -657,7 +657,7 @@ fn write_or_report(path: &str, contents: &str) -> bool {
 }
 
 fn main() -> ExitCode {
-    gcr_cts::set_alloc_probe(alloc_probe);
+    gcr_trace::set_alloc_probe(alloc_probe);
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use gcr_bench::json::{parse, Json};
+use gcr_trace::json::{parse, Json};
 
 /// Validates `text` as a Chrome trace, returning the set of event names
 /// seen.

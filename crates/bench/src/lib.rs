@@ -1,58 +1,10 @@
-//! Shared fixtures for the Criterion benches: pre-generated workloads at
-//! several scales so individual benches measure the algorithm, not the
-//! workload generator.
+//! The benchmark binaries (`greedy_bench`, `activity_bench`,
+//! `bench_diff`, `trace_check`); the library itself holds no code.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
-pub mod json;
-
-use gcr_rctree::Technology;
-use gcr_workloads::{Benchmark, TsayBenchmark, Workload, WorkloadParams};
-
-/// A benchmark-sized fixture: workload plus technology.
-pub struct Fixture {
-    /// The generated workload (benchmark + activity tables).
-    pub workload: Workload,
-    /// Default technology.
-    pub tech: Technology,
-}
-
-/// Workload parameters used across all benches: shorter streams than the
-/// experiments (the stream scan is benchmarked separately).
-#[must_use]
-pub fn bench_params() -> WorkloadParams {
-    WorkloadParams {
-        stream_len: 5_000,
-        ..WorkloadParams::default()
-    }
-}
-
-/// A uniform benchmark of `n` sinks with matching activity model.
-#[must_use]
-#[expect(
-    clippy::expect_used,
-    reason = "bench fixture: aborting on a malformed workload is intended"
-)]
-pub fn uniform_fixture(n: usize) -> Fixture {
-    let side = 30_000.0 * (n as f64 / 267.0).sqrt();
-    let workload =
-        Workload::for_benchmark(Benchmark::uniform(n, side, 7), &bench_params()).expect("valid");
-    Fixture {
-        workload,
-        tech: Technology::default(),
-    }
-}
-
-/// The r1 fixture used by the per-figure benches.
-#[must_use]
-#[expect(
-    clippy::expect_used,
-    reason = "bench fixture: aborting on a malformed workload is intended"
-)]
-pub fn r1_fixture() -> Fixture {
-    Fixture {
-        workload: Workload::generate(TsayBenchmark::R1, &bench_params()).expect("valid"),
-        tech: Technology::default(),
-    }
-}
+/// Re-export of [`gcr_trace::json`]. It exists only because the
+/// `flowbench/` benchmark imports `gcr_bench::json`, and `flowbench/`
+/// changes only together with the benchmark definition; new code uses
+/// `gcr_trace::json`.
+pub use gcr_trace::json;

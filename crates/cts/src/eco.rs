@@ -60,11 +60,11 @@
 use std::time::Instant;
 
 use gcr_geometry::Point;
-use gcr_trace::Tracer;
+use gcr_trace::{alloc_count, Tracer};
 
 use crate::arena::NODE_INDEX_LIMIT;
 use crate::greedy::{
-    alloc_count, run_greedy_with_scratch, GreedyParams, GreedyScratch, GreedyStats, MergeDecision,
+    run_greedy_with_scratch, GreedyParams, GreedyScratch, GreedyStats, MergeDecision,
     MergeObjective,
 };
 use crate::nearest::BucketGrid;

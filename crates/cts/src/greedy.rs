@@ -1,8 +1,7 @@
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use gcr_geometry::Point;
-use gcr_trace::Tracer;
+use gcr_trace::{alloc_count, Tracer};
 
 use crate::arena::NODE_INDEX_LIMIT;
 use crate::nearest::BucketGrid;
@@ -199,9 +198,9 @@ pub fn canonical_decision_log(decisions: &[MergeDecision]) -> String {
 /// Per-phase wall times and allocation counts of one greedy run.
 ///
 /// Allocation counts are read from the probe installed with
-/// [`set_alloc_probe`] (benchmarks install a counting global allocator);
-/// without a probe they stay 0. The engine's steady-state invariant is
-/// `loop_allocs == 0` on a **warm** run — one that reuses a
+/// [`gcr_trace::set_alloc_probe`] (benchmarks install a counting global
+/// allocator); without a probe they stay 0. The engine's steady-state
+/// invariant is `loop_allocs == 0` on a **warm** run — one that reuses a
 /// [`GreedyScratch`] and an objective whose buffers were pre-reserved —
 /// since every loop-phase buffer then already has capacity.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -215,26 +214,6 @@ pub struct GreedyProfile {
     pub seed_allocs: u64,
     /// Heap allocations performed during the merge loop.
     pub loop_allocs: u64,
-}
-
-/// Global allocation-count probe used by [`GreedyProfile`].
-///
-/// The cts crate forbids `unsafe`, so it cannot host a counting
-/// `#[global_allocator]` itself; binaries that have one (the bench
-/// harness, the zero-alloc test) register a reader here.
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Installs the allocation-count reader consulted by the greedy engines'
-/// [`GreedyProfile`]. The probe must be monotone (a running total of
-/// allocations in the process). First installation wins; later calls are
-/// ignored.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Current allocation count, or 0 when no probe is installed.
-pub(crate) fn alloc_count() -> u64 {
-    ALLOC_PROBE.get().map_or(0, |probe| probe())
 }
 
 /// A duration as saturating `u64` nanoseconds (the trace event width).

@@ -81,10 +81,13 @@ pub use eco::{
 };
 pub use embed::{embed, embed_sized, DeviceAssignment};
 pub use error::CtsError;
+/// Re-export of the workspace's one allocation probe, so binaries that
+/// install it through this crate keep working.
+pub use gcr_trace::set_alloc_probe;
 pub use greedy::{
     canonical_decision_log, run_greedy_checked, run_greedy_exhaustive_with_scratch,
-    run_greedy_with_scratch, set_alloc_probe, GreedyParams, GreedyProfile, GreedyScratch,
-    GreedyStats, MergeDecision, MergeObjective,
+    run_greedy_with_scratch, GreedyParams, GreedyProfile, GreedyScratch, GreedyStats,
+    MergeDecision, MergeObjective,
 };
 pub use merge::{balance_devices, zero_skew_merge, MergeOutcome, SizingLimits, SubtreeState};
 pub use mmm::mmm_topology;

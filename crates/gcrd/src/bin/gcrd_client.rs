@@ -16,7 +16,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use gcr_bench::json::{self, Json};
+use gcr_trace::json::{self, Json};
 
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:4517".to_owned();

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::thread;
 use std::time::Duration;
 
-use gcr_bench::json::{self, Json};
+use gcr_trace::json::{self, Json};
 use gcr_trace::Tracer;
 use gcr_workloads::TsayBenchmark;
 use gcrd::engine::{single_shot_reference, RoutingEntry};

@@ -2,7 +2,7 @@
 //!
 //! One request per line, one response line per request, in order per
 //! connection. Requests parse with the workspace's dependency-free JSON
-//! parser ([`gcr_bench::json`]); responses are rendered by hand so the
+//! parser ([`gcr_trace::json`]); responses are rendered by hand so the
 //! daemon controls exactly what a byte-for-byte replay of a cached
 //! routing looks like. Floats render with Rust's shortest-roundtrip
 //! `Display`, so a client parsing with the same `json` module recovers
@@ -32,10 +32,10 @@
 //! (`decision_log` itself only when the request asked with
 //! `"log": true` — it is O(sinks) text).
 
-use gcr_bench::json::{self, Json};
 use gcr_cts::EcoEdit;
 use gcr_cts::Sink;
 use gcr_geometry::Point;
+use gcr_trace::json::{self, Json};
 
 /// Hard cap on one request line. Longer lines are answered with an
 /// `error` response and skipped; the connection stays up.
@@ -246,26 +246,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A snapshot of the service counters for a `stats` response.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StatsSnapshot {
@@ -437,7 +417,11 @@ impl Response {
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{key}\":\"{}\"", escape_json(value)));
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":\"");
+    json::escape_into(out, value);
+    out.push('"');
 }
 
 fn push_u64(out: &mut String, key: &str, value: Option<u64>) {
@@ -538,7 +522,7 @@ mod tests {
         resp.decision_log = Some("0 1 -> 267\n2 3 -> 268".to_owned());
         resp.total_switched_cap = Some(123.456_789_012_345_67);
         let line = resp.render();
-        let parsed = gcr_bench::json::parse(&line).unwrap();
+        let parsed = json::parse(&line).unwrap();
         assert_eq!(parsed.get("id").and_then(Json::as_str), Some("a1"));
         assert_eq!(parsed.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(parsed.get("cache").and_then(Json::as_str), Some("hit"));
@@ -561,7 +545,7 @@ mod tests {
     #[test]
     fn rejected_response_carries_retry_hint() {
         let line = Response::rejected("b", "queue full", 150).render();
-        let parsed = gcr_bench::json::parse(&line).unwrap();
+        let parsed = json::parse(&line).unwrap();
         assert_eq!(
             parsed.get("status").and_then(Json::as_str),
             Some("rejected")

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use gcr_bench::json::{self, Json};
+use gcr_trace::json::{self, Json};
 use gcr_trace::Tracer;
 use gcr_workloads::TsayBenchmark;
 use gcrd::engine::single_shot_reference;
@@ -186,6 +186,44 @@ fn malformed_requests_get_errors_and_daemon_survives() {
         assert_eq!(status(resp), "error", "line: {resp:?}");
         assert!(!str_field(resp, "error").is_empty());
     }
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// A request line nested far deeper than any real request (10 000 `[`)
+/// gets a structured `error` reply instead of overflowing the
+/// connection thread's stack and aborting the daemon; the same
+/// connection then still answers a `ping`, and nothing panicked.
+#[test]
+fn deeply_nested_request_gets_an_error_and_daemon_survives() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let responses = send_batch(
+        &addr,
+        &[
+            "[".repeat(10_000),
+            r#"{"id":"alive","cmd":"ping"}"#.to_owned(),
+            r#"{"id":"st","cmd":"stats"}"#.to_owned(),
+        ],
+    );
+    assert_eq!(status(&responses[0]), "error", "{:?}", responses[0]);
+    assert!(
+        str_field(&responses[0], "error").contains("nesting too deep"),
+        "{:?}",
+        responses[0]
+    );
+    assert_eq!(str_field(&responses[1], "id"), "alive");
+    assert_eq!(status(&responses[1]), "ok");
+    assert_eq!(str_field(&responses[1], "cmd"), "ping");
+    assert_eq!(
+        responses[2]
+            .get("stats")
+            .and_then(|s| s.get("panics"))
+            .and_then(Json::as_f64),
+        Some(0.0)
+    );
     shutdown(&addr);
     daemon.join().unwrap();
 }

@@ -4,7 +4,7 @@
 //! copies the decision log out of the scratch instead of stealing its
 //! buffer.
 //!
-//! A counting global allocator feeds `gcr_cts::set_alloc_probe`; this
+//! A counting global allocator feeds `gcr_trace::set_alloc_probe`; this
 //! file holds exactly one `#[test]` because the counter is
 //! process-global and any parallel test would pollute the window. The
 //! service runs one worker with the engine pinned single-threaded, and
@@ -24,7 +24,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use gcr_bench::json::{self, Json};
+use gcr_trace::json::{self, Json};
 use gcr_trace::Tracer;
 use gcrd::{Service, ServiceConfig};
 
@@ -57,7 +57,7 @@ fn alloc_probe() -> u64 {
 
 #[test]
 fn warm_cache_bypass_route_has_zero_loop_allocs() {
-    gcr_cts::set_alloc_probe(alloc_probe);
+    gcr_trace::set_alloc_probe(alloc_probe);
     let service = Service::bind(
         "127.0.0.1:0",
         ServiceConfig {

@@ -1,13 +1,38 @@
-//! A minimal, dependency-free JSON reader for the benchmark artifacts.
+//! A minimal, dependency-free JSON reader and string escaper.
 //!
-//! The repo is built offline (no serde); the bench JSON files are written
-//! by hand-rolled formatters, so this parser only needs to cover standard
-//! JSON: objects, arrays, strings with escapes, numbers, booleans, and
-//! null. It is used by `bench_diff` to compare two `BENCH_greedy.json`
-//! files.
+//! The repo is built offline (no serde); every JSON document it writes
+//! (bench rows, Chrome traces, `gcrd` replies, verifier reports) is
+//! rendered by hand with [`escape_into`], so this parser only needs to
+//! cover standard JSON: objects, arrays, strings with escapes, numbers,
+//! booleans, and null. Nesting deeper than 128 containers is rejected
+//! with an error rather than recursing without bound.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest container nesting [`parse`] accepts. Every document the repo
+/// writes or reads nests at most about 4 deep; the limit keeps the
+/// recursive descent far inside any thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Appends `s` to `out` escaped for a JSON string literal: `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, other control
+/// characters `\u00XX`; everything else is copied as is.
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,6 +126,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -114,6 +140,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -154,8 +182,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -296,6 +335,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_bench_shaped_document() {
@@ -364,6 +404,7 @@ mod tests {
         let mut p = Parser {
             bytes: &bytes,
             pos: 0,
+            depth: 0,
         };
         let err = p.string().unwrap_err();
         assert_eq!(err.offset, 500_001);
@@ -390,6 +431,66 @@ mod tests {
             "\"\\q\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_to_the_limit_parses_and_one_more_is_an_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "nesting too deep");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().message, "nesting too deep");
+    }
+
+    /// A megabyte of `[` on a default-stack spawned thread (how `gcrd`
+    /// parses requests) is an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1 << 20);
+        let result = std::thread::spawn(move || parse(&deep).map(|_| ()))
+            .join()
+            .unwrap();
+        assert_eq!(result.unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn escape_uses_short_escapes_and_hex_for_other_controls() {
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\nd\re\tf\u{1}g\u{1f}π");
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fπ");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Escaping then parsing returns the original text for strings
+        /// mixing quotes, backslashes, `\r`, other control characters
+        /// and non-ASCII.
+        #[test]
+        fn escape_round_trips_through_parse(chars in prop::collection::vec(
+            prop_oneof![
+                Just('"'),
+                Just('\\'),
+                Just('\r'),
+                (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+                (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+            ],
+            0..40,
+        )) {
+            let s: String = chars.into_iter().collect();
+            let mut literal = String::from("\"");
+            escape_into(&mut literal, &s);
+            literal.push('"');
+            prop_assert_eq!(parse(&literal), Ok(Json::String(s)));
         }
     }
 

@@ -13,6 +13,10 @@
 //! * [`ChromeTraceSink`] — accumulates events and renders them as a
 //!   Chrome-trace JSON file (`chrome://tracing`, Perfetto, Speedscope).
 //!
+//! The [`json`] module is the workspace's one JSON reader and string
+//! escaper, shared by the trace export, `gcrd`'s wire protocol, the
+//! verifier's reports and the bench tools.
+//!
 //! # Reaching the engines
 //!
 //! Engines take no tracer argument. A caller that wants a trace
@@ -66,9 +70,10 @@
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
+pub mod json;
 pub mod threads;
 
 /// One structured trace event. Timestamps are nanoseconds on the owning
@@ -292,63 +297,47 @@ impl ChromeTraceSink {
         out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
         let us = |ns: u64| ns as f64 / 1e3;
         for (i, event) in events.iter().enumerate() {
-            out.push_str("    ");
-            match event {
-                TraceEvent::Begin { name, ts_ns } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\": \"{}\", \"ph\": \"B\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}}}",
-                        escape(name),
-                        us(*ts_ns)
-                    );
-                }
-                TraceEvent::End { name, ts_ns } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\": \"{}\", \"ph\": \"E\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}}}",
-                        escape(name),
-                        us(*ts_ns)
-                    );
-                }
+            out.push_str("    {\"name\": \"");
+            json::escape_into(&mut out, event.name());
+            out.push_str("\", \"ph\": \"");
+            let _ = match event {
+                TraceEvent::Begin { ts_ns, .. } => write!(
+                    out,
+                    "B\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}}}",
+                    us(*ts_ns)
+                ),
+                TraceEvent::End { ts_ns, .. } => write!(
+                    out,
+                    "E\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}}}",
+                    us(*ts_ns)
+                ),
                 TraceEvent::Complete {
-                    name,
-                    start_ns,
-                    dur_ns,
-                } => {
+                    start_ns, dur_ns, ..
+                } => write!(
+                    out,
+                    "X\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \"dur\": {:.3}}}",
+                    us(*start_ns),
+                    us(*dur_ns)
+                ),
+                TraceEvent::Counter { value, ts_ns, .. } => write!(
+                    out,
+                    "C\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \
+                     \"args\": {{\"value\": {}}}}}",
+                    us(*ts_ns),
+                    json_number(*value)
+                ),
+                TraceEvent::Warn { message, ts_ns, .. } => {
                     let _ = write!(
                         out,
-                        "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0, \
-                         \"ts\": {:.3}, \"dur\": {:.3}}}",
-                        escape(name),
-                        us(*start_ns),
-                        us(*dur_ns)
+                        "i\", \"s\": \"g\", \"pid\": 0, \"tid\": 0, \"ts\": {:.3}, \
+                         \"args\": {{\"message\": \"",
+                        us(*ts_ns)
                     );
+                    json::escape_into(&mut out, message);
+                    out.push_str("\"}}");
+                    Ok(())
                 }
-                TraceEvent::Counter { name, value, ts_ns } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\": \"{}\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \
-                         \"ts\": {:.3}, \"args\": {{\"value\": {}}}}}",
-                        escape(name),
-                        us(*ts_ns),
-                        json_number(*value)
-                    );
-                }
-                TraceEvent::Warn {
-                    name,
-                    message,
-                    ts_ns,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 0, \
-                         \"tid\": 0, \"ts\": {:.3}, \"args\": {{\"message\": \"{}\"}}}}",
-                        escape(name),
-                        us(*ts_ns),
-                        escape(message)
-                    );
-                }
-            }
+            };
             out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
         }
         out.push_str("  ]\n}\n");
@@ -399,25 +388,6 @@ impl TraceSink for EchoWarnSink {
         }
         self.inner.record(event);
     }
-}
-
-/// JSON string escaping for names and warning messages.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats a counter value as a valid JSON number (JSON has no
@@ -625,9 +595,31 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
+/// Process-wide allocation-count probe read by the engines' profiles
+/// (`GreedyProfile`, `ScanProfile`, `EcoProfile`).
+///
+/// Library crates forbid `unsafe`, so none can host a counting
+/// `#[global_allocator]` itself; binaries that have one (the bench
+/// harness, the zero-alloc tests) register a reader here.
+static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
+
+/// Installs the allocation-count reader behind [`alloc_count`]. The probe
+/// must be monotone (a running total of allocations in the process).
+/// First installation wins; later calls are ignored.
+pub fn set_alloc_probe(probe: fn() -> u64) {
+    let _ = ALLOC_PROBE.set(probe);
+}
+
+/// Current allocation count, or 0 when no probe is installed.
+#[must_use]
+pub fn alloc_count() -> u64 {
+    ALLOC_PROBE.get().map_or(0, |probe| probe())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn disabled_tracer_records_nothing_and_reads_no_clock() {
@@ -719,28 +711,44 @@ mod tests {
             tracer.counter("ratio", 0.125);
             tracer.counter("bad", f64::NAN);
             if tracer.enabled() {
-                tracer.warn("warnings", "line1\nline2");
+                tracer.warn("warnings", "line1\n\"line2\"");
             }
         }
         tracer.complete_span("agg", 1_000, 2_000);
-        let json = sink.to_json();
-        assert!(json.contains("\"displayTimeUnit\": \"ms\""));
-        assert!(json.contains("\"ph\": \"B\"") && json.contains("\"ph\": \"E\""));
-        assert!(json.contains("\"ph\": \"X\"") && json.contains("\"dur\": 2.000"));
-        assert!(json.contains("\"ph\": \"C\"") && json.contains("\"value\": 42"));
-        assert!(json.contains("\"value\": 0.125"));
-        assert!(json.contains("\"value\": null"));
-        assert!(json.contains("phase \\\"quoted\\\""));
-        assert!(json.contains("line1\\nline2"));
-        // Balanced braces/brackets as a cheap well-formedness check; the
-        // real parse round-trip lives in gcr-bench's tests, next to its
-        // JSON reader.
+        let text = sink.to_json();
+        // Number formatting does not survive parsing: integral counters
+        // print without a fraction, times in µs with three decimals.
+        assert!(text.contains("\"dur\": 2.000"));
+        assert!(text.contains("\"value\": 42"));
+
+        let doc = json::parse(&text).unwrap();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let column = |key: &str| -> Vec<&str> {
+            events
+                .iter()
+                .map(|e| e.get(key).and_then(Json::as_str).unwrap())
+                .collect()
+        };
+        assert_eq!(column("ph"), ["B", "C", "C", "C", "i", "E", "X"]);
+        let quoted = "phase \"quoted\"";
+        assert_eq!(
+            column("name"),
+            [quoted, "count", "ratio", "bad", "warnings", quoted, "agg"]
+        );
+        let arg = |i: usize, key: &str| events[i].get("args").and_then(|a| a.get(key));
+        assert_eq!(arg(1, "value"), Some(&Json::Number(42.0)));
+        assert_eq!(arg(2, "value"), Some(&Json::Number(0.125)));
+        assert_eq!(arg(3, "value"), Some(&Json::Null));
+        assert_eq!(
+            arg(4, "message").and_then(Json::as_str),
+            Some("line1\n\"line2\"")
+        );
+        assert_eq!(events[6].get("ts"), Some(&Json::Number(1.0)));
+        assert_eq!(events[6].get("dur"), Some(&Json::Number(2.0)));
     }
 
     #[test]

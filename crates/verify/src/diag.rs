@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use gcr_trace::json::escape_into;
+
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
@@ -266,13 +268,13 @@ impl VerifyReport {
             out.push_str("\",\"severity\":\"");
             out.push_str(&d.severity.to_string());
             out.push_str("\",\"location\":\"");
-            push_json_escaped(&mut out, &d.location.to_string());
+            escape_into(&mut out, &d.location.to_string());
             out.push_str("\",\"message\":\"");
-            push_json_escaped(&mut out, &d.message);
+            escape_into(&mut out, &d.message);
             out.push('"');
             if let Some(hint) = &d.hint {
                 out.push_str(",\"hint\":\"");
-                push_json_escaped(&mut out, hint);
+                escape_into(&mut out, hint);
                 out.push('"');
             }
             out.push('}');
@@ -285,7 +287,7 @@ impl VerifyReport {
             out.push_str("{\"pass\":\"");
             out.push_str(s.id);
             out.push_str("\",\"reason\":\"");
-            push_json_escaped(&mut out, &s.reason);
+            escape_into(&mut out, &s.reason);
             out.push_str("\"}");
         }
         out.push_str("],\"errors\":");
@@ -321,7 +323,7 @@ impl VerifyReport {
             out.push_str("{\"id\":\"");
             out.push_str(code);
             out.push_str("\",\"shortDescription\":{\"text\":\"");
-            push_json_escaped(&mut out, lint_id);
+            escape_into(&mut out, lint_id);
             out.push_str("\"}}");
         }
         out.push_str("]}},\"results\":[");
@@ -338,32 +340,16 @@ impl VerifyReport {
                 Severity::Info => "note",
             });
             out.push_str("\",\"message\":{\"text\":\"");
-            push_json_escaped(&mut out, &d.message);
+            escape_into(&mut out, &d.message);
             if let Some(hint) = &d.hint {
-                push_json_escaped(&mut out, &format!(" (hint: {hint})"));
+                escape_into(&mut out, &format!(" (hint: {hint})"));
             }
             out.push_str("\"},\"locations\":[{\"logicalLocations\":[{\"name\":\"");
-            push_json_escaped(&mut out, &d.location.to_string());
+            escape_into(&mut out, &d.location.to_string());
             out.push_str("\"}]}]}");
         }
         out.push_str("]}]}");
         out
-    }
-}
-
-fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! with warmed scratch buffers and pre-reserved objective columns, the
 //! merge loop must perform **zero** heap allocations. A counting global
 //! allocator feeds the engine's phase profile via
-//! [`gcr_cts::set_alloc_probe`]; the assertion is on the warm run's
+//! [`gcr_trace::set_alloc_probe`]; the assertion is on the warm run's
 //! `loop_allocs`.
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
@@ -78,8 +78,7 @@ fn warm_loop_allocs<O: MergeObjective + Clone>(n: usize, objective: &O) -> u64 {
 
 #[test]
 fn warm_greedy_loop_performs_zero_allocations() {
-    gcr_cts::set_alloc_probe(alloc_probe);
-    gcr_activity::set_alloc_probe(alloc_probe);
+    gcr_trace::set_alloc_probe(alloc_probe);
 
     // Warm streaming activity scan: after a cold scan grows the
     // ScanScratch, a single-threaded warm rescan must not allocate in the
