@@ -178,6 +178,29 @@ mod tests {
         (sinks, module_of, tables, config)
     }
 
+    /// A cold [`route_gated_eco`] call with default search parameters.
+    fn cold_eco(
+        old: &GatedRouting,
+        sinks: &[Sink],
+        module_of: &[usize],
+        edits: &[EcoEdit],
+        tables: &ActivityTables,
+        config: &RouterConfig,
+    ) -> Result<GatedEcoResult, RouteError> {
+        let params = GreedyParams::default();
+        let mut scratch = EcoScratch::new();
+        route_gated_eco(
+            old,
+            sinks,
+            module_of,
+            edits,
+            tables,
+            config,
+            &params,
+            &mut scratch,
+        )
+    }
+
     /// An activity-only ECO (new tables, `SwapActivity` edits) is a pure
     /// replay: the topology and the mapped-oracle rebuild over the same
     /// topology match the incremental result bit for bit.
@@ -193,16 +216,13 @@ mod tests {
             .build()
             .unwrap();
         let new_tables = ActivityTables::scan(model.rtl(), &model.generate_stream(6_000));
-        let mut scratch = EcoScratch::new();
-        let eco = route_gated_eco(
+        let eco = cold_eco(
             &old,
             &sinks,
             &module_of,
             &[EcoEdit::SwapActivity { module: 5 }],
             &new_tables,
             &config,
-            &GreedyParams::default(),
-            &mut scratch,
         )
         .unwrap();
         assert!(eco.outcome.pure_replay);
@@ -231,16 +251,13 @@ mod tests {
             sinks[7].location().x + 900.0,
             (sinks[7].location().y + 700.0) % 10_000.0,
         );
-        let mut scratch = EcoScratch::new();
-        let eco = route_gated_eco(
+        let eco = cold_eco(
             &old,
             &sinks,
             &module_of,
             &[EcoEdit::MoveSink { index: 7, to }],
             &tables,
             &config,
-            &GreedyParams::default(),
-            &mut scratch,
         )
         .unwrap();
         assert_eq!(eco.sinks.len(), 30);
@@ -270,8 +287,7 @@ mod tests {
         let (sinks, module_of, tables, config) = setup(20, 17);
         let old = route_gated_mapped(&sinks, &module_of, &tables, &config).unwrap();
         let added = Sink::new(Point::new(4_500.0, 4_500.0), 0.05);
-        let mut scratch = EcoScratch::new();
-        let eco = route_gated_eco(
+        let eco = cold_eco(
             &old,
             &sinks,
             &module_of,
@@ -284,8 +300,6 @@ mod tests {
             ],
             &tables,
             &config,
-            &GreedyParams::default(),
-            &mut scratch,
         )
         .unwrap();
         assert_eq!(eco.sinks.len(), 20);
@@ -299,28 +313,75 @@ mod tests {
         assert!(eco.routing.tree.verify_skew(tech) <= 1e-9 * delay.max(1.0));
     }
 
+    /// An added sink that shares a module with an existing sink is a
+    /// leaf of that module with the existing leaf's exact stats.
+    #[test]
+    fn added_sink_shares_its_module_leaf_stats() {
+        let (sinks, module_of, tables, config) = setup(10, 21);
+        let old = route_gated_mapped(&sinks, &module_of, &tables, &config).unwrap();
+        let near = sinks[3].location();
+        let added = Sink::new(Point::new(near.x + 120.0, near.y + 80.0), 0.03);
+        let eco = cold_eco(
+            &old,
+            &sinks,
+            &module_of,
+            &[EcoEdit::AddSink {
+                sink: added,
+                module: 3,
+            }],
+            &tables,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(eco.routing.tree.num_sinks(), 11);
+        assert_eq!(eco.module_of[10], 3);
+        assert!(eco.routing.node_modules[10].contains(3));
+        assert_eq!(eco.routing.node_modules[10].len(), 1);
+        assert_eq!(eco.routing.node_stats[10], eco.routing.node_stats[3]);
+        let tech = config.tech();
+        let delay = eco.routing.tree.source_to_sink_delay(tech);
+        assert!(eco.routing.tree.verify_skew(tech) <= 1e-9 * delay.max(1.0));
+    }
+
+    /// After a removal every surviving leaf keeps its original sink and
+    /// module, compacted past the victim.
+    #[test]
+    fn removal_keeps_surviving_leaf_modules() {
+        let (sinks, module_of, tables, config) = setup(9, 33);
+        let old = route_gated_mapped(&sinks, &module_of, &tables, &config).unwrap();
+        let eco = cold_eco(
+            &old,
+            &sinks,
+            &module_of,
+            &[EcoEdit::RemoveSink { index: 4 }],
+            &tables,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(eco.routing.tree.num_sinks(), 8);
+        for i in 0..8 {
+            let orig = if i < 4 { i } else { i + 1 };
+            assert_eq!(eco.sinks[i], sinks[orig], "leaf {i}");
+            assert_eq!(eco.module_of[i], orig, "leaf {i}");
+            assert!(eco.routing.node_modules[i].contains(orig), "leaf {i}");
+        }
+        let tech = config.tech();
+        let delay = eco.routing.tree.source_to_sink_delay(tech);
+        assert!(eco.routing.tree.verify_skew(tech) <= 1e-9 * delay.max(1.0));
+    }
+
     /// Mismatched design lists and unknown modules are rejected up
     /// front.
     #[test]
     fn invalid_inputs_are_rejected() {
         let (sinks, module_of, tables, config) = setup(10, 1);
         let old = route_gated_mapped(&sinks, &module_of, &tables, &config).unwrap();
-        let mut scratch = EcoScratch::new();
         assert!(matches!(
-            route_gated_eco(
-                &old,
-                &sinks[..5],
-                &module_of[..5],
-                &[],
-                &tables,
-                &config,
-                &GreedyParams::default(),
-                &mut scratch
-            ),
+            cold_eco(&old, &sinks[..5], &module_of[..5], &[], &tables, &config),
             Err(RouteError::SinkModuleMismatch { .. })
         ));
         assert!(matches!(
-            route_gated_eco(
+            cold_eco(
                 &old,
                 &sinks,
                 &module_of,
@@ -330,21 +391,17 @@ mod tests {
                 }],
                 &tables,
                 &config,
-                &GreedyParams::default(),
-                &mut scratch,
             ),
             Err(RouteError::SinkModuleMismatch { .. })
         ));
         assert!(matches!(
-            route_gated_eco(
+            cold_eco(
                 &old,
                 &sinks,
                 &module_of,
                 &[EcoEdit::RemoveSink { index: 42 }],
                 &tables,
                 &config,
-                &GreedyParams::default(),
-                &mut scratch,
             ),
             Err(RouteError::Cts(gcr_cts::CtsError::InvalidEco { .. }))
         ));

@@ -126,70 +126,23 @@ pub fn evaluate_with_mask(
 ) -> PowerReport {
     let tracer = gcr_trace::Tracer::current();
     let _span = tracer.span("evaluate.equation3");
-    assert_eq!(
-        node_stats.len(),
-        tree.len(),
-        "stats must cover every tree node"
-    );
-    assert_eq!(
-        controlled.len(),
-        tree.len(),
-        "controlled mask must cover every tree node"
-    );
-    let c = tech.unit_cap();
-    let n = tree.len();
-
-    // The switching probability of each node's wire: the signal
-    // probability of the nearest masking gate at-or-above the wire.
-    let mut domain = vec![1.0f64; n];
-    for idx in (0..n).rev() {
-        let id = tree.id(idx);
-        let node = tree.node(id);
-        let gated_here = controlled[idx] && node.device().is_some();
-        domain[idx] = if gated_here {
-            node_stats[idx].signal
-        } else {
-            match node.parent() {
-                Some(p) => domain[p.index()],
-                None => 1.0,
-            }
-        };
-    }
-
     let mut clock_cap = 0.0;
-    for (idx, &dom) in domain.iter().enumerate() {
-        let id = tree.id(idx);
-        let node = tree.node(id);
-        // Wire of this edge plus the sink load at its foot…
-        let mut cap_here = c * node.electrical_length();
-        if let Some(s) = node.sink() {
-            cap_here += tree.sink_cap(s);
+    let mut control_cap = 0.0;
+    let mut control_len = 0.0;
+    for (_, edge) in edge_terms(tree, node_stats, controller, tech, controlled) {
+        clock_cap += edge.clock;
+        if let Some((len, cap)) = edge.control {
+            control_len += len;
+            control_cap += cap;
         }
-        // …plus the input pins of the children's edge devices, which hang
-        // at this node (before the children's gates).
-        for &ch in node.children() {
-            if let Some(d) = tree.node(ch).device() {
-                cap_here += d.input_cap();
-            }
-        }
-        clock_cap += dom * cap_here;
     }
     // The root's own device input pin is driven by the free-running source.
     if let Some(d) = tree.node(tree.root()).device() {
         clock_cap += d.input_cap();
     }
-
-    let mut control_cap = 0.0;
-    let mut control_len = 0.0;
     let mut device_area = 0.0;
-    for (id, d) in tree.devices() {
+    for (_, d) in tree.devices() {
         device_area += d.area();
-        if controlled[id.index()] {
-            let len = controller.enable_wire_length(tree.gate_location(id));
-            control_len += len;
-            control_cap +=
-                (tech.control_unit_cap() * len + d.input_cap()) * node_stats[id.index()].transition;
-        }
     }
 
     let clock_len = tree.total_wire_length();
@@ -252,37 +205,12 @@ pub fn evaluate_breakdown(
     tech: &Technology,
     controlled: &[bool],
 ) -> Vec<LevelBreakdown> {
-    assert_eq!(
-        node_stats.len(),
-        tree.len(),
-        "stats must cover every tree node"
-    );
-    assert_eq!(
-        controlled.len(),
-        tree.len(),
-        "controlled mask must cover every tree node"
-    );
-    let c = tech.unit_cap();
     let n = tree.len();
-
-    // Depths and domains, root-down.
     let mut depth = vec![0usize; n];
-    let mut domain = vec![1.0f64; n];
     for idx in (0..n).rev() {
-        let id = tree.id(idx);
-        let node = tree.node(id);
-        if let Some(p) = node.parent() {
+        if let Some(p) = tree.node(tree.id(idx)).parent() {
             depth[idx] = depth[p.index()] + 1;
         }
-        let gated_here = controlled[idx] && node.device().is_some();
-        domain[idx] = if gated_here {
-            node_stats[idx].signal
-        } else {
-            match node.parent() {
-                Some(p) => domain[p.index()],
-                None => 1.0,
-            }
-        };
     }
     let max_depth = depth.iter().copied().max().unwrap_or(0);
     let mut rows: Vec<LevelBreakdown> = (0..=max_depth)
@@ -293,28 +221,12 @@ pub fn evaluate_breakdown(
             control_switched_cap: 0.0,
         })
         .collect();
-
-    for idx in 0..n {
-        let id = tree.id(idx);
-        let node = tree.node(id);
-        let mut cap_here = c * node.electrical_length();
-        if let Some(s) = node.sink() {
-            cap_here += tree.sink_cap(s);
-        }
-        for &ch in node.children() {
-            if let Some(d) = tree.node(ch).device() {
-                cap_here += d.input_cap();
-            }
-        }
+    for (idx, edge) in edge_terms(tree, node_stats, controller, tech, controlled) {
         let row = &mut rows[depth[idx]];
         row.nodes += 1;
-        row.clock_switched_cap += domain[idx] * cap_here;
-        if controlled[idx] {
-            if let Some(d) = node.device() {
-                let len = controller.enable_wire_length(tree.gate_location(id));
-                row.control_switched_cap +=
-                    (tech.control_unit_cap() * len + d.input_cap()) * node_stats[idx].transition;
-            }
+        row.clock_switched_cap += edge.clock;
+        if let Some((_, cap)) = edge.control {
+            row.control_switched_cap += cap;
         }
     }
     // The root device's input pin switches on the free-running source side.
@@ -322,6 +234,92 @@ pub fn evaluate_breakdown(
         rows[0].clock_switched_cap += d.input_cap();
     }
     rows
+}
+
+/// One edge's share of Equation 3, as [`edge_terms`] yields it.
+struct EdgeTerms {
+    /// Clock switched capacitance: the edge's wire, the sink load at its
+    /// foot and the input pins of the children's devices, at the signal
+    /// probability of the nearest masking gate at or above the edge.
+    clock: f64,
+    /// For an enabled masking gate on the edge: its enable wire length
+    /// and the control switched capacitance it adds.
+    control: Option<(f64, f64)>,
+}
+
+/// The per-edge walk behind [`evaluate_with_mask`] and
+/// [`evaluate_breakdown`]: every node's [`EdgeTerms`], in index order.
+/// The root device's source-side input pin belongs to no edge; callers
+/// add it.
+///
+/// # Panics
+///
+/// Panics if `node_stats` or `controlled` do not cover every tree node.
+fn edge_terms<'a>(
+    tree: &'a ClockTree,
+    node_stats: &'a [EnableStats],
+    controller: &'a ControllerPlan,
+    tech: &'a Technology,
+    controlled: &'a [bool],
+) -> impl Iterator<Item = (usize, EdgeTerms)> + 'a {
+    assert_eq!(
+        node_stats.len(),
+        tree.len(),
+        "stats must cover every tree node"
+    );
+    assert_eq!(
+        controlled.len(),
+        tree.len(),
+        "controlled mask must cover every tree node"
+    );
+    let n = tree.len();
+
+    // The switching probability of each node's wire: the signal
+    // probability of the nearest masking gate at-or-above the wire.
+    let mut domain = vec![1.0f64; n];
+    for idx in (0..n).rev() {
+        let node = tree.node(tree.id(idx));
+        let gated_here = controlled[idx] && node.device().is_some();
+        domain[idx] = if gated_here {
+            node_stats[idx].signal
+        } else {
+            match node.parent() {
+                Some(p) => domain[p.index()],
+                None => 1.0,
+            }
+        };
+    }
+
+    domain.into_iter().enumerate().map(move |(idx, dom)| {
+        let id = tree.id(idx);
+        let node = tree.node(id);
+        // Wire of this edge plus the sink load at its foot…
+        let mut cap_here = tech.unit_cap() * node.electrical_length();
+        if let Some(s) = node.sink() {
+            cap_here += tree.sink_cap(s);
+        }
+        // …plus the input pins of the children's edge devices, which hang
+        // at this node (before the children's gates).
+        for &ch in node.children() {
+            if let Some(d) = tree.node(ch).device() {
+                cap_here += d.input_cap();
+            }
+        }
+        let control = match node.device() {
+            Some(d) if controlled[idx] => {
+                let len = controller.enable_wire_length(tree.gate_location(id));
+                let cap =
+                    (tech.control_unit_cap() * len + d.input_cap()) * node_stats[idx].transition;
+                Some((len, cap))
+            }
+            _ => None,
+        };
+        let terms = EdgeTerms {
+            clock: dom * cap_here,
+            control,
+        };
+        (idx, terms)
+    })
 }
 
 /// Evaluates a buffered (or plain) tree: always-on statistics, no control

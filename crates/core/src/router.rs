@@ -440,107 +440,6 @@ pub struct GatedRouting {
 }
 
 impl GatedRouting {
-    /// Engineering-change insertion: adds `new_sink` (gated by `module` of
-    /// the activity model) next to its geometrically nearest existing
-    /// leaf, rebuilds the affected statistics, and re-embeds — the whole
-    /// tree re-balances in O(N) while the topology changes only locally.
-    ///
-    /// Returns the new routing together with the extended sink list (the
-    /// new sink is appended, index `old_sinks.len()`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::SinkModuleMismatch`] when `module` is not in
-    /// the activity model or `old_sinks` does not match this routing.
-    #[expect(
-        clippy::expect_used,
-        reason = "the length check above guarantees a non-empty leaf set, and \
-                  leaf module sets are singletons by construction"
-    )]
-    pub fn insert_sink(
-        &self,
-        old_sinks: &[Sink],
-        new_sink: Sink,
-        module: usize,
-        tables: &ActivityTables,
-        config: &RouterConfig,
-    ) -> Result<(GatedRouting, Vec<Sink>), RouteError> {
-        if old_sinks.len() != self.topology.num_leaves() || module >= tables.rtl().num_modules() {
-            return Err(RouteError::SinkModuleMismatch {
-                sinks: old_sinks.len(),
-                modules: tables.rtl().num_modules(),
-            });
-        }
-        // Nearest existing leaf hosts the new sibling.
-        let sibling = (0..old_sinks.len())
-            .min_by(|&a, &b| {
-                let da = old_sinks[a].location().manhattan(new_sink.location());
-                let db = old_sinks[b].location().manhattan(new_sink.location());
-                da.total_cmp(&db)
-            })
-            .expect("old_sinks is non-empty (topology has leaves)");
-        let topology = self.topology.insert_leaf(sibling)?;
-        let mut sinks = old_sinks.to_vec();
-        sinks.push(new_sink);
-        // Existing leaves keep their module (leaf sets are singletons by
-        // construction); the new leaf gets `module`.
-        let mut module_of: Vec<usize> = (0..old_sinks.len())
-            .map(|i| {
-                self.node_modules[i]
-                    .iter()
-                    .next()
-                    .expect("leaf owns one module")
-            })
-            .collect();
-        module_of.push(module);
-        let routing =
-            gated_routing_for_topology_mapped(topology, &sinks, &module_of, tables, config)?;
-        Ok((routing, sinks))
-    }
-
-    /// Engineering-change removal: drops sink `victim` from the design,
-    /// letting its sibling subtree take its parent's place, and re-embeds.
-    /// Returns the new routing and the shrunken sink list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::SinkModuleMismatch`] when `old_sinks` does
-    /// not match this routing and [`RouteError::Cts`] when the victim is
-    /// invalid or the last remaining sink.
-    #[expect(
-        clippy::expect_used,
-        reason = "leaf module sets are singletons by construction"
-    )]
-    pub fn remove_sink(
-        &self,
-        old_sinks: &[Sink],
-        victim: usize,
-        tables: &ActivityTables,
-        config: &RouterConfig,
-    ) -> Result<(GatedRouting, Vec<Sink>), RouteError> {
-        if old_sinks.len() != self.topology.num_leaves() {
-            return Err(RouteError::SinkModuleMismatch {
-                sinks: old_sinks.len(),
-                modules: tables.rtl().num_modules(),
-            });
-        }
-        let topology = self.topology.remove_leaf(victim)?;
-        let mut sinks = old_sinks.to_vec();
-        sinks.remove(victim);
-        let mut module_of: Vec<usize> = (0..old_sinks.len())
-            .map(|i| {
-                self.node_modules[i]
-                    .iter()
-                    .next()
-                    .expect("leaf owns one module")
-            })
-            .collect();
-        module_of.remove(victim);
-        let routing =
-            gated_routing_for_topology_mapped(topology, &sinks, &module_of, tables, config)?;
-        Ok((routing, sinks))
-    }
-
     /// Re-embeds the same topology with a different device assignment
     /// (e.g. after gate reduction), restoring exact zero skew.
     ///
@@ -1052,64 +951,6 @@ mod tests {
             route_gated_mapped(&sinks, &[7; 12], &tables, &config),
             Err(RouteError::SinkModuleMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn eco_insertion_stays_zero_skew_and_local() {
-        let (sinks, tables, config) = setup(10, 21);
-        let routing = route_gated(&sinks, &tables, &config).unwrap();
-        // Insert a new sink for module 3 right next to sink 3.
-        let new_sink = Sink::new(
-            Point::new(sinks[3].location().x + 120.0, sinks[3].location().y + 80.0),
-            0.03,
-        );
-        let (grown, grown_sinks) = routing
-            .insert_sink(&sinks, new_sink, 3, &tables, &config)
-            .unwrap();
-        assert_eq!(grown_sinks.len(), 11);
-        assert_eq!(grown.tree.num_sinks(), 11);
-        // The new leaf (index 10) pairs with its nearest neighbor, sink 3.
-        assert!(grown.node_modules[10].contains(3));
-        let fresh = grown_sinks.len(); // first internal node index
-        assert_eq!(
-            grown.topology.node(fresh),
-            gcr_cts::TopoNode::Internal { left: 3, right: 10 }
-        );
-        // Zero skew holds after the ECO.
-        let tech = config.tech();
-        let delay = grown.tree.source_to_sink_delay(tech);
-        assert!(grown.tree.verify_skew(tech) <= 1e-9 * delay.max(1.0));
-        // The duplicated module's enable stats are shared.
-        assert_eq!(grown.node_stats[10].signal, grown.node_stats[3].signal);
-        // Errors: unknown module, stale sink list.
-        assert!(routing
-            .insert_sink(&sinks, new_sink, 99, &tables, &config)
-            .is_err());
-        assert!(routing
-            .insert_sink(&sinks[..5], new_sink, 3, &tables, &config)
-            .is_err());
-    }
-
-    #[test]
-    fn eco_removal_stays_zero_skew() {
-        let (sinks, tables, config) = setup(9, 33);
-        let routing = route_gated(&sinks, &tables, &config).unwrap();
-        let (shrunk, shrunk_sinks) = routing.remove_sink(&sinks, 4, &tables, &config).unwrap();
-        assert_eq!(shrunk_sinks.len(), 8);
-        assert_eq!(shrunk.tree.num_sinks(), 8);
-        let tech = config.tech();
-        let delay = shrunk.tree.source_to_sink_delay(tech);
-        assert!(shrunk.tree.verify_skew(tech) <= 1e-9 * delay.max(1.0));
-        // The surviving leaves keep their original modules (shifted past
-        // the victim).
-        for i in 0..8 {
-            let orig = if i < 4 { i } else { i + 1 };
-            assert!(shrunk.node_modules[i].contains(orig), "leaf {i}");
-        }
-        assert!(routing.remove_sink(&sinks, 99, &tables, &config).is_err());
-        assert!(routing
-            .remove_sink(&sinks[..3], 0, &tables, &config)
-            .is_err());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use gcr_activity::{ActivityTables, CpuModel, EnableStats};
 use gcr_core::{
-    evaluate, evaluate_with_mask, reduce_gates, reduce_gates_optimal, route_gated, simulate_stream,
-    ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
+    evaluate, evaluate_with_mask, reduce_gates, reduce_gates_optimal, route_gated, route_gated_eco,
+    simulate_stream, ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
 };
-use gcr_cts::Sink;
+use gcr_cts::{EcoEdit, EcoScratch, GreedyParams, Sink};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 use proptest::prelude::*;
@@ -190,8 +190,9 @@ proptest! {
             "DP {dp} beaten by a random mask {}", eval(&random));
     }
 
-    /// ECO churn keeps the tree valid: any sequence of one insertion and
-    /// one removal preserves zero skew and sink-count bookkeeping.
+    /// ECO churn through `route_gated_eco` keeps the tree valid: one
+    /// `AddSink` batch, then one `RemoveSink` batch on the grown design,
+    /// preserve zero skew and sink-count bookkeeping.
     #[test]
     fn eco_churn_preserves_invariants(
         sinks in sinks_strategy(10),
@@ -202,27 +203,34 @@ proptest! {
         let (tables, config) = setup(&sinks, seed);
         let routing = route_gated(&sinks, &tables, &config).unwrap();
         let tech = config.tech();
-        let new_sink = Sink::new(
-            Point::new(SIDE * 0.31, SIDE * 0.47),
-            0.05,
-        );
-        let module = insert_at % sinks.len();
-        let (grown, grown_sinks) = routing
-            .insert_sink(&sinks, new_sink, module, &tables, &config)
-            .unwrap();
-        prop_assert_eq!(grown_sinks.len(), sinks.len() + 1);
-        let d1 = grown.tree.source_to_sink_delay(tech);
-        prop_assert!(grown.tree.verify_skew(tech) <= 1e-9 * d1.max(1.0));
+        let module_of: Vec<usize> = (0..sinks.len()).collect();
+        let params = GreedyParams::default();
+        let mut scratch = EcoScratch::new();
+        let add = EcoEdit::AddSink {
+            sink: Sink::new(Point::new(SIDE * 0.31, SIDE * 0.47), 0.05),
+            module: insert_at % sinks.len(),
+        };
+        let grown = route_gated_eco(
+            &routing, &sinks, &module_of, &[add], &tables, &config, &params, &mut scratch,
+        )
+        .unwrap();
+        prop_assert_eq!(grown.sinks.len(), sinks.len() + 1);
+        prop_assert_eq!(grown.routing.tree.num_sinks(), sinks.len() + 1);
+        let d1 = grown.routing.tree.source_to_sink_delay(tech);
+        prop_assert!(grown.routing.tree.verify_skew(tech) <= 1e-9 * d1.max(1.0));
 
-        let victim = remove_at % grown_sinks.len();
-        let (shrunk, shrunk_sinks) = grown
-            .remove_sink(&grown_sinks, victim, &tables, &config)
-            .unwrap();
-        prop_assert_eq!(shrunk_sinks.len(), sinks.len());
-        let d2 = shrunk.tree.source_to_sink_delay(tech);
-        prop_assert!(shrunk.tree.verify_skew(tech) <= 1e-9 * d2.max(1.0));
+        let remove = EcoEdit::RemoveSink { index: remove_at % grown.sinks.len() };
+        let shrunk = route_gated_eco(
+            &grown.routing, &grown.sinks, &grown.module_of, &[remove], &tables, &config, &params,
+            &mut scratch,
+        )
+        .unwrap();
+        prop_assert_eq!(shrunk.sinks.len(), sinks.len());
+        prop_assert_eq!(shrunk.routing.tree.num_sinks(), sinks.len());
+        let d2 = shrunk.routing.tree.source_to_sink_delay(tech);
+        prop_assert!(shrunk.routing.tree.verify_skew(tech) <= 1e-9 * d2.max(1.0));
         // Stats stay within probability bounds after the churn.
-        for s in &shrunk.node_stats {
+        for s in &shrunk.routing.node_stats {
             prop_assert!((-1e-12..=1.0 + 1e-12).contains(&s.signal));
         }
     }

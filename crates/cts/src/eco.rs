@@ -133,9 +133,10 @@ const REMOVED: u8 = 2;
 /// and every oracle that compares incremental against from-scratch
 /// results.
 ///
-/// Surviving old leaves compact downward in ascending old order (exactly
-/// like [`Topology::remove_leaf`]); added sinks append after them in edit
-/// order; a moved leaf keeps its compacted index with the new location.
+/// Surviving old leaves compact downward in ascending old order: a kept
+/// leaf's new index is its old index minus the number of removed leaves
+/// below it. Added sinks append after them in edit order; a moved leaf
+/// keeps its compacted index with the new location.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EcoLeafPlan {
     /// Old leaf index → new leaf index; [`EcoLeafPlan::REMOVED`] for
@@ -934,8 +935,8 @@ mod tests {
         assert_eq!(obj.points.len(), 2 * 200 - 1);
     }
 
-    /// Removing a leaf produces the compacted leaf indexing of
-    /// `Topology::remove_leaf` and a full-coverage topology.
+    /// Removing a leaf yields a full-coverage topology over the
+    /// compacted survivors, one leaf fewer.
     #[test]
     fn remove_edit_compacts_leaves() {
         let points = scatter(80);
@@ -1027,7 +1028,8 @@ mod tests {
         assert_eq!(cold_log, warm_log);
     }
 
-    /// Down to one sink: the engine returns the single-sink topology.
+    /// Down to one sink: the engine returns the single-sink topology, and
+    /// an add on it grows the two-sink tree.
     #[test]
     fn shrinking_to_one_sink_works() {
         let points = scatter(2);
@@ -1046,6 +1048,25 @@ mod tests {
         .unwrap();
         assert_eq!(out.num_leaves, 1);
         assert_eq!(out.topology.len(), 1);
+        // …and back up: an added sink pairs with the survivor at the root.
+        let mut obj = PointObjective::over(&points);
+        let grown = apply_eco(
+            &out.topology,
+            &new_points,
+            &[EcoEdit::AddSink {
+                sink: Sink::new(points[1], 0.0),
+                module: 0,
+            }],
+            &mut obj,
+            &GreedyParams::default(),
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(grown.num_leaves, 2);
+        assert_eq!(
+            grown.topology.node(grown.topology.root()),
+            TopoNode::Internal { left: 0, right: 1 }
+        );
     }
 
     /// The traced run is bit-identical to the untraced one and emits the

@@ -168,122 +168,6 @@ impl Topology {
         self.nodes.iter().copied().enumerate()
     }
 
-    /// Engineering-change insertion: returns a new topology with one more
-    /// leaf, paired with the existing leaf of sink `sibling` under a fresh
-    /// internal node. The new sink receives index `num_leaves()` (callers
-    /// append the new sink to their sink list).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtsError::InvalidTopology`] when `sibling` is not an
-    /// existing sink index.
-    pub fn insert_leaf(&self, sibling: usize) -> Result<Topology, CtsError> {
-        if sibling >= self.num_leaves {
-            return Err(CtsError::InvalidTopology {
-                reason: format!(
-                    "sibling sink {sibling} out of range ({} sinks)",
-                    self.num_leaves
-                ),
-            });
-        }
-        let old_n = self.num_leaves;
-        let new_n = old_n + 1;
-        // Old node index -> new node index: leaves keep their index, the
-        // new leaf takes old_n, internals shift by 1, and one fresh
-        // internal pairs (sibling, new leaf).
-        let remap = |old: usize| -> usize {
-            if old < old_n {
-                old
-            } else {
-                old + 2 // new leaf + the fresh internal node
-            }
-        };
-        let fresh = new_n; // first internal index in the new topology
-        let mut merges: Vec<(usize, usize)> = vec![(sibling, old_n)];
-        for (_, node) in self.bottom_up() {
-            if let TopoNode::Internal { left, right } = node {
-                let fix = |child: usize| {
-                    if child == sibling {
-                        fresh
-                    } else {
-                        remap(child)
-                    }
-                };
-                merges.push((fix(left), fix(right)));
-            }
-        }
-        Topology::from_merges(new_n, &merges)
-    }
-
-    /// Engineering-change removal: returns a new topology without sink
-    /// `victim`; its former sibling subtree takes the parent's place, and
-    /// sink indices above `victim` shift down by one (callers remove the
-    /// sink from their list).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtsError::InvalidTopology`] when `victim` is out of range
-    /// or the topology has only one sink left.
-    #[expect(
-        clippy::expect_used,
-        reason = "a leaf in a multi-sink topology always has a parent"
-    )]
-    pub fn remove_leaf(&self, victim: usize) -> Result<Topology, CtsError> {
-        if victim >= self.num_leaves {
-            return Err(CtsError::InvalidTopology {
-                reason: format!(
-                    "victim sink {victim} out of range ({} sinks)",
-                    self.num_leaves
-                ),
-            });
-        }
-        if self.num_leaves == 1 {
-            return Err(CtsError::InvalidTopology {
-                reason: "cannot remove the only sink".into(),
-            });
-        }
-        let parents = self.parents();
-        let dead_parent = parents[victim].expect("non-root leaf has a parent");
-        // In the new topology, the dead parent is replaced by the victim's
-        // sibling everywhere it is referenced.
-        let sibling = match self.node(dead_parent) {
-            TopoNode::Internal { left, right } => {
-                if left == victim {
-                    right
-                } else {
-                    left
-                }
-            }
-            TopoNode::Leaf { .. } => unreachable!("parents are internal"),
-        };
-
-        // Old index -> new index. Leaves shift down past the victim;
-        // internal nodes shift by (leaves removed so far = 1) and by one
-        // more after the dead parent; references to the dead parent follow
-        // the sibling.
-        let old_n = self.num_leaves;
-        let remap = |old: usize| -> usize {
-            let resolved = if old == dead_parent { sibling } else { old };
-            if resolved < old_n {
-                resolved - usize::from(resolved > victim)
-            } else {
-                // Internal: one fewer leaf below, and the dead parent
-                // itself disappears from the internal sequence.
-                resolved - 1 - usize::from(resolved > dead_parent)
-            }
-        };
-        let merges: Vec<(usize, usize)> = self
-            .bottom_up()
-            .filter_map(|(i, node)| match node {
-                TopoNode::Internal { left, right } if i != dead_parent => {
-                    Some((remap(left), remap(right)))
-                }
-                _ => None,
-            })
-            .collect();
-        Topology::from_merges(old_n - 1, &merges)
-    }
-
     /// The depth of each node (root = 0), and with it the tree height.
     #[must_use]
     pub fn depths(&self) -> Vec<usize> {
@@ -409,74 +293,5 @@ mod tests {
     fn display_is_nonempty() {
         let t = Topology::single_sink().unwrap();
         assert!(format!("{t}").contains("1 sinks"));
-    }
-
-    #[test]
-    fn insert_leaf_grows_by_one() {
-        let t = Topology::from_merges(4, &[(0, 1), (2, 3), (4, 5)]).unwrap();
-        let grown = t.insert_leaf(2).unwrap();
-        assert_eq!(grown.num_leaves(), 5);
-        assert_eq!(grown.len(), 9);
-        // The fresh internal node pairs sink 2 with the new sink 4.
-        assert_eq!(grown.node(5), TopoNode::Internal { left: 2, right: 4 });
-        // Structure is preserved: subtree sizes at the root telescope.
-        assert_eq!(grown.subtree_sizes()[grown.root()], 5);
-        // Old sink 2's former parent now owns the fresh internal node.
-        let parents = grown.parents();
-        assert_eq!(parents[5], parents[3].map(|_| parents[5].unwrap()));
-    }
-
-    #[test]
-    fn insert_leaf_into_single_sink() {
-        let t = Topology::single_sink().unwrap();
-        let grown = t.insert_leaf(0).unwrap();
-        assert_eq!(grown.num_leaves(), 2);
-        assert_eq!(
-            grown.node(grown.root()),
-            TopoNode::Internal { left: 0, right: 1 }
-        );
-    }
-
-    #[test]
-    fn remove_leaf_shrinks_by_one() {
-        // ((0,1),(2,3)) — removing sink 1 leaves (0,(2,3)) with sinks
-        // renumbered to 0,1,2.
-        let t = Topology::from_merges(4, &[(0, 1), (2, 3), (4, 5)]).unwrap();
-        let shrunk = t.remove_leaf(1).unwrap();
-        assert_eq!(shrunk.num_leaves(), 3);
-        assert_eq!(shrunk.len(), 5);
-        assert_eq!(shrunk.subtree_sizes()[shrunk.root()], 3);
-        // Old sinks 2,3 are now 1,2 and still share a parent.
-        let parents = shrunk.parents();
-        assert_eq!(parents[1], parents[2]);
-        // Old sink 0 hangs directly off the root.
-        assert_eq!(parents[0], Some(shrunk.root()));
-    }
-
-    #[test]
-    fn remove_then_insert_round_trips_size() {
-        let t = Topology::from_merges(5, &[(0, 1), (2, 3), (5, 4), (6, 7)]).unwrap();
-        for victim in 0..5 {
-            let shrunk = t.remove_leaf(victim).unwrap();
-            assert_eq!(shrunk.num_leaves(), 4);
-            let grown = shrunk.insert_leaf(0).unwrap();
-            assert_eq!(grown.num_leaves(), 5);
-        }
-    }
-
-    #[test]
-    fn remove_leaf_edge_cases() {
-        let pair = Topology::from_merges(2, &[(0, 1)]).unwrap();
-        let single = pair.remove_leaf(0).unwrap();
-        assert_eq!(single.num_leaves(), 1);
-        assert!(single.remove_leaf(0).is_err()); // cannot empty the tree
-        assert!(pair.remove_leaf(5).is_err());
-    }
-
-    #[test]
-    fn insert_leaf_rejects_bad_sibling() {
-        let t = Topology::from_merges(2, &[(0, 1)]).unwrap();
-        assert!(t.insert_leaf(2).is_err());
-        assert!(t.insert_leaf(usize::MAX).is_err());
     }
 }

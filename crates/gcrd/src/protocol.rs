@@ -166,6 +166,9 @@ fn parse_edit(e: &Json) -> Result<EcoEdit, String> {
             let x = field_f64(e, "x")?;
             let y = field_f64(e, "y")?;
             let load = field_f64(e, "load")?;
+            if !(load.is_finite() && load >= 0.0) {
+                return Err(format!("\"load\" must be finite and >= 0, got {load}"));
+            }
             let module = field_u64(e, "module")?.ok_or("add_sink missing \"module\"")?;
             #[expect(clippy::cast_possible_truncation, reason = "module counts fit usize")]
             Ok(EcoEdit::AddSink {
@@ -485,6 +488,24 @@ mod tests {
         assert!(parse_request(r#"{"id":"x","cmd":"fly"}"#).is_err());
         assert!(parse_request(r#"{"id":"x","cmd":"route","stream_len":-5}"#).is_err());
         assert!(parse_request(r#"{"id":"x","cmd":"eco","edits":[{"op":"warp"}]}"#).is_err());
+    }
+
+    /// A negative or overflowing `add_sink` load is a parse error naming
+    /// the field, not a panic in `Sink::new`.
+    #[test]
+    fn add_sink_with_a_bad_load_is_an_error() {
+        for load in ["-1", "1e400", "-0.5e-3"] {
+            let line = format!(
+                r#"{{"id":"e","cmd":"eco","benchmark":"r1","edits":[{{"op":"add_sink","x":1,"y":1,"load":{load},"module":0}}]}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("load"), "{load}: {err}");
+        }
+        let ok = parse_request(
+            r#"{"id":"e","cmd":"eco","edits":[{"op":"add_sink","x":1,"y":1,"load":0,"module":0}]}"#,
+        )
+        .unwrap();
+        assert!(matches!(ok.edits[0], EcoEdit::AddSink { module: 0, .. }));
     }
 
     #[test]

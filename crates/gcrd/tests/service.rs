@@ -60,6 +60,14 @@ fn str_field<'a>(j: &'a Json, key: &str) -> &'a str {
     j.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
+/// The `panics` counter of a `stats` response.
+fn panics(stats: &Json) -> Option<f64> {
+    stats
+        .get("stats")
+        .and_then(|s| s.get("panics"))
+        .and_then(Json::as_f64)
+}
+
 fn shutdown(addr: &str) {
     let resp = send_batch(addr, &[r#"{"id":"sd","cmd":"shutdown"}"#.to_owned()]);
     assert_eq!(status(&resp[0]), "ok");
@@ -146,9 +154,11 @@ fn concurrent_clients_get_bit_identical_routings() {
     daemon.join().unwrap();
 }
 
-/// Malformed JSON, oversized lines, unknown commands/benchmarks, and
-/// invalid ECO batches all get `error` responses — and the daemon keeps
-/// serving the same connection afterwards.
+/// Malformed JSON, oversized lines, unknown commands/benchmarks,
+/// invalid ECO batches and `add_sink` loads that are negative or
+/// overflow to infinity all get `error` responses, from checks and not
+/// from caught panics — and the daemon keeps serving the same
+/// connection afterwards.
 #[test]
 fn malformed_requests_get_errors_and_daemon_survives() {
     let (addr, daemon) = start(ServiceConfig {
@@ -159,6 +169,12 @@ fn malformed_requests_get_errors_and_daemon_survives() {
         "{{\"id\":\"big\",\"cmd\":\"ping\",\"pad\":\"{}\"}}",
         "x".repeat(gcrd::MAX_LINE_BYTES)
     );
+    let add_sink = |load: &str| {
+        format!(
+            "{{\"id\":\"k5\",\"cmd\":\"eco\",\"benchmark\":\"r1\",\"edits\":[{{\"op\":\"add_sink\",\
+             \"x\":1,\"y\":1,\"load\":{load},\"module\":0}}]}}"
+        )
+    };
     let requests = vec![
         "this is not json".to_owned(),
         oversized,
@@ -169,23 +185,29 @@ fn malformed_requests_get_errors_and_daemon_survives() {
             "{{\"id\":\"k4\",\"cmd\":\"eco\",\"benchmark\":\"r1\",\"stream_len\":{STREAM_LEN},\
              \"edits\":[{{\"op\":\"remove_sink\",\"index\":99999}}]}}"
         ),
+        add_sink("-1"),
+        add_sink("1e400"),
         r#"{"id":"alive","cmd":"ping"}"#.to_owned(),
+        r#"{"id":"st","cmd":"stats"}"#.to_owned(),
     ];
     let responses = send_batch(&addr, &requests);
-    // Six failures; the ping must still be answered `ok` on the same
-    // connection.
-    let ping = responses
-        .iter()
-        .find(|r| str_field(r, "id") == "alive")
-        .expect("ping answered");
-    assert_eq!(status(ping), "ok");
+    // Eight failures; the ping and the stats must still be answered `ok`
+    // on the same connection.
+    let mut load_errors = 0;
     for resp in &responses {
-        if str_field(resp, "id") == "alive" {
-            continue;
+        match str_field(resp, "id") {
+            "alive" | "st" => assert_eq!(status(resp), "ok"),
+            _ => {
+                assert_eq!(status(resp), "error", "line: {resp:?}");
+                let error = str_field(resp, "error");
+                assert!(!error.is_empty());
+                load_errors += usize::from(error.contains("\"load\""));
+            }
         }
-        assert_eq!(status(resp), "error", "line: {resp:?}");
-        assert!(!str_field(resp, "error").is_empty());
     }
+    assert_eq!(load_errors, 2, "both bad loads must name the field");
+    let stats = responses.iter().find(|r| str_field(r, "id") == "st");
+    assert_eq!(panics(stats.expect("stats answered")), Some(0.0));
     shutdown(&addr);
     daemon.join().unwrap();
 }
@@ -217,13 +239,7 @@ fn deeply_nested_request_gets_an_error_and_daemon_survives() {
     assert_eq!(str_field(&responses[1], "id"), "alive");
     assert_eq!(status(&responses[1]), "ok");
     assert_eq!(str_field(&responses[1], "cmd"), "ping");
-    assert_eq!(
-        responses[2]
-            .get("stats")
-            .and_then(|s| s.get("panics"))
-            .and_then(Json::as_f64),
-        Some(0.0)
-    );
+    assert_eq!(panics(&responses[2]), Some(0.0));
     shutdown(&addr);
     daemon.join().unwrap();
 }
@@ -264,13 +280,7 @@ fn out_of_range_stream_len_is_rejected_without_a_panic() {
         );
     }
     let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
-    assert_eq!(
-        stats[0]
-            .get("stats")
-            .and_then(|s| s.get("panics"))
-            .and_then(Json::as_f64),
-        Some(0.0)
-    );
+    assert_eq!(panics(&stats[0]), Some(0.0));
     shutdown(&addr);
     daemon.join().unwrap();
 }
@@ -364,13 +374,7 @@ fn worker_panic_is_isolated() {
     assert_eq!(status(after), "ok", "worker must survive the panic");
     // Both work responses are in hand, so the counter is settled.
     let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
-    assert_eq!(
-        stats[0]
-            .get("stats")
-            .and_then(|s| s.get("panics"))
-            .and_then(Json::as_f64),
-        Some(1.0)
-    );
+    assert_eq!(panics(&stats[0]), Some(1.0));
     shutdown(&addr);
     daemon.join().unwrap();
 }
