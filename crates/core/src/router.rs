@@ -100,6 +100,16 @@ pub(crate) fn row_modules(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// Factor every Equation-3 lower bound is scaled by. The bound and the
+/// exact cost sum the same non-negative terms in different groupings, a
+/// handful of roundings each (at most `ε/2` relative apiece, and no
+/// cancellation), so with no snaking the computed bound could exceed the
+/// computed cost by an ULP or two. `16 ε` covers both sides' rounding
+/// with room to spare, and applying the one factor to the pairwise,
+/// batched and at-distance bounds alike keeps them bit-identical to each
+/// other and keeps ring keys below the pairwise bounds they cover.
+const BOUND_MARGIN: f64 = 1.0 - 16.0 * f64::EPSILON;
+
 /// The Equation-3 merge objective: among all live subtree pairs, merge the
 /// one whose new edges and enable wires add the least switched
 /// capacitance.
@@ -123,11 +133,6 @@ pub struct GatedObjective<'a> {
     controller: &'a ControllerPlan,
     tables: &'a ActivityTables,
     unit_cap: f64,
-    /// Smallest leaf enable probability — partners in an unexplored grid
-    /// ring can't switch less often than this.
-    min_leaf_signal: f64,
-    /// Smallest leaf static term (see [`Self::static_term`]).
-    min_leaf_static: f64,
     num_modules: usize,
     /// Width (in `u64` words) of one row of `modules`.
     module_words: usize,
@@ -163,8 +168,6 @@ impl Clone for GatedObjective<'_> {
             controller: self.controller,
             tables: self.tables,
             unit_cap: self.unit_cap,
-            min_leaf_signal: self.min_leaf_signal,
-            min_leaf_static: self.min_leaf_static,
             num_modules: self.num_modules,
             module_words: self.module_words,
             instr: self.instr,
@@ -208,8 +211,6 @@ impl<'a> GatedObjective<'a> {
             controller,
             tables,
             unit_cap: tech.unit_cap(),
-            min_leaf_signal: 0.0,
-            min_leaf_static: 0.0,
             num_modules,
             module_words,
             instr,
@@ -251,12 +252,6 @@ impl<'a> GatedObjective<'a> {
             this.modules[row + m / 64] |= 1u64 << (m % 64);
             this.push_stats(stats, s.cap(), controller.enable_wire_length(s.location()));
         }
-        this.min_leaf_signal = this.signal.iter().copied().fold(f64::INFINITY, f64::min);
-        this.min_leaf_static = this
-            .static_term
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
         this
     }
 
@@ -278,11 +273,12 @@ impl<'a> GatedObjective<'a> {
 
     /// Rewinds the objective to its first `len` nodes, keeping every
     /// column's spare capacity. This is the warm-loop primitive of the
-    /// incremental ECO engine: the leaf rows (and the cached
-    /// `min_leaf_*` pruning floors, which depend only on leaves) stay
-    /// priced while internal rows from a superseded search are dropped,
-    /// so the next [`gcr_cts::apply_eco`] pass appends into the same
-    /// storage without reallocating.
+    /// incremental ECO engine: the leaf rows stay priced while internal
+    /// rows from a superseded search are dropped, so the next
+    /// [`gcr_cts::apply_eco`] pass appends into the same storage without
+    /// reallocating. The objective caches nothing derived from the rows
+    /// it drops: the ring bound's floors live in the greedy engine, which
+    /// takes them over the live leaves of each run.
     ///
     /// Truncating at or above the current node count is a no-op.
     pub fn truncate(&mut self, len: usize) {
@@ -351,11 +347,16 @@ impl MergeObjective for GatedObjective<'_> {
     //
     //   c·e_a·P_a + c·e_b·P_b >= c·(e_a + e_b)·min(P_a, P_b)
     //                         >= c·d·min(P_a, P_b).
+    //
+    // The bound and `cost` sum their terms in different orders, so with
+    // no snaking the two can round a few ULPs apart; `BOUND_MARGIN`
+    // keeps the computed bound below the computed cost.
     fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
         let d = self.arena.distance(a, b);
-        self.static_term[a]
+        (self.static_term[a]
             + self.static_term[b]
-            + self.unit_cap * d * self.signal[a].min(self.signal[b])
+            + self.unit_cap * d * self.signal[a].min(self.signal[b]))
+            * BOUND_MARGIN
     }
 
     // Two columnar sweeps: the arena's batched region-distance kernel
@@ -369,7 +370,8 @@ impl MergeObjective for GatedObjective<'_> {
         let signal_c = self.signal[center];
         let unit_cap = self.unit_cap;
         let combine = |y: usize, d: f64| {
-            static_c + self.static_term[y] + unit_cap * d * signal_c.min(self.signal[y])
+            (static_c + self.static_term[y] + unit_cap * d * signal_c.min(self.signal[y]))
+                * BOUND_MARGIN
         };
         let mut cands = candidates.chunks_exact(BOUND_LANES);
         let mut outs = out.chunks_exact_mut(BOUND_LANES);
@@ -383,13 +385,19 @@ impl MergeObjective for GatedObjective<'_> {
         }
     }
 
-    // For leaf partners at distance >= dist: the partner's static term is
-    // at least the smallest leaf static term, and neither enable switches
-    // less often than the least-active leaf.
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64) -> f64 {
-        self.static_term[node]
-            + self.min_leaf_static
-            + self.unit_cap * dist * self.signal[node].min(self.min_leaf_signal)
+    // For live leaf partners at distance >= dist: the partner's static
+    // term is at least the floor's, and it switches at least as often as
+    // the floor's enable probability. The expression is
+    // `cost_lower_bound`'s with each partner term replaced by a floor
+    // that is no larger, so by monotone rounding every ring candidate's
+    // pairwise bound is at least this key.
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
+        (self.static_term[node] + floor[0] + self.unit_cap * dist * self.signal[node].min(floor[1]))
+            * BOUND_MARGIN
+    }
+
+    fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
+        [self.static_term[leaf], self.signal[leaf]]
     }
 
     fn location(&self, node: usize) -> Point {
@@ -832,8 +840,13 @@ mod tests {
             .map(|&module| ModuleSet::with_modules(m, [module]))
             .collect();
         assert_eq!(objective.node_modules(), expected_modules);
-        let min_signal = oracle.signal.iter().copied().fold(f64::INFINITY, f64::min);
-        assert_eq!(objective.min_leaf_signal.to_bits(), min_signal.to_bits());
+        for leaf in 0..n {
+            let bits = |floor: [f64; 2]| floor.map(f64::to_bits);
+            assert_eq!(
+                bits(objective.leaf_floor(leaf)),
+                bits(oracle.leaf_floor(leaf))
+            );
+        }
         let candidates: Vec<u32> = (0..n as u32).collect();
         let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
         for center in 0..n {

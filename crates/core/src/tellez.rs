@@ -183,7 +183,12 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
         }
     }
 
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64) -> f64 {
+    // Ignores the floor: the partner's own signal never enters. Needs no
+    // rounding margin either: the union signal sums a superset of the
+    // node's non-negative instruction probabilities in the same order, so
+    // by monotone rounding it is at least either node's computed signal,
+    // and the distance term is the same expression as `cost`'s.
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
         self.signal[node] + 1e-3 * dist / self.dist_scale
     }
 

@@ -265,9 +265,13 @@ impl<O: MergeObjective> MergeObjective for RootObjective<'_, O> {
         self.inner.cost_lower_bound(x, y)
     }
 
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64) -> f64 {
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
         self.inner
-            .cost_lower_bound_at_distance(self.map[node] as usize, dist)
+            .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
+    }
+
+    fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
+        self.inner.leaf_floor(self.map[leaf] as usize)
     }
 
     fn location(&self, node: usize) -> Point {
@@ -593,7 +597,7 @@ mod tests {
         fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
             self.cost(a, b)
         }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64) -> f64 {
+        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
             dist
         }
         fn location(&self, node: usize) -> Point {

@@ -410,11 +410,19 @@ impl<O: MergeObjective> MergeObjective for SpliceObjective<'_, O> {
         self.inner.cost_lower_bound(x, y)
     }
 
-    // Admissible: the inner bound quantifies over every *global* leaf at
-    // the given distance, a superset of the splice's super-leaves.
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64) -> f64 {
+    // The splice's leaves are super-leaves: added and dirtied sinks, and
+    // the roots of surviving subtrees. The engine takes the floor over
+    // them through `leaf_floor`, so an internal root's static term and
+    // enable probability bound it too. The distance half still assumes
+    // point partners: a survivor root's merging region can come closer
+    // than its center (docs/algorithms.md §Incremental ECO).
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
         self.inner
-            .cost_lower_bound_at_distance(self.map[node] as usize, dist)
+            .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
+    }
+
+    fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
+        self.inner.leaf_floor(self.map[leaf] as usize)
     }
 
     fn location(&self, node: usize) -> Point {
@@ -785,7 +793,7 @@ mod tests {
         fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
             self.cost(a, b)
         }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64) -> f64 {
+        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
             dist
         }
         fn location(&self, node: usize) -> Point {

@@ -31,9 +31,20 @@ use crate::{CtsError, Topology};
 /// bound methods are **admissible**:
 ///
 /// * `cost_lower_bound(a, b) <= cost(a, b)` for every live pair, and
-/// * `cost_lower_bound_at_distance(x, dist) <= cost(x, y)` for every sink
-///   leaf `y` whose location is at Manhattan distance `>= dist` from
-///   `location(x)`.
+/// * `cost_lower_bound_at_distance(x, dist, floor) <= cost(x, y)` for
+///   every sink leaf `y` whose location is at Manhattan distance `>= dist`
+///   from `location(x)` and whose [`leaf_floor`](Self::leaf_floor) is
+///   componentwise `>= floor`.
+///
+/// The engine passes as `floor` the componentwise minimum of `leaf_floor`
+/// over the leaves still alive when it prices the ring. Leaves only ever
+/// die, so that minimum only rises, and a key priced earlier still
+/// bounds every pair it stands in for.
+///
+/// Both inequalities must hold **as computed in floating point**, not
+/// just in exact arithmetic: a bound that overshoots its exact cost by
+/// one ULP is inadmissible. Objectives whose bound and cost sum their
+/// terms in different orders scale the bound down by a stated margin.
 ///
 /// An inadmissible bound does not corrupt the tree — every committed merge
 /// still uses the exact `cost` — but the merge *order* can then diverge
@@ -79,10 +90,21 @@ pub trait MergeObjective: Sync {
 
     /// Admissible lower bound on `cost(node, y)` over every **sink leaf**
     /// `y` located at Manhattan distance at least `dist` from
-    /// `location(node)`. Used to price the not-yet-generated bucket-grid
-    /// rings of a leaf, so `node` is always a leaf when the engine calls
-    /// this.
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64) -> f64;
+    /// `location(node)` whose [`leaf_floor`](Self::leaf_floor) is
+    /// componentwise at least `floor`. Used to price the not-yet-generated
+    /// bucket-grid rings of a leaf, so `node` is always a leaf when the
+    /// engine calls this.
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64;
+
+    /// The per-leaf terms the at-distance bound takes its floor over: the
+    /// engine keeps the componentwise minimum of these over the live
+    /// leaves and passes it to
+    /// [`cost_lower_bound_at_distance`](Self::cost_lower_bound_at_distance).
+    /// Objectives whose at-distance bound reads no partner state keep the
+    /// default `[0.0; 2]`.
+    fn leaf_floor(&self, _leaf: usize) -> [f64; 2] {
+        [0.0; 2]
+    }
 
     /// Representative location of `node` (the center of its merging
     /// region; for a leaf, the sink location). Leaf locations seed the
@@ -560,9 +582,61 @@ pub struct GreedyScratch {
     /// in [`defer_row`].
     selbuf: Vec<(f64, u32)>,
     slab: CandidateSlab,
+    /// Floor of the at-distance ring bound over the live leaves.
+    live_floor: LiveFloor,
     /// Decision log of the last run, populated only under
     /// [`GreedyParams::log_decisions`].
     decisions: Vec<MergeDecision>,
+}
+
+/// The componentwise minimum of [`MergeObjective::leaf_floor`] over the
+/// live leaves, in amortized O(1) per query. Each floor term keeps the
+/// leaves sorted by that term (once per run, `total_cmp` with ties by
+/// leaf index) and a cursor that only moves forward, past leaves that
+/// have died; leaves never come back to life, so a skipped slot never
+/// needs revisiting. Both orders keep their capacity across runs, so a
+/// warm run sorts without allocating.
+#[derive(Clone, Debug, Default)]
+struct LiveFloor {
+    /// Per floor term: `(term, leaf)`, ascending.
+    order: [Vec<(f64, u32)>; 2],
+    /// Per floor term: the first slot of `order` that may still be alive.
+    cursor: [usize; 2],
+}
+
+impl LiveFloor {
+    /// Sorts the leaves by each floor term; `floors` yields the terms of
+    /// leaves `0, 1, …` in order.
+    fn reset(&mut self, floors: impl Iterator<Item = [f64; 2]>) {
+        for order in &mut self.order {
+            order.clear();
+        }
+        for (leaf, terms) in floors.enumerate() {
+            for (order, term) in self.order.iter_mut().zip(terms) {
+                order.push((term, leaf as u32));
+            }
+        }
+        for order in &mut self.order {
+            order.sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
+        }
+        self.cursor = [0; 2];
+    }
+
+    /// The current floor: per term, the least value any live leaf holds
+    /// (`+∞` once no leaf is alive).
+    fn floor(&mut self, alive: &[bool]) -> [f64; 2] {
+        let mut floor = [f64::INFINITY; 2];
+        for ((order, cursor), out) in self.order.iter().zip(&mut self.cursor).zip(&mut floor) {
+            while let Some(&(term, leaf)) = order.get(*cursor) {
+                if alive[leaf as usize] {
+                    *out = term;
+                    break;
+                }
+                *cursor += 1;
+            }
+        }
+        floor
+    }
 }
 
 impl GreedyScratch {
@@ -648,6 +722,22 @@ mod shadow {
         );
     }
 
+    /// Ring coverage, observed online: every candidate a ring sweep of
+    /// leaf `x` gathers must have a pairwise bound at or above the popped
+    /// expansion key that stood in for it. Exact, not approximate: IEEE
+    /// rounding is monotone, so an admissible objective whose pairwise
+    /// and at-distance bounds share one expression meets it to the bit.
+    #[inline]
+    pub(super) fn expansion_covers(key: f64, x: usize, cand: &[u32], bounds: &[f64]) {
+        for (&y, &bound) in cand.iter().zip(bounds) {
+            assert!(
+                bound >= key,
+                "shadow-invariants: bound {bound} of ({x}, {y}) undercuts the expansion key \
+                 {key} that covered it; the at-distance bound is inadmissible"
+            );
+        }
+    }
+
     /// Arena index consistency at a merge commit: partners below the new
     /// node, the new node inside the run's index budget.
     #[inline]
@@ -682,6 +772,9 @@ mod shadow {
 
     #[inline]
     pub(super) fn bound_slack(_bound: f64, _exact: f64, _a: usize, _b: usize) {}
+
+    #[inline]
+    pub(super) fn expansion_covers(_key: f64, _x: usize, _cand: &[u32], _bounds: &[f64]) {}
 
     #[inline]
     pub(super) fn merge_indices(_a: usize, _b: usize, _next: usize, _total: usize) {}
@@ -1045,21 +1138,23 @@ fn finish_row(
 
 /// Heap key of leaf `x`'s next expansion entry, which stands in for every
 /// pair of `x` not yet generated: those partners live in grid rings
-/// `>= ring`, hence at Manhattan distance `> (ring - 1) * cell` — an
-/// admissible bound by the `cost_lower_bound_at_distance` contract.
-/// `None` once every cell has been swept.
+/// `>= ring`, hence at Manhattan distance `> (ring - 1) * cell`, and are
+/// live leaves, hence at or above the live-leaf `floor` — an admissible
+/// bound by the `cost_lower_bound_at_distance` contract. `None` once
+/// every cell has been swept.
 fn expansion_key<O: MergeObjective>(
     objective: &O,
     grid: &BucketGrid,
     x: usize,
     location: Point,
     ring: usize,
+    floor: [f64; 2],
 ) -> Option<f64> {
     if ring > grid.max_ring(location) {
         return None;
     }
     let dist = grid.cell_size() * (ring - 1) as f64;
-    let key = objective.cost_lower_bound_at_distance(x, dist);
+    let key = objective.cost_lower_bound_at_distance(x, dist, floor);
     assert!(!key.is_nan(), "expansion bound of leaf {x} is NaN");
     Some(key)
 }
@@ -1161,12 +1256,14 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
         best_seen,
         selbuf,
         slab,
+        live_floor,
         decisions,
         ..
     } = scratch;
 
     locations.extend((0..num_leaves).map(|i| objective.location(i)));
     let mut grid = BucketGrid::build(locations);
+    live_floor.reset((0..num_leaves).map(|leaf| objective.leaf_floor(leaf)));
 
     // Seed: every leaf's nearby rings as one slab row (each pair once,
     // from its lower-index endpoint), plus one expansion entry per leaf
@@ -1187,8 +1284,10 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
         }
     }
     stats.ring_expansions += (num_leaves * (INITIAL_RINGS + 1)) as u64;
+    let seed_floor = live_floor.floor(alive);
     for (x, &loc) in locations.iter().enumerate() {
-        if let Some(key) = expansion_key(&*objective, &grid, x, loc, INITIAL_RINGS + 1) {
+        if let Some(key) = expansion_key(&*objective, &grid, x, loc, INITIAL_RINGS + 1, seed_floor)
+        {
             heap.push(Entry::new(
                 key,
                 KIND_EXPAND,
@@ -1299,6 +1398,9 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                 if best_seen[x].is_finite() {
                     tau = tau.max(best_seen[x]);
                 }
+                // The live set cannot change during this pop, so one
+                // floor prices every ring it gathers.
+                let ring_floor = live_floor.floor(alive);
                 cand.clear();
                 let mut gathered = 0_usize;
                 let next_key = loop {
@@ -1312,7 +1414,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     );
                     gathered += 1;
                     ring += 1;
-                    let next = expansion_key(&*objective, &grid, x, locations[x], ring);
+                    let next = expansion_key(&*objective, &grid, x, locations[x], ring, ring_floor);
                     match next {
                         Some(key)
                             if key <= tau && gathered < RING_GATHER && cand.len() < ROW_KEEP =>
@@ -1326,6 +1428,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     bounds.clear();
                     bounds.resize(cand.len(), 0.0);
                     bound_batch_sharded(&*objective, x, cand, bounds, threads);
+                    shadow::expansion_covers(entry.key, x, cand, bounds);
                     stats.bound_batches += 1;
                     stats.bound_evals += cand.len() as u64;
                     defer_row(heap, slab, selbuf, &mut stats, a, cand, bounds, false, None);
@@ -1747,7 +1850,7 @@ mod tests {
         fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
             self.cost(a, b)
         }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64) -> f64 {
+        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
             dist
         }
         fn location(&self, node: usize) -> Point {
@@ -2046,7 +2149,12 @@ mod tests {
                 fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
                     self.0.cost(a, b) + 1.0 // overshoots every exact cost
                 }
-                fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64) -> f64 {
+                fn cost_lower_bound_at_distance(
+                    &self,
+                    _node: usize,
+                    dist: f64,
+                    _floor: [f64; 2],
+                ) -> f64 {
                     dist
                 }
                 fn location(&self, node: usize) -> Point {
@@ -2063,6 +2171,93 @@ mod tests {
             });
             let _ = run_pruned(12, &mut obj);
         }
+
+        /// A ring key that overshoots the pairwise bounds of the partners
+        /// its sweep then gathers trips the coverage check at that sweep.
+        /// Every exact cost carries a large constant, so the ring entries
+        /// (still admissible against the exact costs) pop while most
+        /// leaves are alive and the engine sweeps rings instead of the
+        /// live set.
+        #[test]
+        #[should_panic(expected = "undercuts the expansion key")]
+        fn inadmissible_ring_bound_trips_the_coverage_check() {
+            #[derive(Clone)]
+            struct Overreaching(PointObjective);
+            impl MergeObjective for Overreaching {
+                fn cost(&self, a: usize, b: usize) -> f64 {
+                    self.0.cost(a, b) + 1e9
+                }
+                fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
+                    self.0.cost(a, b)
+                }
+                fn cost_lower_bound_at_distance(
+                    &self,
+                    _node: usize,
+                    dist: f64,
+                    _floor: [f64; 2],
+                ) -> f64 {
+                    3.0 * dist // prices ring partners as if three times farther
+                }
+                fn location(&self, node: usize) -> Point {
+                    self.0.location(node)
+                }
+                fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
+                    self.0.merge(a, b, k)
+                }
+            }
+            let n = 400;
+            let mut obj = Overreaching(PointObjective {
+                points: (0..n)
+                    .map(|i| Point::new(f64::from(i * 37 % 1009), f64::from(i * 53 % 997)))
+                    .collect(),
+            });
+            let _ = run_pruned(n as usize, &mut obj);
+        }
+    }
+
+    /// Leaves `0..floors.len()` with the given floor terms.
+    fn live_floor_over(floors: &[[f64; 2]]) -> LiveFloor {
+        let mut floor = LiveFloor::default();
+        floor.reset(floors.iter().copied());
+        floor
+    }
+
+    #[test]
+    fn live_floor_skips_dead_leaves() {
+        // Each term's minimum sits on a different leaf; ties resolve by
+        // index, so killing leaf 1 exposes leaf 3's equal static term.
+        let floors = [[4.0, 0.5], [1.0, 0.9], [3.0, 0.2], [1.0, 0.7]];
+        let mut floor = live_floor_over(&floors);
+        let mut alive = vec![true; floors.len()];
+        assert_eq!(floor.floor(&alive), [1.0, 0.2]);
+        alive[1] = false;
+        alive[2] = false;
+        assert_eq!(floor.floor(&alive), [1.0, 0.5]);
+        alive[3] = false;
+        assert_eq!(floor.floor(&alive), [4.0, 0.5]);
+    }
+
+    #[test]
+    fn live_floor_is_finite_while_any_leaf_lives() {
+        let n = 50_usize;
+        let floors: Vec<[f64; 2]> = (0..n)
+            .map(|i| [((i * 7) % 13) as f64, ((i * 11) % 17) as f64 / 17.0])
+            .collect();
+        let mut floor = live_floor_over(&floors);
+        let mut alive = vec![true; n];
+        // Kill leaves in an order unrelated to either term's order.
+        for step in 0..n {
+            let want = (0..n)
+                .filter(|&i| alive[i])
+                .fold([f64::INFINITY; 2], |m, i| {
+                    [m[0].min(floors[i][0]), m[1].min(floors[i][1])]
+                });
+            let got = floor.floor(&alive);
+            assert!(got.iter().all(|t| t.is_finite()), "step {step}: {got:?}");
+            assert_eq!(got, want, "step {step}");
+            alive[(step * 23) % n] = false;
+        }
+        assert_eq!(floor.floor(&alive), [f64::INFINITY; 2]);
     }
 
     /// An inadmissible bound must be caught by the checked mode (or, with
@@ -2081,7 +2276,12 @@ mod tests {
                 // Inverts the ordering: near pairs get huge "bounds".
                 1e9 - self.0.cost(a, b)
             }
-            fn cost_lower_bound_at_distance(&self, _node: usize, _dist: f64) -> f64 {
+            fn cost_lower_bound_at_distance(
+                &self,
+                _node: usize,
+                _dist: f64,
+                _floor: [f64; 2],
+            ) -> f64 {
                 1e9
             }
             fn location(&self, node: usize) -> Point {

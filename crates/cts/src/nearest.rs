@@ -342,7 +342,7 @@ impl MergeObjective for NearestNeighborObjective {
         self.arena.distance_batch(center, candidates, out);
     }
 
-    fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64) -> f64 {
+    fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
         dist
     }
 

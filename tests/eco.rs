@@ -14,8 +14,11 @@
 // stream-driving properties in one block run past the default limit.
 #![recursion_limit = "256"]
 
-use gcr_core::{route_gated_eco, route_gated_mapped, GatedRouting, RouterConfig};
-use gcr_cts::{EcoScratch, GreedyParams, Sink};
+use gcr_core::{route_gated_eco, route_gated_mapped, GatedObjective, GatedRouting, RouterConfig};
+use gcr_cts::{
+    apply_eco, plan_eco_leaves, EcoEdit, EcoScratch, GreedyParams, MergeObjective, Sink,
+};
+use gcr_geometry::Point;
 use gcr_rctree::Technology;
 use gcr_verify::{check_eco, Verifier, VerifyInput, DEFAULT_QUALITY_EPS};
 use gcr_workloads::{
@@ -180,5 +183,66 @@ fn long_mixed_stream_on_r1_stays_verified() {
         routing = eco.routing;
         sinks = eco.sinks;
         module_of = eco.module_of;
+    }
+}
+
+/// The splice's ring bound takes its floor over the splice's own
+/// super-leaves. Survivor subtree roots are among them, and on this
+/// design one holds a static Equation-3 term below every sink's, so a
+/// floor taken over the sinks alone could overshoot. Priced at distance
+/// 0 against the super-leaf floor, every super-leaf's bound must stay at
+/// or below its exact cost to every other super-leaf.
+#[test]
+fn splice_floor_bounds_every_super_leaf_pair() {
+    let (routing, sinks, module_of, workload, config) = routed(TsayBenchmark::R2);
+    let n = sinks.len();
+    let old_locations: Vec<Point> = sinks.iter().map(Sink::location).collect();
+    let to = Point::new(old_locations[0].x + 10.0, old_locations[0].y);
+    let edits = [EcoEdit::MoveSink { index: 0, to }];
+    let plan = plan_eco_leaves(n, &edits).unwrap();
+    let mut objective = GatedObjective::new(
+        config.tech(),
+        config.controller(),
+        &workload.tables,
+        &plan.new_sinks(&sinks),
+        &plan.new_module_of(&module_of),
+    );
+    let outcome = apply_eco(
+        &routing.topology,
+        &old_locations,
+        &edits,
+        &mut objective,
+        &GreedyParams::default(),
+        &mut EcoScratch::new(),
+    )
+    .unwrap();
+
+    // The dirty set lists the super-leaves first, then the spliced nodes.
+    let num_supers = outcome.dirty_nodes.len() - outcome.spliced;
+    let supers: Vec<usize> = outcome.dirty_nodes[..num_supers]
+        .iter()
+        .map(|&x| x as usize)
+        .collect();
+    let min2 = |m: [f64; 2], f: [f64; 2]| [m[0].min(f[0]), m[1].min(f[1])];
+    let floor = supers
+        .iter()
+        .map(|&x| objective.leaf_floor(x))
+        .fold([f64::INFINITY; 2], min2);
+    let sink_floor = (0..n)
+        .map(|i| objective.leaf_floor(i))
+        .fold([f64::INFINITY; 2], min2);
+    assert!(
+        floor[0] < sink_floor[0],
+        "no survivor root undercuts the sinks' static floor; the design no longer exercises it"
+    );
+    for &x in &supers {
+        let bound = objective.cost_lower_bound_at_distance(x, 0.0, floor);
+        for &y in supers.iter().filter(|&&y| y != x) {
+            let exact = objective.cost(x, y);
+            assert!(
+                bound <= exact,
+                "super-leaf {x}: floor bound {bound} exceeds its exact cost {exact} to {y}"
+            );
+        }
     }
 }
