@@ -28,10 +28,10 @@
 //!
 //! Usage: `activity_bench [--cycles N] [--seed S] [--out BENCH_activity.json]`
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod common;
+
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use gcr_activity::{
@@ -39,36 +39,6 @@ use gcr_activity::{
     SliceSource, TraceSource,
 };
 use gcr_workloads::ActivityScenario;
-
-/// Pass-through allocator that counts allocation events (alloc + realloc),
-/// so the scan can report how many its chunk and merge windows perform.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_probe() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
-}
 
 /// Modules in every scenario model: enough for non-trivial RTL without
 /// dominating the scan with table construction.
@@ -303,7 +273,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
 }
 
 fn main() -> ExitCode {
-    gcr_trace::set_alloc_probe(alloc_probe);
+    common::install_alloc_probe();
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -358,8 +328,7 @@ fn main() -> ExitCode {
     }
 
     let json = render_json(cli.cycles, cli.seed, &runs);
-    if let Err(e) = std::fs::write(&cli.out_path, &json) {
-        eprintln!("failed to write {}: {e}", cli.out_path);
+    if !common::write_or_report(&cli.out_path, &json) {
         return ExitCode::FAILURE;
     }
     println!("wrote {}", cli.out_path);

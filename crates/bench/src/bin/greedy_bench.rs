@@ -52,16 +52,15 @@
 //! bit-identical everywhere, and `bench_diff` compares `pruned.wall_ms`
 //! against the checked-in baseline to catch performance regressions.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod common;
+
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use gcr_core::{
-    evaluate, gated_region_factory, route_gated_coarsened, route_gated_mapped, DeviceRole,
-    GatedObjective, RouterConfig,
+    evaluate, gated_region_factory, route_gated_coarsened, DeviceRole, GatedObjective, RouterConfig,
 };
 use gcr_cts::{
     apply_eco, plan_eco_leaves, run_greedy_coarsened, run_greedy_exhaustive_with_scratch,
@@ -73,35 +72,7 @@ use gcr_rctree::Technology;
 use gcr_trace::{ChromeTraceSink, EchoWarnSink, TraceSink, Tracer};
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
 
-/// Pass-through allocator that counts allocation events (alloc + realloc),
-/// so the greedy engine can report how many its phases perform.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_probe() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
-}
+use common::write_or_report;
 
 /// One engine's measurements on one (benchmark, objective) input.
 struct EngineRun {
@@ -478,23 +449,18 @@ fn run_benchmark(
     // With tracing on, additionally record one full gated-routing flow —
     // Equation-3 merge, zero-skew embedding, Equation-3 evaluation — so
     // the timeline covers every pipeline layer, not just the merge loop.
-    // Scale benchmarks route through the coarsened path, like the
-    // measured runs.
+    // The coarsened entry point picks the engine: flat on the reference
+    // benchmarks, regions on the scale ones, like the measured runs.
     if tracer.enabled() {
         let _entered = tracer.enter();
-        let routing = if n > EXHAUSTIVE_LIMIT {
-            route_gated_coarsened(
-                sinks,
-                &module_of,
-                &workload.tables,
-                &config,
-                &CoarsenParams::default(),
-            )
-            .expect("gated routing failed on a generated workload")
-        } else {
-            route_gated_mapped(sinks, &module_of, &workload.tables, &config)
-                .expect("gated routing failed on a generated workload")
-        };
+        let routing = route_gated_coarsened(
+            sinks,
+            &module_of,
+            &workload.tables,
+            &config,
+            &CoarsenParams::default(),
+        )
+        .expect("gated routing failed on a generated workload");
         let report = evaluate(
             &routing.tree,
             &routing.node_stats,
@@ -644,20 +610,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     })
 }
 
-/// Writes `contents` to `path`, reporting failure on stderr. The caller
-/// must turn `false` into a nonzero exit status.
-fn write_or_report(path: &str, contents: &str) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            false
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    gcr_trace::set_alloc_probe(alloc_probe);
+    common::install_alloc_probe();
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {

@@ -686,17 +686,20 @@ pub fn gated_region_factory<'a>(
     }
 }
 
-/// As [`route_gated_mapped`], but building the topology with the
-/// hierarchical coarsening engine ([`gcr_cts::run_greedy_coarsened`]) —
-/// the tractable path for the scale benchmarks (r6–r8, up to a million
-/// sinks), where the flat greedy's merge loop is no longer economical.
-/// Small instances fall back to the flat pruned engine inside the
-/// coarsened entry point, so this is safe to call at any size.
+/// As [`route_gated_mapped`], but building the topology through
+/// [`gcr_cts::run_greedy_coarsened`], which alone chooses the engine:
+/// below twice the target region size (4 096 sinks by default, so r1–r5)
+/// the flat pruned engine with its exact result and decision log, above
+/// it (r6–r8, up to a million sinks) the hierarchical coarsening engine,
+/// where the flat greedy's merge loop is no longer economical. So this
+/// is safe to call at any size; `gcrd` and `gcr-verify audit` route
+/// the same way.
 ///
 /// See the `gcr_cts::coarsen` module docs for the exactness caveat: the
 /// coarsened topology is a deterministic approximation of the flat
 /// greedy's, not bit-identical to it. Traces like [`route_gated`], with
-/// the `coarsen.*` spans in place of the `greedy.*` ones.
+/// the `coarsen.*` spans in place of the `greedy.*` ones above the
+/// cut-over.
 ///
 /// # Errors
 ///

@@ -51,8 +51,8 @@ use gcr_geometry::Point;
 use gcr_trace::Tracer;
 
 use crate::greedy::{
-    resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, GreedyParams,
-    GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
+    elapsed_ns, resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch,
+    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
 };
 use crate::{CtsError, Topology};
 
@@ -228,22 +228,26 @@ impl WorkerLog {
     }
 }
 
-/// Root-level view of the global objective: local node `i` is
-/// `map[i]` in the global index space. Pairs are canonicalized to
-/// ascending *global* order before touching the inner objective (the
-/// region roots are not monotone in region order — a single-sink region's
-/// root is its leaf — so local order does not imply global order), which
+/// A sub-run's view of a larger objective: local node `i` is `map[i]` in
+/// the global index space, and each local merge creates global node
+/// `next_global`. The coarsened flow runs its region replays and root
+/// merge through it, the ECO engine its splice search.
+///
+/// Pairs are canonicalized to ascending *global* order before touching
+/// the inner objective. The map need not be monotone — a single-sink
+/// region's root is its leaf, lower than an earlier region's internal
+/// nodes — so local order does not imply global order; canonicalizing
 /// keeps the executed merges, and the decision log built from them, in
 /// the canonical `a < b` orientation the determinism pass requires.
-struct RootObjective<'a, O: MergeObjective> {
-    inner: &'a mut O,
-    /// Local node → global node.
-    map: Vec<u32>,
+pub(crate) struct MappedObjective<'a, O: MergeObjective> {
+    pub(crate) inner: &'a mut O,
+    /// Local node → global node; grows by one entry per merge.
+    pub(crate) map: &'a mut Vec<u32>,
     /// Next unused global node id.
-    next_global: usize,
+    pub(crate) next_global: usize,
 }
 
-impl<O: MergeObjective> RootObjective<'_, O> {
+impl<O: MergeObjective> MappedObjective<'_, O> {
     fn pair(&self, a: usize, b: usize) -> (usize, usize) {
         let (ga, gb) = (self.map[a] as usize, self.map[b] as usize);
         if ga < gb {
@@ -252,9 +256,50 @@ impl<O: MergeObjective> RootObjective<'_, O> {
             (gb, ga)
         }
     }
+
+    /// Appends the sub-run decisions `local`, already merged through this
+    /// view, in global ids: one canonical pair each to `merges` and, when
+    /// `log` is set, the decision with `node = map[d.node]` and its
+    /// `key_bits` to `decisions`.
+    pub(crate) fn stitch(
+        &self,
+        local: &[MergeDecision],
+        merges: &mut Vec<(usize, usize)>,
+        decisions: &mut Vec<MergeDecision>,
+        log: bool,
+    ) {
+        for d in local {
+            let (a, b) = self.pair(d.a as usize, d.b as usize);
+            merges.push((a, b));
+            if log {
+                decisions.push(MergeDecision {
+                    a: a as u32,
+                    b: b as u32,
+                    node: self.map[d.node as usize],
+                    key_bits: d.key_bits,
+                });
+            }
+        }
+    }
+
+    /// Commits a recorded sub-run: merges each decision of `local` in
+    /// order, then [`stitch`](Self::stitch)es it.
+    pub(crate) fn replay(
+        &mut self,
+        local: &[MergeDecision],
+        merges: &mut Vec<(usize, usize)>,
+        decisions: &mut Vec<MergeDecision>,
+        log: bool,
+    ) -> Result<(), CtsError> {
+        for d in local {
+            self.merge(d.a as usize, d.b as usize, d.node as usize)?;
+        }
+        self.stitch(local, merges, decisions, log);
+        Ok(())
+    }
 }
 
-impl<O: MergeObjective> MergeObjective for RootObjective<'_, O> {
+impl<O: MergeObjective> MergeObjective for MappedObjective<'_, O> {
     fn cost(&self, a: usize, b: usize) -> f64 {
         let (x, y) = self.pair(a, b);
         self.inner.cost(x, y)
@@ -265,6 +310,12 @@ impl<O: MergeObjective> MergeObjective for RootObjective<'_, O> {
         self.inner.cost_lower_bound(x, y)
     }
 
+    // An ECO splice's leaves are super-leaves: added and dirtied sinks,
+    // and the roots of surviving subtrees. The engine takes the floor
+    // over them through `leaf_floor`, so an internal root's static term
+    // and enable probability bound it too. The distance half still
+    // assumes point partners: a survivor root's merging region can come
+    // closer than its center (docs/algorithms.md §Incremental ECO).
     fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
         self.inner
             .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
@@ -340,12 +391,8 @@ where
     F: Fn(&[u32]) -> R + Sync,
 {
     let tracer = &Tracer::current();
-    let flat_params = GreedyParams {
-        threads: params.greedy.threads,
-        log_decisions: params.greedy.log_decisions,
-    };
     if num_leaves < 2 * params.region_size() {
-        let out = run_greedy_with_scratch(num_leaves, objective, &flat_params, &mut scratch.top)?;
+        let out = run_greedy_with_scratch(num_leaves, objective, &params.greedy, &mut scratch.top)?;
         scratch.decisions.clear();
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
@@ -362,7 +409,7 @@ where
     drop(locations);
     tracer.complete_span("coarsen.partition", part_start, elapsed_ns(t0.elapsed()));
     if regions.len() <= 1 {
-        let out = run_greedy_with_scratch(num_leaves, objective, &flat_params, &mut scratch.top)?;
+        let out = run_greedy_with_scratch(num_leaves, objective, &params.greedy, &mut scratch.top)?;
         scratch.decisions.clear();
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
@@ -471,41 +518,30 @@ where
     // Sequential replay into the global objective, in region order.
     let replay_start = tracer.now_ns();
     let t0 = Instant::now();
+    let log = params.greedy.log_decisions;
     scratch.merges.clear();
     scratch.decisions.clear();
     let mut next_global = num_leaves;
-    // Sized for the root-level merge up front: `RootObjective::merge`
+    // Sized for the root-level merge up front: `MappedObjective::merge`
     // pushes one map entry per merge, and a mid-loop reallocation would
     // show up in the engine's `loop_allocs` profile.
     let mut roots: Vec<u32> = Vec::with_capacity(2 * regions.len() - 1);
     for (members, &(w, start, len)) in regions.iter().zip(&scratch.slots) {
-        let log = &scratch.worker_logs[w as usize];
-        if members.len() == 1 {
-            debug_assert_eq!(len, 0);
-            roots.push(members[0]);
-            continue;
-        }
         scratch.map.clear();
         scratch.map.extend_from_slice(members);
-        for d in &log.decisions[start as usize..(start + len) as usize] {
-            let (ga, gb) = (
-                scratch.map[d.a as usize] as usize,
-                scratch.map[d.b as usize] as usize,
-            );
-            debug_assert!(ga < gb, "monotone map must preserve orientation");
-            objective.merge(ga, gb, next_global)?;
-            scratch.merges.push((ga, gb));
-            if params.greedy.log_decisions {
-                scratch.decisions.push(MergeDecision {
-                    a: ga as u32,
-                    b: gb as u32,
-                    node: next_global as u32,
-                    key_bits: d.key_bits,
-                });
-            }
-            scratch.map.push(next_global as u32);
-            next_global += 1;
-        }
+        let mut region = MappedObjective {
+            inner: &mut *objective,
+            map: &mut scratch.map,
+            next_global,
+        };
+        let local = &scratch.worker_logs[w as usize].decisions;
+        region.replay(
+            &local[start as usize..(start + len) as usize],
+            &mut scratch.merges,
+            &mut scratch.decisions,
+            log,
+        )?;
+        next_global = region.next_global;
         roots.push(scratch.map[scratch.map.len() - 1]);
     }
     tracer.complete_span("coarsen.replay", replay_start, elapsed_ns(t0.elapsed()));
@@ -517,9 +553,9 @@ where
     let top_start = tracer.now_ns();
     let t0 = Instant::now();
     let num_roots = roots.len();
-    let mut top = RootObjective {
+    let mut top = MappedObjective {
         inner: objective,
-        map: roots,
+        map: &mut roots,
         next_global,
     };
     let top_params = GreedyParams {
@@ -532,20 +568,12 @@ where
     };
     add_stats(&mut stats, &top_stats);
     add_profile(&mut profile, &top_profile);
-    let map = top.map;
-    for d in scratch.top.decisions() {
-        let (ga, gb) = (map[d.a as usize], map[d.b as usize]);
-        let (ga, gb) = if ga < gb { (ga, gb) } else { (gb, ga) };
-        scratch.merges.push((ga as usize, gb as usize));
-        if params.greedy.log_decisions {
-            scratch.decisions.push(MergeDecision {
-                a: ga,
-                b: gb,
-                node: map[d.node as usize],
-                key_bits: d.key_bits,
-            });
-        }
-    }
+    top.stitch(
+        scratch.top.decisions(),
+        &mut scratch.merges,
+        &mut scratch.decisions,
+        log,
+    );
     tracer.complete_span("coarsen.top", top_start, elapsed_ns(t0.elapsed()));
 
     Ok((
@@ -569,11 +597,6 @@ fn add_profile(acc: &mut GreedyProfile, p: &GreedyProfile) {
     acc.loop_ms += p.loop_ms;
     acc.seed_allocs += p.seed_allocs;
     acc.loop_allocs += p.loop_allocs;
-}
-
-/// A duration as saturating `u64` nanoseconds.
-fn elapsed_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -604,6 +627,7 @@ mod tests {
             self.points[node]
         }
         fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
+            assert!(a < b, "merge ({a}, {b}) is not in ascending order");
             assert_eq!(k, self.points.len());
             let mid = self.points[a].midpoint(self.points[b]);
             self.points.push(mid);
@@ -664,6 +688,66 @@ mod tests {
         assert_eq!(regions.iter().map(Vec::len).sum::<usize>(), 60);
         // Empty input.
         assert!(partition_regions(&[], 8).is_empty());
+    }
+
+    /// `MappedObjective` over a non-monotone map: local 0 is an earlier
+    /// region's internal node (global 8) and the other roots are leaves
+    /// in no particular order. The inner objective sees ascending pairs
+    /// (its `merge` asserts so) and fresh sequential nodes, the map grows
+    /// by one global id per merge, the stitched log is canonical, and
+    /// replaying the recorded run reproduces it bit for bit.
+    #[test]
+    fn mapped_objective_canonicalizes_a_non_monotone_map() {
+        let points = scatter(8);
+        let roots = [8_u32, 3, 5, 2, 7];
+        let fresh = || {
+            let mut obj = PointObjective {
+                points: points.clone(),
+            };
+            obj.merge(0, 1, 8).unwrap();
+            (obj, roots.to_vec(), Vec::new(), Vec::new())
+        };
+        let params = GreedyParams {
+            threads: Some(1),
+            log_decisions: true,
+        };
+        let (mut run_obj, mut map, mut merges, mut decisions) = fresh();
+        let mut view = MappedObjective {
+            inner: &mut run_obj,
+            map: &mut map,
+            next_global: 9,
+        };
+        let mut scratch = GreedyScratch::new();
+        run_greedy_exhaustive_with_scratch(roots.len(), &mut view, &params, &mut scratch).unwrap();
+        view.stitch(scratch.decisions(), &mut merges, &mut decisions, true);
+        assert_eq!(view.next_global, 13);
+        assert_eq!(map, [8, 3, 5, 2, 7, 9, 10, 11, 12]);
+        let local = scratch.decisions();
+        assert!(local.iter().any(|l| map[l.a as usize] > map[l.b as usize]));
+        assert_eq!(decisions.len(), local.len());
+        for ((d, l), &m) in decisions.iter().zip(local).zip(&merges) {
+            let (x, y) = (map[l.a as usize], map[l.b as usize]);
+            assert_eq!((d.a, d.b), (x.min(y), x.max(y)));
+            assert_eq!((d.a as usize, d.b as usize), m);
+            assert_eq!((d.node, d.key_bits), (map[l.node as usize], l.key_bits));
+        }
+
+        let (mut replay_obj, mut replay_map, mut replay_merges, mut replay_decisions) = fresh();
+        let mut view = MappedObjective {
+            inner: &mut replay_obj,
+            map: &mut replay_map,
+            next_global: 9,
+        };
+        view.replay(local, &mut replay_merges, &mut replay_decisions, true)
+            .unwrap();
+        let mut unlogged = Vec::new();
+        view.stitch(local, &mut Vec::new(), &mut unlogged, false);
+        assert!(unlogged.is_empty());
+        assert_eq!(
+            (replay_map, replay_merges, replay_decisions),
+            (map, merges, decisions)
+        );
+        assert_eq!(replay_obj.points, run_obj.points);
     }
 
     #[test]

@@ -63,8 +63,9 @@ use gcr_geometry::Point;
 use gcr_trace::{alloc_count, Tracer};
 
 use crate::arena::NODE_INDEX_LIMIT;
+use crate::coarsen::MappedObjective;
 use crate::greedy::{
-    run_greedy_with_scratch, GreedyParams, GreedyScratch, GreedyStats, MergeDecision,
+    elapsed_ns, run_greedy_with_scratch, GreedyParams, GreedyScratch, GreedyStats, MergeDecision,
     MergeObjective,
 };
 use crate::nearest::BucketGrid;
@@ -375,70 +376,6 @@ impl EcoScratch {
     }
 }
 
-/// View of the caller's objective restricted to the splice super-leaves:
-/// local node `i` is `map[i]` in the new-topology index space. Pairs are
-/// canonicalized to ascending global order before touching the inner
-/// objective, so the executed merges (and the decision log derived from
-/// them) keep the canonical orientation.
-struct SpliceObjective<'a, O: MergeObjective> {
-    inner: &'a mut O,
-    /// Local node → new-topology node.
-    map: &'a mut Vec<u32>,
-    /// Next unused new-topology node id.
-    next_global: usize,
-}
-
-impl<O: MergeObjective> SpliceObjective<'_, O> {
-    fn pair(&self, a: usize, b: usize) -> (usize, usize) {
-        let (ga, gb) = (self.map[a] as usize, self.map[b] as usize);
-        if ga < gb {
-            (ga, gb)
-        } else {
-            (gb, ga)
-        }
-    }
-}
-
-impl<O: MergeObjective> MergeObjective for SpliceObjective<'_, O> {
-    fn cost(&self, a: usize, b: usize) -> f64 {
-        let (x, y) = self.pair(a, b);
-        self.inner.cost(x, y)
-    }
-
-    fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-        let (x, y) = self.pair(a, b);
-        self.inner.cost_lower_bound(x, y)
-    }
-
-    // The splice's leaves are super-leaves: added and dirtied sinks, and
-    // the roots of surviving subtrees. The engine takes the floor over
-    // them through `leaf_floor`, so an internal root's static term and
-    // enable probability bound it too. The distance half still assumes
-    // point partners: a survivor root's merging region can come closer
-    // than its center (docs/algorithms.md §Incremental ECO).
-    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
-        self.inner
-            .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
-    }
-
-    fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
-        self.inner.leaf_floor(self.map[leaf] as usize)
-    }
-
-    fn location(&self, node: usize) -> Point {
-        self.inner.location(self.map[node] as usize)
-    }
-
-    fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-        debug_assert_eq!(k, self.map.len());
-        let (x, y) = self.pair(a, b);
-        self.inner.merge(x, y, self.next_global)?;
-        self.map.push(self.next_global as u32);
-        self.next_global += 1;
-        Ok(())
-    }
-}
-
 /// Incrementally re-routes `old` under an edit batch (see the module
 /// docs for the frontier → replay → splice flow).
 ///
@@ -677,7 +614,7 @@ pub fn apply_eco<O: MergeObjective>(
     if num_locals >= 2 {
         splice_map.clear();
         splice_map.extend_from_slice(locals);
-        let mut splice = SpliceObjective {
+        let mut splice = MappedObjective {
             inner: &mut *objective,
             map: &mut *splice_map,
             next_global,
@@ -696,21 +633,11 @@ pub fn apply_eco<O: MergeObjective>(
         inner_seed_allocs = inner_profile.seed_allocs;
         inner_loop_allocs = inner_profile.loop_allocs;
 
-        // Stitch (loop window, part 2): remap the splice merges and
-        // decisions into new-topology ids, appending after the replay.
+        // Stitch (loop window, part 2): the splice merges and decisions
+        // in new-topology ids, appended after the replay.
         let stitch_t0 = Instant::now();
         let stitch_allocs0 = alloc_count();
-        for d in greedy.decisions() {
-            let (ga, gb) = (splice_map[d.a as usize], splice_map[d.b as usize]);
-            let (ga, gb) = if ga < gb { (ga, gb) } else { (gb, ga) };
-            merges.push((ga as usize, gb as usize));
-            decisions.push(MergeDecision {
-                a: ga,
-                b: gb,
-                node: splice_map[d.node as usize],
-                key_bits: d.key_bits,
-            });
-        }
+        splice.stitch(greedy.decisions(), merges, decisions, true);
         stitch_ns = elapsed_ns(stitch_t0.elapsed());
         stitch_allocs = alloc_count() - stitch_allocs0;
     }
@@ -758,11 +685,6 @@ pub fn apply_eco<O: MergeObjective>(
         spliced,
         pure_replay: !dirty_any && adds == 0,
     })
-}
-
-/// A duration as saturating `u64` nanoseconds.
-fn elapsed_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -239,7 +239,7 @@ pub struct GreedyProfile {
 }
 
 /// A duration as saturating `u64` nanoseconds (the trace event width).
-fn elapsed_ns(d: std::time::Duration) -> u64 {
+pub(crate) fn elapsed_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 

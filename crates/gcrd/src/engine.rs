@@ -9,16 +9,16 @@
 //! payload of a cache-hit response, so a hit is a pure replay that
 //! touches no engine code at all.
 //!
-//! [`route_design`] mirrors the single-shot CLI flow (`gcr-verify`'s
-//! audit path, [`gcr_core::route_gated_mapped`]) exactly — same
-//! objective construction, same greedy engine, same embedding — so a
-//! daemon
-//! response is bit-identical to what the CLI produces for the same key.
-//! The one difference is mechanical: the daemon runs the greedy engine
-//! through a per-worker reusable [`GreedyScratch`] and *copies* the
-//! decision log out with [`GreedyScratch::decisions`] instead of
-//! stealing the buffer, which keeps the warm merge loop at
-//! `loop_allocs == 0`.
+//! [`route_design`] routes every design through
+//! [`run_greedy_coarsened`], which alone picks the engine: below twice
+//! [`DEFAULT_REGION_SIZE`](gcr_cts::DEFAULT_REGION_SIZE) sinks (r1–r5)
+//! it runs the flat pruned engine with the flat engine's decision log,
+//! above it (r6–r8) the regional decomposition. So a daemon response is
+//! bit-identical to `gcr-verify audit`'s replay of the same key. The
+//! one mechanical difference is that the daemon runs the engine through
+//! a per-worker reusable [`CoarsenScratch`] and *copies* the decision
+//! log out with [`CoarsenScratch::decisions`] instead of stealing the
+//! buffer, which keeps the warm merge loop at `loop_allocs == 0`.
 
 use std::sync::Arc;
 
@@ -27,19 +27,13 @@ use gcr_core::{
     PowerReport, RouterConfig,
 };
 use gcr_cts::{
-    canonical_decision_log, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
-    CoarsenParams, CoarsenScratch, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams,
-    GreedyScratch, MergeDecision, SizingLimits,
+    canonical_decision_log, embed_sized, run_greedy_coarsened, CoarsenParams, CoarsenScratch,
+    DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams, MergeDecision, SizingLimits,
 };
 use gcr_rctree::Technology;
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
 
 use crate::cache::fnv1a;
-
-/// Above this sink count the daemon routes through the hierarchical
-/// coarsening engine, matching the `gcr-verify` audit threshold — the
-/// flat pruned engine stays exact and economical below it.
-pub const COARSEN_LIMIT: usize = 10_000;
 
 /// The identity of a cacheable design: everything that determines the
 /// generated benchmark and activity tables bit for bit.
@@ -115,15 +109,14 @@ pub struct RoutingEntry {
 }
 
 /// Per-worker reusable engine buffers. Each worker owns one; a warm
-/// scratch makes every subsequent flat-engine route allocation-free in
-/// its merge loop.
+/// scratch makes every subsequent route allocation-free in its merge
+/// loops.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    /// Flat pruned-engine arena + decision log buffer.
-    pub greedy: GreedyScratch,
     /// Incremental-ECO frontier/replay buffers.
     pub eco: EcoScratch,
-    /// Hierarchical-coarsening buffers (scale benchmarks only).
+    /// Routing buffers: the flat pruned engine's scratch below the
+    /// coarsening cut-over, the region and root-merge scratches above.
     pub coarsen: CoarsenScratch,
 }
 
@@ -182,42 +175,32 @@ pub fn route_design(
         sinks,
         &design.module_of,
     );
-    let params = GreedyParams {
-        threads: Some(threads),
-        log_decisions: true,
+    let params = CoarsenParams {
+        greedy: GreedyParams {
+            threads: Some(threads),
+            log_decisions: true,
+        },
+        target_region_size: 0,
     };
-    let (topology, profile, decisions) = if sinks.len() > COARSEN_LIMIT {
-        let coarsen = CoarsenParams {
-            greedy: params,
-            target_region_size: 0,
-        };
-        let factory = gated_region_factory(
-            config.tech(),
-            config.controller(),
-            tables,
-            sinks,
-            &design.module_of,
-        );
-        let (topology, _, profile) = run_greedy_coarsened(
-            sinks.len(),
-            &mut objective,
-            factory,
-            &coarsen,
-            &mut scratch.coarsen,
-        )
-        .map_err(|e| format!("coarsened route failed: {e}"))?;
-        let decisions = scratch.coarsen.decisions().to_vec();
-        (topology, profile, decisions)
-    } else {
-        let (topology, _, profile) =
-            run_greedy_with_scratch(sinks.len(), &mut objective, &params, &mut scratch.greedy)
-                .map_err(|e| format!("route failed: {e}"))?;
-        // Copy, don't steal: `take_decisions` would leave the scratch's
-        // log buffer empty and the next warm run would regrow it,
-        // breaking the `loop_allocs == 0` steady state.
-        let decisions = scratch.greedy.decisions().to_vec();
-        (topology, profile, decisions)
-    };
+    let factory = gated_region_factory(
+        config.tech(),
+        config.controller(),
+        tables,
+        sinks,
+        &design.module_of,
+    );
+    let (topology, _, profile) = run_greedy_coarsened(
+        sinks.len(),
+        &mut objective,
+        factory,
+        &params,
+        &mut scratch.coarsen,
+    )
+    .map_err(|e| format!("route failed: {e}"))?;
+    // Copy, don't steal: `take_decisions` would leave the scratch's log
+    // buffer empty and the next warm run would regrow it, breaking the
+    // `loop_allocs == 0` steady state.
+    let decisions = scratch.coarsen.decisions().to_vec();
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
     let tree = embed_sized(
         &topology,

@@ -46,6 +46,6 @@ pub mod engine;
 pub mod protocol;
 pub mod service;
 
-pub use engine::{DesignKey, WorkerScratch, COARSEN_LIMIT};
+pub use engine::{DesignKey, WorkerScratch};
 pub use protocol::{Command, Request, Response, MAX_LINE_BYTES, MAX_STREAM_LEN};
 pub use service::{Service, ServiceConfig};

@@ -1,13 +1,6 @@
-//! `gcr` — gated clock routing from plain-text inputs.
-//!
-//! ```text
-//! gcr route --sinks sinks.txt --rtl rtl.txt --trace trace.txt
-//!           [--die W H] [--strength 0.2] [--svg out.svg] [--spice out.sp]
-//!           [--save out.design] [--controllers k] [--optimal]
-//!           [--trace-out flow.json]
-//! gcr evaluate --design out.design --rtl rtl.txt --trace trace.txt
-//! gcr init-example <dir>     # write a ready-to-run example input set
-//! ```
+//! `gcr` — gated clock routing from plain-text inputs. Run it with no
+//! arguments for the usage; `gcr init-example DIR` writes a
+//! ready-to-run example input set.
 //!
 //! File formats:
 //! * sinks: one `x y cap_pf` triple per line (`#` comments allowed); sink
@@ -38,6 +31,14 @@ use gcr_report::{render_svg, SvgOptions};
 use gcr_trace::{ChromeTraceSink, EchoWarnSink, TraceSink, Tracer};
 use gcr_workloads::io::parse_sinks;
 
+const USAGE: &str = "\
+usage: gcr route --sinks F --rtl F --trace F [--die W H] [--strength S]
+                 [--svg OUT] [--spice OUT] [--save OUT] [--controllers K]
+                 [--optimal] [--trace-out OUT]
+       gcr evaluate --design F --rtl F --trace F
+       gcr init-example DIR
+";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -45,12 +46,7 @@ fn main() -> ExitCode {
         Some("evaluate") => evaluate_command(&args[1..]),
         Some("init-example") => init_example(&args[1..]),
         _ => {
-            eprintln!(
-                "usage:\n  gcr route --sinks F --rtl F --trace F \
-                 [--die W H] [--strength S] [--svg OUT] [--controllers K] \
-                 [--trace-out OUT]\n  \
-                 gcr init-example DIR"
-            );
+            eprint!("{USAGE}");
             return ExitCode::from(2);
         }
     };

@@ -2,9 +2,8 @@
 //! evaluation (§5–§6) from the substrates in this workspace.
 //!
 //! Each experiment is a library function returning structured rows — the
-//! binaries under `src/bin/` print them as ASCII tables, the Criterion
-//! benches in `gcr-bench` time them, and the integration tests assert the
-//! paper's qualitative shapes on them:
+//! binaries under `src/bin/` print them as ASCII tables, and the
+//! integration tests assert the paper's qualitative shapes on them:
 //!
 //! | paper artifact | function | binary |
 //! |---|---|---|

@@ -21,9 +21,8 @@ use std::sync::Arc;
 
 use gcr_core::{gated_region_factory, ControllerPlan, DeviceRole, GatedObjective};
 use gcr_cts::{
-    canonical_decision_log, embed, embed_sized, load_design, run_greedy_coarsened,
-    run_greedy_with_scratch, CoarsenParams, CoarsenScratch, DeviceAssignment, GreedyParams,
-    GreedyScratch, MergeObjective, SizingLimits,
+    canonical_decision_log, embed, embed_sized, load_design, run_greedy_coarsened, CoarsenParams,
+    CoarsenScratch, DeviceAssignment, GreedyParams, MergeObjective, SizingLimits,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -262,16 +261,12 @@ fn run() -> Result<bool, String> {
     Ok(!report.has_errors() && !denied)
 }
 
-/// Sink counts above this audit through the hierarchical coarsening
-/// engine instead of the flat greedy (matches `greedy_bench`'s scale
-/// cutover).
-const COARSEN_AUDIT_LIMIT: usize = 10_000;
-
 /// Replays one benchmark through the gated greedy router under `params`,
-/// returning the canonical decision log. `region_factory` is consulted
-/// only above [`COARSEN_AUDIT_LIMIT`] sinks, where the run goes through
-/// the coarsening engine. The run traces to whatever tracer the caller
-/// entered.
+/// returning the canonical decision log. The run goes through
+/// [`run_greedy_coarsened`], which runs the flat pruned engine below its
+/// cut-over and the regional decomposition (with `region_factory`)
+/// above it, exactly as `gcrd` routes. The run traces to whatever tracer
+/// the caller entered.
 fn replay<'a, F>(
     base: &GatedObjective<'a>,
     num_sinks: usize,
@@ -282,28 +277,20 @@ where
     F: Fn(&[u32]) -> GatedObjective<'a> + Sync,
 {
     let mut objective = base.clone();
-    if num_sinks > COARSEN_AUDIT_LIMIT {
-        let mut scratch = CoarsenScratch::new();
-        let coarsen = CoarsenParams {
-            greedy: *params,
-            target_region_size: 0,
-        };
-        let (topology, _, _) = run_greedy_coarsened(
-            num_sinks,
-            &mut objective,
-            region_factory,
-            &coarsen,
-            &mut scratch,
-        )
-        .map_err(|e| format!("coarsened greedy route failed: {e}"))?;
-        Ok((topology, scratch.take_decisions()))
-    } else {
-        let mut scratch = GreedyScratch::new();
-        let (topology, _, _) =
-            run_greedy_with_scratch(num_sinks, &mut objective, params, &mut scratch)
-                .map_err(|e| format!("greedy route failed: {e}"))?;
-        Ok((topology, scratch.take_decisions()))
-    }
+    let mut scratch = CoarsenScratch::new();
+    let coarsen = CoarsenParams {
+        greedy: *params,
+        target_region_size: 0,
+    };
+    let (topology, _, _) = run_greedy_coarsened(
+        num_sinks,
+        &mut objective,
+        region_factory,
+        &coarsen,
+        &mut scratch,
+    )
+    .map_err(|e| format!("greedy route failed: {e}"))?;
+    Ok((topology, scratch.take_decisions()))
 }
 
 fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
