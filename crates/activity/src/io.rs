@@ -6,7 +6,8 @@
 //! One instruction per line: `name: module module …`, where each module is
 //! either `M<k>` (1-based, the paper's Table-1 notation) or a bare 0-based
 //! index. Blank lines and `#` comments are ignored. The module universe is
-//! either given explicitly or inferred as the largest index + 1.
+//! either given explicitly or inferred as the largest index + 1, up to
+//! [`MAX_INFERRED_MODULES`].
 //!
 //! ```text
 //! # Table 1 of the paper
@@ -27,19 +28,26 @@ use std::io::BufRead;
 
 use crate::{ActivityError, InstructionId, InstructionStream, Rtl, TraceSource};
 
+/// Largest module universe [`parse_rtl`] infers from the text. Every
+/// instruction's usage bitset spans the whole universe, so a single large
+/// index would otherwise size each of them (2^57 bytes for a 19-digit
+/// index); pass the universe explicitly to go beyond this.
+pub const MAX_INFERRED_MODULES: usize = 1 << 16;
+
 /// Parses an RTL description from the text format above.
 ///
 /// `num_modules` fixes the module universe; pass `None` to infer it from
-/// the largest module index used.
+/// the largest module index used (at most [`MAX_INFERRED_MODULES`]).
 ///
 /// # Errors
 ///
 /// Returns [`ActivityError::InvalidStream`] for malformed lines or module
-/// tokens, and the usual builder errors for out-of-range indices or empty
+/// tokens, and for an inferred universe above [`MAX_INFERRED_MODULES`];
+/// the usual builder errors for out-of-range indices or empty
 /// descriptions.
 pub fn parse_rtl(text: &str, num_modules: Option<usize>) -> Result<Rtl, ActivityError> {
     let mut entries: Vec<(String, Vec<usize>)> = Vec::new();
-    let mut max_module = 0usize;
+    let mut universe = num_modules.unwrap_or(0);
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim();
         if line.is_empty() {
@@ -61,16 +69,23 @@ pub fn parse_rtl(text: &str, num_modules: Option<usize>) -> Result<Rtl, Activity
             let m = parse_module(tok).ok_or_else(|| ActivityError::InvalidStream {
                 reason: format!("line {}: bad module token `{tok}`", lineno + 1),
             })?;
-            max_module = max_module.max(m);
+            if num_modules.is_none() {
+                let needed = m
+                    .checked_add(1)
+                    .filter(|&u| u <= MAX_INFERRED_MODULES)
+                    .ok_or_else(|| ActivityError::InvalidStream {
+                        reason: format!(
+                            "line {}: module token `{tok}` exceeds the inferred-universe \
+                             limit of {MAX_INFERRED_MODULES} modules",
+                            lineno + 1
+                        ),
+                    })?;
+                universe = universe.max(needed);
+            }
             modules.push(m);
         }
         entries.push((name.to_owned(), modules));
     }
-    let universe = num_modules.unwrap_or(if entries.is_empty() {
-        0
-    } else {
-        max_module + 1
-    });
     let mut builder = Rtl::builder(universe);
     for (name, modules) in entries {
         builder = builder.instruction(&name, modules)?;
@@ -341,6 +356,39 @@ I4: M3 M4  # integer/memory
         let rtl = paper_example_rtl();
         assert!(parse_trace(&rtl, "I1 NOPE").is_err());
         assert!(parse_trace(&rtl, "I1").is_err()); // too short
+    }
+
+    #[test]
+    fn largest_module_index_is_a_structured_error() {
+        // The inferred universe is `max + 1`: on the largest index that add
+        // overflows, which must be an error naming the line and the token.
+        let err = parse_rtl("I1: M1\nI2: 18446744073709551615\n", None).unwrap_err();
+        let ActivityError::InvalidStream { reason } = err else {
+            panic!("expected InvalidStream, got {err:?}");
+        };
+        assert!(reason.contains("line 2") && reason.contains("`18446744073709551615`"));
+        // With an explicit universe the index is simply out of range.
+        assert_eq!(
+            parse_rtl("I1: 18446744073709551615\n", Some(6)).unwrap_err(),
+            ActivityError::ModuleOutOfRange {
+                module: usize::MAX,
+                num_modules: 6,
+            }
+        );
+    }
+
+    #[test]
+    fn inferred_universe_is_capped_before_allocation() {
+        // A 19-digit index would size every usage bitset at 2^57 bytes.
+        let err = parse_rtl("I1: 1152921504606846975\n", None).unwrap_err();
+        let ActivityError::InvalidStream { reason } = err else {
+            panic!("expected InvalidStream, got {err:?}");
+        };
+        assert!(reason.contains("line 1") && reason.contains("`1152921504606846975`"));
+        let last = MAX_INFERRED_MODULES - 1;
+        let rtl = parse_rtl(&format!("I1: {last}\n"), None).unwrap();
+        assert_eq!(rtl.num_modules(), MAX_INFERRED_MODULES);
+        assert!(parse_rtl(&format!("I1: {MAX_INFERRED_MODULES}\n"), None).is_err());
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use error::ActivityError;
 /// install it through this crate keep working.
 pub use gcr_trace::set_alloc_probe;
 pub use model::{CpuModel, CpuModelBuilder, ModelTraceSource};
-pub use moduleset::ModuleSet;
+pub use moduleset::{set_bits, ModuleSet};
 pub use rtl::{paper_example_rtl, InstructionId, Rtl, RtlBuilder};
 pub use source::{SliceSource, TraceSource};
 pub use stats::StreamStats;

@@ -123,18 +123,7 @@ impl ModuleSet {
 
     /// Iterates over the module indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        set_bits(&self.words)
     }
 
     fn check_universe(&self, other: &ModuleSet) {
@@ -144,6 +133,27 @@ impl ModuleSet {
             self.num_modules, other.num_modules
         );
     }
+}
+
+/// Yields the indices of the set bits of a word-packed bitset row in
+/// ascending order: bit `b` of word `w` is index `64·w + b`.
+///
+/// The one set-bit walk behind [`ModuleSet::iter`], the activation rows
+/// [`ActivityTables::enable_stats_for_bits`](crate::ActivityTables::enable_stats_for_bits)
+/// prices, and the module rows the routing objectives keep.
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
 }
 
 impl fmt::Debug for ModuleSet {

@@ -1,8 +1,8 @@
 use std::fmt;
 
 use crate::{
-    scan_source, ActivityError, InstructionId, InstructionStream, ModuleSet, Rtl, ScanParams,
-    ScanScratch, SliceSource,
+    scan_source, set_bits, ActivityError, InstructionId, InstructionStream, ModuleSet, Rtl,
+    ScanParams, ScanScratch, SliceSource,
 };
 
 /// The Instruction Frequency Table (Table 2 of the paper): the probability
@@ -67,6 +67,12 @@ impl Ift {
         self.probs[id.index()]
     }
 
+    /// P(I) for every instruction, indexed by [`InstructionId::index`].
+    #[must_use]
+    pub fn probabilities(&self) -> &[f64] {
+        &self.probs
+    }
+
     /// Number of instructions covered.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -85,24 +91,25 @@ impl Ift {
 /// they execute in consecutive cycles.
 ///
 /// The per-module 2-bit activation tags `AT(M_j)` of the paper are not
-/// stored — they are fully determined by the pair's two usage bitsets and
+/// stored — they are fully determined by the pair's two activation bits and
 /// are evaluated on the fly during
-/// [`ActivityTables::enable_stats`].
+/// [`ActivityTables::enable_stats_for_bits`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Itmatt {
     k: usize,
     /// Dense row-major K×K pair probabilities.
     pair_probs: Vec<f64>,
-    /// Sparse view of the non-zero pairs — streams with high persistence
-    /// populate only a sliver of the K² matrix, and the transition query
-    /// in the router's inner loop only needs those.
-    nonzero: Vec<(u16, u16, f64)>,
+    /// Row-major `K × ⌈K/64⌉` bitset: bit `b` of row `a` is set when
+    /// `P(a→b) > 0` and `b ≠ a` — the pairs that can toggle an enable (a
+    /// self-pair never does). At most 2 MiB at the capacity limit.
+    offdiag: Vec<u64>,
 }
 
 impl Itmatt {
     /// Hard capacity limit on the instruction count K: the table is a
-    /// dense K² matrix of `f64` (128 MiB at the cap) and the sparse view
-    /// packs indices into `u16`. The check runs **before** the K²
+    /// dense K² matrix of `f64` (128 MiB at the cap), and an activation
+    /// row (at most 64 words) fits a stack buffer in
+    /// [`ActivityTables::enable_stats`]. The check runs **before** the K²
     /// allocation is attempted, so an oversized RTL fails with a
     /// structured [`ActivityError::CapacityExceeded`] instead of an
     /// abort-on-OOM.
@@ -158,16 +165,18 @@ impl Itmatt {
 
     pub(crate) fn from_dense(k: usize, pair_probs: Vec<f64>) -> Result<Self, ActivityError> {
         Self::check_capacity(k)?;
-        let nonzero = pair_probs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p > 0.0)
-            .map(|(i, &p)| ((i / k) as u16, (i % k) as u16, p))
-            .collect();
+        let words = k.div_ceil(64);
+        let mut offdiag = vec![0; k * words];
+        for (i, _) in pair_probs.iter().enumerate().filter(|&(_, &p)| p > 0.0) {
+            let (a, b) = (i / k, i % k);
+            if a != b {
+                offdiag[a * words + b / 64] |= 1 << (b % 64);
+            }
+        }
         Ok(Self {
             k,
             pair_probs,
-            nonzero,
+            offdiag,
         })
     }
 
@@ -177,21 +186,27 @@ impl Itmatt {
         self.pair_probs[a.index() * self.k + b.index()]
     }
 
-    /// Iterator over the pairs with non-zero probability.
-    ///
-    /// Walks the sparse view cached at construction — O(observed pairs)
-    /// per call, not O(K²) — which is what the gate-reduction loop
-    /// iterates per candidate grouping.
+    /// Iterator over the pairs with non-zero probability, in row-major
+    /// order: a filter over the dense table, O(K²) per call.
     pub fn nonzero_pairs(&self) -> impl Iterator<Item = (InstructionId, InstructionId, f64)> + '_ {
-        self.nonzero
+        let k = self.k;
+        self.pair_probs
             .iter()
-            .map(|&(a, b, p)| (InstructionId(u32::from(a)), InstructionId(u32::from(b)), p))
+            .enumerate()
+            .filter(|&(_, &p)| p > 0.0)
+            .map(move |(i, &p)| {
+                (
+                    InstructionId((i / k) as u32),
+                    InstructionId((i % k) as u32),
+                    p,
+                )
+            })
     }
 
-    /// Number of pairs with non-zero probability (size of the sparse view).
+    /// Number of pairs with non-zero probability, O(K²).
     #[must_use]
     pub fn nonzero_len(&self) -> usize {
-        self.nonzero.len()
+        self.pair_probs.iter().filter(|&&p| p > 0.0).count()
     }
 
     /// Number of instructions covered (K); the table holds K² entries.
@@ -340,29 +355,32 @@ impl ActivityTables {
         &self.itmatt
     }
 
-    /// Which instructions activate a node owning module set `set`.
-    ///
-    /// O(K·W) for W bitset words; exposed so callers issuing many queries
-    /// against the same set can reuse the vector via
-    /// [`Self::enable_stats_for_active`].
+    /// Width in `u64` words of one activation row: `⌈K/64⌉`, at most 64.
     #[must_use]
-    pub fn active_vector(&self, set: &ModuleSet) -> Vec<bool> {
-        self.rtl
-            .instruction_ids()
-            .map(|i| self.rtl.activates(i, set))
-            .collect()
+    pub fn activation_words(&self) -> usize {
+        self.rtl.num_instructions().div_ceil(64)
     }
 
     /// Signal and transition probability of the enable of a node owning
-    /// `set`, computed from the tables in O(KL + K²) — Equation (2) and the
-    /// OR-of-activation-tags rule of §3.3.
+    /// `set` — Equation (2) and the OR-of-activation-tags rule of §3.3.
+    ///
+    /// Builds the activation row (bit `i` set when instruction `i` uses a
+    /// module of `set`) in a stack buffer in O(K·W) for W module words,
+    /// then prices it with [`Self::enable_stats_for_bits`].
     ///
     /// # Panics
     ///
     /// Panics if `set` is over a different module universe than the RTL.
     #[must_use]
     pub fn enable_stats(&self, set: &ModuleSet) -> EnableStats {
-        self.enable_stats_for_active(&self.active_vector(set))
+        let mut buf = [0u64; Itmatt::MAX_INSTRUCTIONS / 64];
+        let row = &mut buf[..self.activation_words()];
+        for id in self.rtl.instruction_ids() {
+            if self.rtl.activates(id, set) {
+                row[id.index() / 64] |= 1 << (id.index() % 64);
+            }
+        }
+        self.enable_stats_for_bits(row)
     }
 
     /// Probability that the modules of `a` and of `b` are active in the
@@ -400,30 +418,49 @@ impl ActivityTables {
         self.joint_signal(a, b) / (pa * pb)
     }
 
-    /// As [`Self::enable_stats`], for a precomputed activation vector.
+    /// As [`Self::enable_stats`], for a precomputed activation row of
+    /// [`Self::activation_words`] words: bit `i` is set when instruction
+    /// `i` activates the node, and bits at or above K are clear.
+    ///
+    /// `P(EN)` sums `P(I)` over the set bits in ascending order. `P_tr(EN)`
+    /// walks, for each instruction `a` in ascending order, the set bits of
+    /// `offdiag[a] & (a active ? !row : row)` — the observed pairs
+    /// `(a, b)` whose activation differs — and adds their probabilities
+    /// from `0.0`. Those are exactly the operands, in exactly the
+    /// row-major order, of the per-pair loop over the non-zero ITMATT
+    /// entries (self-pairs never toggle), so the result is bit-identical
+    /// to it, at O(K·⌈K/64⌉ + toggling pairs).
     ///
     /// # Panics
     ///
-    /// Panics if `active.len()` differs from the instruction count.
+    /// Panics if `row` is not [`Self::activation_words`] words wide or
+    /// has a bit set at or above K.
     #[must_use]
-    pub fn enable_stats_for_active(&self, active: &[bool]) -> EnableStats {
-        assert_eq!(
-            active.len(),
-            self.rtl.num_instructions(),
-            "activation vector length mismatch"
-        );
-        let signal = self
-            .rtl
-            .instruction_ids()
-            .filter(|i| active[i.index()])
-            .map(|i| self.ift.probability(i))
-            .sum();
-        // Only the observed pairs can contribute; with persistent streams
-        // that is far fewer than K².
+    pub fn enable_stats_for_bits(&self, row: &[u64]) -> EnableStats {
+        let words = self.activation_words();
+        assert_eq!(row.len(), words, "activation row width mismatch");
+        let signal = set_bits(row).map(|i| self.ift.probs[i]).sum();
+        let Itmatt {
+            k,
+            pair_probs,
+            offdiag,
+            ..
+        } = &self.itmatt;
         let mut transition = 0.0;
-        for &(a, b, p) in &self.itmatt.nonzero {
-            if active[a as usize] != active[b as usize] {
-                transition += p;
+        for (a, (pairs, probs)) in offdiag
+            .chunks_exact(words)
+            .zip(pair_probs.chunks_exact(*k))
+            .enumerate()
+        {
+            // All ones when `a` is active: its enable then toggles on the
+            // pairs into inactive instructions, and vice versa.
+            let flip = 0u64.wrapping_sub((row[a / 64] >> (a % 64)) & 1);
+            for (w, (&pair, &active)) in pairs.iter().zip(row).enumerate() {
+                let mut bits = pair & (active ^ flip);
+                while bits != 0 {
+                    transition += probs[w * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                }
             }
         }
         EnableStats { signal, transition }
@@ -614,7 +651,7 @@ mod tests {
     #[test]
     fn itmatt_all_zero_rows_are_skipped() {
         // Instruction I2 never starts a pair: its ITMATT row is all zero.
-        // The sparse view must skip it and transition sums must stay exact.
+        // `nonzero_pairs` must skip it and transition sums must stay exact.
         let rtl = Rtl::builder(2)
             .instruction("I1", [0])
             .and_then(|b| b.instruction("I2", [1]))
@@ -670,7 +707,7 @@ mod tests {
 
     #[test]
     fn nonzero_pairs_matches_dense_filter() {
-        // The sparse iterator must agree with a direct dense filter —
+        // The pair iterator must agree with a direct dense filter —
         // same pairs, same order (row-major), same probabilities.
         let rtl = paper_example_rtl();
         let s = paper_stream(&rtl);

@@ -47,6 +47,9 @@ const MODULES: usize = 96;
 /// Threads of the parallel column: this machine's core count.
 const PARALLEL_THREADS: usize = 2;
 
+/// Worker threads of the gated warm scan (`pruned.*`).
+const GATED_THREADS: usize = 1;
+
 /// One scenario's measurements.
 struct ScenarioRun {
     scenario: ActivityScenario,
@@ -145,7 +148,7 @@ fn measure(scenario: ActivityScenario, cycles: u64, seed: u64) -> ScenarioRun {
     let reference_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let buffered = || SliceSource::new(&stream);
-    let (tables1, warm1, warm1_ms) = warm_scan(&model, 1, WARM_REPS, buffered);
+    let (tables1, warm1, warm1_ms) = warm_scan(&model, GATED_THREADS, WARM_REPS, buffered);
     let (tables2, warm2, warm2_ms) = warm_scan(&model, PARALLEL_THREADS, WARM_REPS, buffered);
     let (tables_gen, generator, generator_ms) =
         warm_scan(&model, 1, 1, || model.trace_source(cycles));
@@ -173,12 +176,16 @@ fn measure(scenario: ActivityScenario, cycles: u64, seed: u64) -> ScenarioRun {
 /// single-thread scan of the buffered trace is the gated row
 /// (`pruned.wall_ms`, `pruned.loop_allocs`); the reference, generator and
 /// 2-thread numbers ride along as informational fields.
+///
+/// `params` ends with [`common::provenance`]'s stamp for the gated row's
+/// [`GATED_THREADS`]; the 2-thread row carries its own `threads2`.
 fn render_json(cycles: u64, seed: u64, runs: &[ScenarioRun]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"params\": {{\"cycles\": {cycles}, \"seed\": {seed}, \"modules\": {MODULES}}},"
+        "  \"params\": {{\"cycles\": {cycles}, \"seed\": {seed}, \"modules\": {MODULES}, {}}},",
+        common::provenance(GATED_THREADS)
     );
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
@@ -377,6 +384,10 @@ mod tests {
         assert!(run.identical_tables);
         let json = render_json(5_000, 3, &[run]);
         let doc = json::parse(&json).unwrap();
+        let params = doc.get("params").unwrap();
+        assert_eq!(params.get("seed").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(params.get("threads").and_then(Json::as_f64), Some(1.0));
+        assert!(params.get("rev").and_then(Json::as_str).is_some());
         let rows = doc.get("runs").and_then(Json::as_array).unwrap();
         let row = &rows[0];
         assert_eq!(

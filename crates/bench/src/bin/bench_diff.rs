@@ -536,6 +536,36 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("FAIL (baseline-only")));
     }
 
+    /// The provenance stamp in `params` (`threads`, `rev`) is not read:
+    /// a stamped file and an older unstamped baseline diff clean both ways.
+    #[test]
+    fn provenance_params_are_ignored() {
+        let row = r#"{"benchmark": "r1", "objective": "equation-3",
+            "pruned": {"wall_ms": 5.0, "bound_evals": 10, "heap_pops": 3},
+            "identical_topology": true}"#;
+        let dir = std::env::temp_dir().join("gcr_bench_diff_provenance");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = dir.join("old.json");
+        let new = dir.join("new.json");
+        std::fs::write(
+            &old,
+            format!(r#"{{"params": {{"seed": 1}}, "runs": [{row}]}}"#),
+        )
+        .unwrap();
+        std::fs::write(
+            &new,
+            format!(
+                r#"{{"params": {{"seed": 1, "threads": 2, "rev": "unknown"}}, "runs": [{row}]}}"#
+            ),
+        )
+        .unwrap();
+        let (old, new) = (old.to_str().unwrap(), new.to_str().unwrap());
+        let tracer = Tracer::disabled();
+        assert_eq!(run(old, new, 25.0, true, &tracer), Ok(true));
+        assert_eq!(run(new, old, 25.0, true, &tracer), Ok(true));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn strict_mode_passes_when_both_sides_match() {
         let baseline = map(vec![

@@ -1,8 +1,10 @@
 //! Harness code shared by the `greedy_bench` and `activity_bench`
 //! binaries: the counting global allocator behind their allocation
-//! columns, and the output-file writer.
+//! columns, the provenance stamp of their `params`, and the output-file
+//! writer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pass-through allocator that counts allocation events (alloc +
@@ -35,6 +37,38 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// backs every engine's allocation profile.
 pub fn install_alloc_probe() {
     gcr_trace::set_alloc_probe(|| ALLOC_EVENTS.load(Ordering::Relaxed));
+}
+
+/// The provenance fields appended to a BENCH file's `params` object: the
+/// resolved worker-thread count and the git revision of the working
+/// directory (`unknown` outside a checkout). `bench_diff` ignores both.
+pub fn provenance(threads: usize) -> String {
+    format!(
+        "\"threads\": {threads}, \"rev\": \"{}\"",
+        git_revision(Path::new("."))
+    )
+}
+
+/// The commit checked out under `root`, or `unknown` when `root` is not
+/// a git checkout (or names something other than a plain revision).
+pub fn git_revision(root: &Path) -> String {
+    let read = |p: &str| {
+        std::fs::read_to_string(root.join(".git").join(p))
+            .ok()
+            .map(|s| s.trim().to_owned())
+    };
+    let rev = read("HEAD").and_then(|head| match head.strip_prefix("ref: ") {
+        None => Some(head),
+        Some(reference) => read(reference).or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(reference))
+                .and_then(|l| l.split_whitespace().next())
+                .map(str::to_owned)
+        }),
+    });
+    rev.filter(|r| !r.is_empty() && r.bytes().all(|b| b.is_ascii_hexdigit()))
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Writes `contents` to `path`, reporting failure on stderr. The caller

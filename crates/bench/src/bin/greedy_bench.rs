@@ -497,12 +497,14 @@ fn stats_json(out: &mut String, label: &str, run: &EngineRun) {
     );
 }
 
-fn render_json(params: &WorkloadParams, runs: &[Comparison]) -> String {
+/// Renders the BENCH document; `provenance` is [`common::provenance`]'s
+/// stamp, appended to `params`.
+fn render_json(params: &WorkloadParams, provenance: &str, runs: &[Comparison]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"params\": {{\"stream_len\": {}, \"seed\": {}, \"groups\": {}}},",
+        "  \"params\": {{\"stream_len\": {}, \"seed\": {}, \"groups\": {}, {provenance}}},",
         params.stream_len, params.seed, params.groups
     );
     out.push_str("  \"runs\": [\n");
@@ -683,7 +685,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = render_json(&params, &runs);
+    // The thread count the unpinned (warm) runs resolve, as they do.
+    let threads = gcr_trace::threads::resolve(None, "greedy.threads", &tracer);
+    let json = render_json(&params, &common::provenance(threads), &runs);
     if !write_or_report(&cli.out_path, &json) {
         return ExitCode::FAILURE;
     }
@@ -755,6 +759,21 @@ mod tests {
             .benchmarks
             .iter()
             .any(|b| TsayBenchmark::SCALED.contains(b)));
+    }
+
+    #[test]
+    fn params_carry_the_thread_count_and_revision() {
+        let json = render_json(&WorkloadParams::smoke(), &common::provenance(3), &[]);
+        let doc = gcr_trace::json::parse(&json).unwrap();
+        let params = doc.get("params").unwrap();
+        let field = |key: &str| params.get(key).unwrap();
+        assert_eq!(field("seed").as_f64(), Some(1998.0));
+        assert_eq!(field("threads").as_f64(), Some(3.0));
+        let rev = field("rev").as_str().unwrap();
+        assert!(rev == "unknown" || rev.bytes().all(|b| b.is_ascii_hexdigit()));
+        let outside = std::env::temp_dir().join("gcr_greedy_bench_no_checkout");
+        std::fs::create_dir_all(&outside).unwrap();
+        assert_eq!(common::git_revision(&outside), "unknown");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use gcr_activity::{ActivityTables, EnableStats, ModuleSet};
+use gcr_activity::{set_bits, ActivityTables, EnableStats, ModuleSet, Rtl};
 use gcr_cts::{
     clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
     ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment, GreedyParams,
@@ -84,20 +84,23 @@ impl RouterConfig {
     }
 }
 
-/// Yields the module indices stored in one flat bitset row (ascending).
-pub(crate) fn row_modules(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    row.iter().enumerate().flat_map(|(wi, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + tz)
-            }
-        })
-    })
+/// Appends the activation row of a leaf gating module `m` to a flat
+/// bitset matrix: bit `i` is set when instruction `i` uses `m`.
+pub(crate) fn push_leaf_activation(active: &mut Vec<u64>, words: usize, rtl: &Rtl, m: usize) {
+    let row = active.len();
+    active.resize(row + words, 0);
+    for id in rtl.instruction_ids().filter(|&id| rtl.uses(id, m)) {
+        active[row + id.index() / 64] |= 1 << (id.index() % 64);
+    }
+}
+
+/// Appends the OR of rows `a` and `b` of a flat `words`-wide bitset
+/// matrix as its next row — a merged node's module or activation set.
+pub(crate) fn push_union_row(rows: &mut Vec<u64>, words: usize, a: usize, b: usize) {
+    for w in 0..words {
+        let v = rows[a * words + w] | rows[b * words + w];
+        rows.push(v);
+    }
 }
 
 /// Factor every Equation-3 lower bound is scaled by. The bound and the
@@ -136,8 +139,8 @@ pub struct GatedObjective<'a> {
     num_modules: usize,
     /// Width (in `u64` words) of one row of `modules`.
     module_words: usize,
-    /// Width (in instructions) of one row of `active`.
-    instr: usize,
+    /// Width (in `u64` words) of one row of `active`: `⌈K/64⌉`.
+    active_words: usize,
     /// Merging segments and Elmore coefficients, indexed by node.
     arena: MergeArena,
     /// `P(EN_i)` per node.
@@ -151,8 +154,9 @@ pub struct GatedObjective<'a> {
     /// Star-wire distance from the serving controller to the gate on this
     /// node's parent edge (gate location ≈ mid of ms).
     cp_dist: Vec<f64>,
-    /// Row-major `len × instr` matrix: which instructions activate node i.
-    active: Vec<bool>,
+    /// Row-major `len × active_words` bitset matrix: which instructions
+    /// activate node i.
+    active: Vec<u64>,
     /// Row-major `len × module_words` bitset matrix: modules under node i.
     modules: Vec<u64>,
 }
@@ -170,7 +174,7 @@ impl Clone for GatedObjective<'_> {
             unit_cap: self.unit_cap,
             num_modules: self.num_modules,
             module_words: self.module_words,
-            instr: self.instr,
+            active_words: self.active_words,
             arena: self.arena.clone(),
             signal: clone_preserving_capacity(&self.signal),
             transition: clone_preserving_capacity(&self.transition),
@@ -203,7 +207,7 @@ impl<'a> GatedObjective<'a> {
         let gate = tech.and_gate();
         let num_modules = tables.rtl().num_modules();
         let module_words = num_modules.div_ceil(64);
-        let instr = tables.rtl().num_instructions();
+        let active_words = tables.activation_words();
         let capacity = sinks.len().saturating_mul(2).saturating_sub(1);
         let mut this = Self {
             tech,
@@ -213,14 +217,14 @@ impl<'a> GatedObjective<'a> {
             unit_cap: tech.unit_cap(),
             num_modules,
             module_words,
-            instr,
+            active_words,
             arena: MergeArena::new(tech, capacity),
             signal: Vec::with_capacity(capacity),
             transition: Vec::with_capacity(capacity),
             static_term: Vec::with_capacity(capacity),
             node_cap: Vec::with_capacity(capacity),
             cp_dist: Vec::with_capacity(capacity),
-            active: Vec::with_capacity(capacity * instr),
+            active: Vec::with_capacity(capacity * active_words),
             modules: Vec::with_capacity(capacity * module_words),
         };
         // Each leaf's activation row and module bit are written straight
@@ -234,17 +238,17 @@ impl<'a> GatedObjective<'a> {
             assert!(m < num_modules, "module {m} outside universe {num_modules}");
             let j = first_leaf[m] as usize;
             let stats = if j < i {
-                this.active.extend_from_within(j * instr..(j + 1) * instr);
+                this.active
+                    .extend_from_within(j * active_words..(j + 1) * active_words);
                 EnableStats {
                     signal: this.signal[j],
                     transition: this.transition[j],
                 }
             } else {
                 first_leaf[m] = i as u32;
-                let act = this.active.len();
-                this.active
-                    .extend(rtl.instruction_ids().map(|id| rtl.uses(id, m)));
-                tables.enable_stats_for_active(&this.active[act..])
+                let row = this.active.len();
+                push_leaf_activation(&mut this.active, active_words, rtl, m);
+                tables.enable_stats_for_bits(&this.active[row..])
             };
             this.arena.push_leaf(s, Some(gate));
             let row = this.modules.len();
@@ -288,7 +292,7 @@ impl<'a> GatedObjective<'a> {
         self.static_term.truncate(len);
         self.node_cap.truncate(len);
         self.cp_dist.truncate(len);
-        self.active.truncate(len * self.instr);
+        self.active.truncate(len * self.active_words);
         self.modules.truncate(len * self.module_words);
     }
 
@@ -309,7 +313,7 @@ impl<'a> GatedObjective<'a> {
         (0..self.signal.len())
             .map(|i| {
                 let row = &self.modules[i * self.module_words..(i + 1) * self.module_words];
-                ModuleSet::with_modules(self.num_modules, row_modules(row))
+                ModuleSet::with_modules(self.num_modules, set_bits(row))
             })
             .collect()
     }
@@ -407,20 +411,10 @@ impl MergeObjective for GatedObjective<'_> {
     fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
         debug_assert_eq!(k, self.arena.len());
         let outcome = self.arena.merge_push(a, b, Some(self.gate))?;
-        let (ra, rb) = (a * self.instr, b * self.instr);
-        let start = self.active.len();
-        for j in 0..self.instr {
-            let v = self.active[ra + j] || self.active[rb + j];
-            self.active.push(v);
-        }
-        let stats = self
-            .tables
-            .enable_stats_for_active(&self.active[start..start + self.instr]);
-        let (ma, mb) = (a * self.module_words, b * self.module_words);
-        for w in 0..self.module_words {
-            let v = self.modules[ma + w] | self.modules[mb + w];
-            self.modules.push(v);
-        }
+        let row = self.active.len();
+        push_union_row(&mut self.active, self.active_words, a, b);
+        let stats = self.tables.enable_stats_for_bits(&self.active[row..]);
+        push_union_row(&mut self.modules, self.module_words, a, b);
         // Both child edges are gated during construction, so the new node
         // feeds exactly two gate input capacitances.
         let node_cap = 2.0 * self.gate.input_cap();
@@ -723,7 +717,36 @@ pub fn route_gated_coarsened(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ActivityDrivenObjective;
     use gcr_activity::CpuModel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pair pricing loop over the non-zero ITMATT entries, written
+    /// from the public table accessors: the oracle the bitset kernel must
+    /// match bit for bit.
+    fn oracle_stats(tables: &ActivityTables, active: &[bool]) -> EnableStats {
+        let signal = tables
+            .rtl()
+            .instruction_ids()
+            .filter(|i| active[i.index()])
+            .map(|i| tables.ift().probability(i))
+            .sum();
+        let mut transition = 0.0;
+        for (a, b, p) in tables.itmatt().nonzero_pairs() {
+            if active[a.index()] != active[b.index()] {
+                transition += p;
+            }
+        }
+        EnableStats { signal, transition }
+    }
+
+    fn stats_bits(stats: &[EnableStats]) -> Vec<(u64, u64)> {
+        stats
+            .iter()
+            .map(|s| (s.signal.to_bits(), s.transition.to_bits()))
+            .collect()
+    }
 
     fn setup(n: usize, seed: u64) -> (Vec<Sink>, ActivityTables, RouterConfig) {
         let side = 10_000.0;
@@ -821,23 +844,24 @@ mod tests {
                 .instruction_ids()
                 .map(|id| rtl.uses(id, module))
                 .collect();
-            oracle.active.extend_from_slice(&row);
+            let at = oracle.active.len();
+            oracle.active.resize(at + oracle.active_words, 0);
+            for i in (0..row.len()).filter(|&i| row[i]) {
+                oracle.active[at + i / 64] |= 1 << (i % 64);
+            }
             oracle.arena.push_leaf(s, Some(oracle.gate));
             let at = oracle.modules.len();
             oracle.modules.resize(at + oracle.module_words, 0);
             oracle.modules[at + module / 64] |= 1 << (module % 64);
             let cp_dist = config.controller().enable_wire_length(s.location());
-            oracle.push_stats(tables.enable_stats_for_active(&row), s.cap(), cp_dist);
+            oracle.push_stats(oracle_stats(&tables, &row), s.cap(), cp_dist);
         }
 
         assert_eq!(objective.active, oracle.active);
-        let bits = |stats: Vec<EnableStats>| -> Vec<(u64, u64)> {
-            stats
-                .iter()
-                .map(|s| (s.signal.to_bits(), s.transition.to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(objective.node_stats()), bits(oracle.node_stats()));
+        assert_eq!(
+            stats_bits(&objective.node_stats()),
+            stats_bits(&oracle.node_stats())
+        );
         let expected_modules: Vec<ModuleSet> = module_of
             .iter()
             .map(|&module| ModuleSet::with_modules(m, [module]))
@@ -857,6 +881,73 @@ mod tests {
             oracle.bound_batch(center, &candidates, &mut want);
             let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(to_bits(&got), to_bits(&want), "center {center}");
+        }
+    }
+
+    /// Every node of a random merge sequence — leaves and merges, over
+    /// one-, two- and three-word activation rows — carries the enable
+    /// stats the per-pair oracle prices from the OR of its leaves' `bool`
+    /// rows, bit for bit, in both objectives that keep bitset rows.
+    #[test]
+    fn merged_node_stats_match_the_per_pair_oracle() {
+        let config = setup(1, 1).2;
+        for (n, k, seed) in [(24, 8, 3), (40, 70, 9), (33, 130, 17)] {
+            let model = CpuModel::builder(n)
+                .instructions(k)
+                .usage_fraction(0.2)
+                .persistence(0.5)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let tables = ActivityTables::scan(model.rtl(), &model.generate_stream(3_000));
+            let sinks: Vec<Sink> = (0..n)
+                .map(|i| {
+                    let (x, y) = ((i * 3_571) % 9_000, (i * 7_919) % 9_000);
+                    Sink::new(Point::new(x as f64, y as f64), 0.03)
+                })
+                .collect();
+            let module_of: Vec<usize> = (0..n).collect();
+            let mut gated = GatedObjective::new(
+                config.tech(),
+                config.controller(),
+                &tables,
+                &sinks,
+                &module_of,
+            );
+            let mut driven = ActivityDrivenObjective::new(config.tech(), &tables, &sinks, 18_000.0);
+            let rtl = tables.rtl();
+            let mut rows: Vec<Vec<bool>> = (0..n)
+                .map(|m| rtl.instruction_ids().map(|id| rtl.uses(id, m)).collect())
+                .collect();
+            let mut live: Vec<usize> = (0..n).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            while live.len() > 1 {
+                let a = live.swap_remove(rng.gen_range(0..live.len()));
+                let b = live.swap_remove(rng.gen_range(0..live.len()));
+                let node = rows.len();
+                let union: Vec<bool> = rows[a]
+                    .iter()
+                    .zip(&rows[b])
+                    .map(|(&x, &y)| x || y)
+                    .collect();
+                let signal = oracle_stats(&tables, &union).signal;
+                assert_eq!(driven.union_signal(a, b).to_bits(), signal.to_bits());
+                gated.merge(a, b, node).unwrap();
+                driven.merge(a, b, node).unwrap();
+                rows.push(union);
+                live.push(node);
+            }
+            let want: Vec<EnableStats> = rows.iter().map(|r| oracle_stats(&tables, r)).collect();
+            assert_eq!(
+                stats_bits(&gated.node_stats()),
+                stats_bits(&want),
+                "K = {k}"
+            );
+            assert_eq!(
+                stats_bits(&driven.node_stats()),
+                stats_bits(&want),
+                "K = {k}"
+            );
         }
     }
 

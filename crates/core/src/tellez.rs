@@ -1,4 +1,4 @@
-use gcr_activity::{ActivityTables, EnableStats, ModuleSet};
+use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
 use gcr_cts::{
     clone_preserving_capacity, embed_sized, run_greedy_with_scratch, CtsError, DeviceAssignment,
     GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, BOUND_LANES,
@@ -6,7 +6,7 @@ use gcr_cts::{
 use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
 
-use crate::router::row_modules;
+use crate::router::{push_leaf_activation, push_union_row};
 use crate::{GatedRouting, RouteError, RouterConfig};
 
 /// The activity-driven merge objective in the spirit of Téllez, Farrahi &
@@ -33,15 +33,16 @@ pub struct ActivityDrivenObjective<'a> {
     num_modules: usize,
     /// Width (in `u64` words) of one row of `modules`.
     module_words: usize,
-    /// Width (in instructions) of one row of `active`.
-    instr: usize,
+    /// Width (in `u64` words) of one row of `active`: `⌈K/64⌉`.
+    active_words: usize,
     arena: MergeArena,
     /// `P(EN_i)` per node.
     signal: Vec<f64>,
     /// `P_tr(EN_i)` per node.
     transition: Vec<f64>,
-    /// Row-major `len × instr` matrix: which instructions activate node i.
-    active: Vec<bool>,
+    /// Row-major `len × active_words` bitset matrix: which instructions
+    /// activate node i.
+    active: Vec<u64>,
     /// Row-major `len × module_words` bitset matrix: modules under node i.
     modules: Vec<u64>,
 }
@@ -57,7 +58,7 @@ impl Clone for ActivityDrivenObjective<'_> {
             dist_scale: self.dist_scale,
             num_modules: self.num_modules,
             module_words: self.module_words,
-            instr: self.instr,
+            active_words: self.active_words,
             arena: self.arena.clone(),
             signal: clone_preserving_capacity(&self.signal),
             transition: clone_preserving_capacity(&self.transition),
@@ -69,6 +70,12 @@ impl Clone for ActivityDrivenObjective<'_> {
 
 impl<'a> ActivityDrivenObjective<'a> {
     /// Creates the objective over `sinks` (sink `i` = module `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when there are more sinks than activity-model modules
+    /// ([`route_activity_driven`] checks this and returns
+    /// [`RouteError::SinkModuleMismatch`]).
     #[must_use]
     pub fn new(
         tech: &'a Technology,
@@ -79,7 +86,7 @@ impl<'a> ActivityDrivenObjective<'a> {
         let gate = tech.and_gate();
         let num_modules = tables.rtl().num_modules();
         let module_words = num_modules.div_ceil(64);
-        let instr = tables.rtl().num_instructions();
+        let active_words = tables.activation_words();
         let capacity = sinks.len().saturating_mul(2).saturating_sub(1);
         let mut this = Self {
             gate,
@@ -87,39 +94,43 @@ impl<'a> ActivityDrivenObjective<'a> {
             dist_scale: dist_scale.max(1.0),
             num_modules,
             module_words,
-            instr,
+            active_words,
             arena: MergeArena::new(tech, capacity),
             signal: Vec::with_capacity(capacity),
             transition: Vec::with_capacity(capacity),
-            active: Vec::with_capacity(capacity * instr),
+            active: Vec::with_capacity(capacity * active_words),
             modules: Vec::with_capacity(capacity * module_words),
         };
         for (i, s) in sinks.iter().enumerate() {
-            let mset = ModuleSet::with_modules(num_modules, [i]);
-            let act = tables.active_vector(&mset);
-            let stats = tables.enable_stats_for_active(&act);
+            assert!(i < num_modules, "module {i} outside universe {num_modules}");
+            let row = this.active.len();
+            push_leaf_activation(&mut this.active, active_words, tables.rtl(), i);
+            let stats = tables.enable_stats_for_bits(&this.active[row..]);
             this.arena.push_leaf(s, Some(gate));
-            this.active.extend_from_slice(&act);
             let row = this.modules.len();
             this.modules.resize(row + module_words, 0);
-            for m in mset.iter() {
-                this.modules[row + m / 64] |= 1u64 << (m % 64);
-            }
+            this.modules[row + i / 64] |= 1u64 << (i % 64);
             this.signal.push(stats.signal);
             this.transition.push(stats.transition);
         }
         this
     }
 
-    fn union_signal(&self, a: usize, b: usize) -> f64 {
-        let ift = self.tables.ift();
-        let (ra, rb) = (a * self.instr, b * self.instr);
-        self.tables
-            .rtl()
-            .instruction_ids()
-            .filter(|i| self.active[ra + i.index()] || self.active[rb + i.index()])
-            .map(|i| ift.probability(i))
-            .sum()
+    /// `P(EN)` of the union of nodes `a` and `b`: the set bits of their
+    /// OR'd activation rows, ascending, mapped to `P(I)` and summed — the
+    /// operands and order of pricing the merged node.
+    pub(crate) fn union_signal(&self, a: usize, b: usize) -> f64 {
+        let words = self.active_words;
+        let mut buf = [0u64; Itmatt::MAX_INSTRUCTIONS / 64];
+        let union = &mut buf[..words];
+        let rows = self.active[a * words..(a + 1) * words]
+            .iter()
+            .zip(&self.active[b * words..(b + 1) * words]);
+        for (u, (&x, &y)) in union.iter_mut().zip(rows) {
+            *u = x | y;
+        }
+        let probs = self.tables.ift().probabilities();
+        set_bits(union).map(|i| probs[i]).sum()
     }
 
     /// Signal/transition probability of `EN_i` for every node, in node
@@ -139,7 +150,7 @@ impl<'a> ActivityDrivenObjective<'a> {
         (0..self.signal.len())
             .map(|i| {
                 let row = &self.modules[i * self.module_words..(i + 1) * self.module_words];
-                ModuleSet::with_modules(self.num_modules, row_modules(row))
+                ModuleSet::with_modules(self.num_modules, set_bits(row))
             })
             .collect()
     }
@@ -199,20 +210,10 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
     fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
         debug_assert_eq!(k, self.arena.len());
         self.arena.merge_push(a, b, Some(self.gate))?;
-        let (ra, rb) = (a * self.instr, b * self.instr);
-        let start = self.active.len();
-        for j in 0..self.instr {
-            let v = self.active[ra + j] || self.active[rb + j];
-            self.active.push(v);
-        }
-        let stats = self
-            .tables
-            .enable_stats_for_active(&self.active[start..start + self.instr]);
-        let (ma, mb) = (a * self.module_words, b * self.module_words);
-        for w in 0..self.module_words {
-            let v = self.modules[ma + w] | self.modules[mb + w];
-            self.modules.push(v);
-        }
+        let row = self.active.len();
+        push_union_row(&mut self.active, self.active_words, a, b);
+        let stats = self.tables.enable_stats_for_bits(&self.active[row..]);
+        push_union_row(&mut self.modules, self.module_words, a, b);
         self.signal.push(stats.signal);
         self.transition.push(stats.transition);
         Ok(())
