@@ -1,8 +1,8 @@
 use gcr_activity::{set_bits, ActivityTables, EnableStats, ModuleSet, Rtl};
 use gcr_cts::{
     clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
-    ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment, GreedyParams,
-    GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, Topology, BOUND_LANES,
+    BoundRows, BoundTerms, ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment,
+    GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, Topology,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{Device, Technology};
@@ -363,30 +363,22 @@ impl MergeObjective for GatedObjective<'_> {
             * BOUND_MARGIN
     }
 
-    // Two columnar sweeps: the arena's batched region-distance kernel
-    // writes `d` into `out`, then a fused chunk loop combines it with the
-    // cached static terms and enable probabilities — the same expressions
-    // in the same order as `cost_lower_bound`, so the keys are
-    // bit-identical.
-    fn bound_batch(&self, center: usize, candidates: &[u32], out: &mut [f64]) {
-        self.arena.distance_batch(center, candidates, out);
-        let static_c = self.static_term[center];
-        let signal_c = self.signal[center];
+    #[inline]
+    fn bound_terms(&self, node: usize) -> BoundTerms {
+        BoundTerms {
+            region: self.arena.region(node),
+            scalars: [self.static_term[node], self.signal[node]],
+        }
+    }
+
+    // One fused columnar pass: the same expressions in the same order as
+    // `cost_lower_bound`, so the keys are bit-identical.
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+        let [static_c, signal_c] = center.scalars;
         let unit_cap = self.unit_cap;
-        let combine = |y: usize, d: f64| {
-            (static_c + self.static_term[y] + unit_cap * d * signal_c.min(self.signal[y]))
-                * BOUND_MARGIN
-        };
-        let mut cands = candidates.chunks_exact(BOUND_LANES);
-        let mut outs = out.chunks_exact_mut(BOUND_LANES);
-        for (cs, os) in (&mut cands).zip(&mut outs) {
-            for lane in 0..BOUND_LANES {
-                os[lane] = combine(cs[lane] as usize, os[lane]);
-            }
-        }
-        for (&y, o) in cands.remainder().iter().zip(outs.into_remainder()) {
-            *o = combine(y as usize, *o);
-        }
+        rows.price(center, out, |d, [static_y, signal_y]| {
+            (static_c + static_y + unit_cap * d * signal_c.min(signal_y)) * BOUND_MARGIN
+        });
     }
 
     // For live leaf partners at distance >= dist: the partner's static
@@ -874,11 +866,18 @@ mod tests {
                 bits(oracle.leaf_floor(leaf))
             );
         }
-        let candidates: Vec<u32> = (0..n as u32).collect();
+        let rows = |o: &GatedObjective<'_>| {
+            let mut rows = gcr_cts::BoundColumns::default();
+            for y in 0..n {
+                rows.push(o.bound_terms(y));
+            }
+            rows
+        };
+        let (got_rows, want_rows) = (rows(&objective), rows(&oracle));
         let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
         for center in 0..n {
-            objective.bound_batch(center, &candidates, &mut got);
-            oracle.bound_batch(center, &candidates, &mut want);
+            objective.bound_kernel(&objective.bound_terms(center), got_rows.rows(), &mut got);
+            oracle.bound_kernel(&oracle.bound_terms(center), want_rows.rows(), &mut want);
             let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(to_bits(&got), to_bits(&want), "center {center}");
         }

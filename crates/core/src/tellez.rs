@@ -1,7 +1,8 @@
 use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, embed_sized, run_greedy_with_scratch, CtsError, DeviceAssignment,
-    GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, BOUND_LANES,
+    clone_preserving_capacity, embed_sized, run_greedy_with_scratch, BoundRows, BoundTerms,
+    CtsError, DeviceAssignment, GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink,
+    SizingLimits,
 };
 use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
@@ -174,24 +175,22 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
         activity + 1e-3 * dist / self.dist_scale
     }
 
-    // Batched distance sweep plus a fused chunk loop over the signal
-    // column — the same expressions in the same order as
+    #[inline]
+    fn bound_terms(&self, node: usize) -> BoundTerms {
+        BoundTerms {
+            region: self.arena.region(node),
+            scalars: [self.signal[node], 0.0],
+        }
+    }
+
+    // One fused columnar pass: the same expressions in the same order as
     // `cost_lower_bound`, so the keys are bit-identical.
-    fn bound_batch(&self, center: usize, candidates: &[u32], out: &mut [f64]) {
-        self.arena.distance_batch(center, candidates, out);
-        let signal_c = self.signal[center];
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+        let signal_c = center.scalars[0];
         let dist_scale = self.dist_scale;
-        let combine = |y: usize, d: f64| signal_c.max(self.signal[y]) + 1e-3 * d / dist_scale;
-        let mut cands = candidates.chunks_exact(BOUND_LANES);
-        let mut outs = out.chunks_exact_mut(BOUND_LANES);
-        for (cs, os) in (&mut cands).zip(&mut outs) {
-            for lane in 0..BOUND_LANES {
-                os[lane] = combine(cs[lane] as usize, os[lane]);
-            }
-        }
-        for (&y, o) in cands.remainder().iter().zip(outs.into_remainder()) {
-            *o = combine(y as usize, *o);
-        }
+        rows.price(center, out, |d, [signal_y, _]| {
+            signal_c.max(signal_y) + 1e-3 * d / dist_scale
+        });
     }
 
     // Ignores the floor: the partner's own signal never enters. Needs no

@@ -48,21 +48,7 @@ pub struct MergeArena {
     pc0: Vec<f64>,
     pc1: Vec<f64>,
     device: Vec<Option<Device>>,
-    /// Flat copies of each region's rotated-interval endpoints
-    /// (`ms[i].u().lo()` etc.), kept alongside `ms` so
-    /// [`distance_batch`](Self::distance_batch) streams four plain `f64`
-    /// columns instead of gathering 32-byte `Trr` structs.
-    u_lo: Vec<f64>,
-    u_hi: Vec<f64>,
-    v_lo: Vec<f64>,
-    v_hi: Vec<f64>,
 }
-
-/// Candidates per step of the batched kernels ([`MergeArena::distance_batch`]
-/// and the objectives' `bound_batch` impls). Eight `f64` lanes fill an
-/// AVX-512 register and two AVX2 registers; the fixed-width inner loops are
-/// branch-free so LLVM unrolls or vectorizes them without `unsafe`.
-pub const BOUND_LANES: usize = 8;
 
 /// Copies a vector without shedding its spare capacity, so a cloned
 /// objective keeps the zero-reallocation guarantee of its original.
@@ -89,10 +75,6 @@ impl Clone for MergeArena {
             pc0: clone_preserving_capacity(&self.pc0),
             pc1: clone_preserving_capacity(&self.pc1),
             device: clone_preserving_capacity(&self.device),
-            u_lo: clone_preserving_capacity(&self.u_lo),
-            u_hi: clone_preserving_capacity(&self.u_hi),
-            v_lo: clone_preserving_capacity(&self.v_lo),
-            v_hi: clone_preserving_capacity(&self.v_hi),
         }
     }
 }
@@ -150,10 +132,6 @@ impl MergeArena {
             pc0: Vec::with_capacity(capacity),
             pc1: Vec::with_capacity(capacity),
             device: Vec::with_capacity(capacity),
-            u_lo: Vec::with_capacity(capacity),
-            u_hi: Vec::with_capacity(capacity),
-            v_lo: Vec::with_capacity(capacity),
-            v_hi: Vec::with_capacity(capacity),
         })
     }
 
@@ -174,10 +152,6 @@ impl MergeArena {
     pub fn push_state(&mut self, state: &SubtreeState) -> usize {
         let i = self.ms.len();
         self.ms.push(state.ms);
-        self.u_lo.push(state.ms.u().lo());
-        self.u_hi.push(state.ms.u().hi());
-        self.v_lo.push(state.ms.v().lo());
-        self.v_hi.push(state.ms.v().hi());
         self.delay.push(state.delay);
         self.cap.push(state.cap);
         match state.edge_device {
@@ -223,37 +197,15 @@ impl MergeArena {
         self.ms[a].distance(&self.ms[b])
     }
 
-    /// Batched [`distance`](Self::distance): writes
-    /// `distance(center, candidates[i])` into `out[i]` for every candidate.
-    ///
-    /// Reads the flat endpoint columns in [`BOUND_LANES`]-wide branch-free
-    /// steps (a pure max-chain per candidate), bit-identical to the
-    /// per-pair path with `center` as the first argument — the same
-    /// subtractions in the same order, so objectives can build their
-    /// `bound_batch` kernels on top without perturbing heap keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `candidates` and `out` differ in length.
-    pub fn distance_batch(&self, center: usize, candidates: &[u32], out: &mut [f64]) {
-        assert_eq!(candidates.len(), out.len());
-        let (c_ulo, c_uhi) = (self.u_lo[center], self.u_hi[center]);
-        let (c_vlo, c_vhi) = (self.v_lo[center], self.v_hi[center]);
-        let dist = |y: usize| {
-            let du = (c_ulo - self.u_hi[y]).max(self.u_lo[y] - c_uhi).max(0.0);
-            let dv = (c_vlo - self.v_hi[y]).max(self.v_lo[y] - c_vhi).max(0.0);
-            du.max(dv)
-        };
-        let mut cands = candidates.chunks_exact(BOUND_LANES);
-        let mut outs = out.chunks_exact_mut(BOUND_LANES);
-        for (cs, os) in (&mut cands).zip(&mut outs) {
-            for lane in 0..BOUND_LANES {
-                os[lane] = dist(cs[lane] as usize);
-            }
-        }
-        for (&y, o) in cands.remainder().iter().zip(outs.into_remainder()) {
-            *o = dist(y as usize);
-        }
+    /// The merging region of node `i` as the `[u_lo, u_hi, v_lo, v_hi]`
+    /// rotated-interval endpoints of a [`BoundTerms`](crate::BoundTerms)
+    /// row, so bound kernels price it with `Trr::distance`'s exact
+    /// expression.
+    #[inline]
+    #[must_use]
+    pub fn region(&self, i: usize) -> [f64; 4] {
+        let ms = &self.ms[i];
+        [ms.u().lo(), ms.u().hi(), ms.v().lo(), ms.v().hi()]
     }
 
     /// The Elmore delay (ps) below node `i`.
@@ -302,10 +254,6 @@ impl MergeArena {
         self.pc0.truncate(len);
         self.pc1.truncate(len);
         self.device.truncate(len);
-        self.u_lo.truncate(len);
-        self.u_hi.truncate(len);
-        self.v_lo.truncate(len);
-        self.v_hi.truncate(len);
     }
 
     /// The zero-skew merge of nodes `a` and `b` from the cached
@@ -364,7 +312,7 @@ impl MergeArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zero_skew_merge;
+    use crate::{zero_skew_merge, BoundColumns, BoundTerms};
     use gcr_geometry::Point;
 
     fn sinks() -> Vec<Sink> {
@@ -407,11 +355,12 @@ mod tests {
         }
     }
 
-    /// The batched distance kernel must agree bitwise with the per-pair
-    /// path on every (center, candidate) combination, including lane
-    /// remainders and region-vs-region (non-point) distances.
+    /// Region rows priced by the columnar kernel must agree bitwise with
+    /// the per-pair distance on every (center, candidate) combination,
+    /// including region-vs-region (non-point) distances and runs whose
+    /// length is not a multiple of any vector width.
     #[test]
-    fn distance_batch_matches_per_pair_distance_bitwise() {
+    fn region_rows_match_per_pair_distance_bitwise() {
         let tech = Technology::default();
         let sinks: Vec<Sink> = (0..23)
             .map(|i| {
@@ -430,23 +379,27 @@ mod tests {
             arena.merge_push(a, b, None).unwrap();
         }
         let n = arena.len();
+        let terms = |i: usize| BoundTerms {
+            region: arena.region(i),
+            scalars: [0.0; 2],
+        };
+        let mut cols = BoundColumns::default();
+        for y in 0..n {
+            cols.push(terms(y));
+        }
         let mut out = vec![0.0; n];
         for center in 0..n {
-            let candidates: Vec<u32> = (0..n as u32).collect();
-            arena.distance_batch(center, &candidates, &mut out[..n]);
-            for (y, &got) in candidates.iter().zip(&out[..n]) {
-                let want = arena.distance(center, *y as usize);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "distance({center}, {y}): {got} vs {want}"
-                );
-            }
-            // Exercise the remainder path with a short, unaligned slice.
-            let short: Vec<u32> = (0..5).collect();
-            arena.distance_batch(center, &short, &mut out[..5]);
-            for (y, &got) in short.iter().zip(&out[..5]) {
-                assert_eq!(got.to_bits(), arena.distance(center, *y as usize).to_bits());
+            for len in [n, 5] {
+                let rows = cols.rows().slice(0..len);
+                rows.price(&terms(center), &mut out[..len], |d, _| d);
+                for (y, &got) in out[..len].iter().enumerate() {
+                    let want = arena.distance(center, y);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "distance({center}, {y}): {got} vs {want}"
+                    );
+                }
             }
         }
     }

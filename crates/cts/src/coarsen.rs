@@ -54,7 +54,7 @@ use crate::greedy::{
     elapsed_ns, resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch,
     GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
 };
-use crate::{CtsError, Topology};
+use crate::{BoundRows, BoundTerms, CtsError, Topology};
 
 /// Tuning knobs of a coarsened run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -310,12 +310,24 @@ impl<O: MergeObjective> MergeObjective for MappedObjective<'_, O> {
         self.inner.cost_lower_bound(x, y)
     }
 
+    #[inline]
+    fn bound_terms(&self, node: usize) -> BoundTerms {
+        self.inner.bound_terms(self.map[node] as usize)
+    }
+
+    // Rows carry the inner objective's terms, so its kernel prices them
+    // as is.
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+        self.inner.bound_kernel(center, rows, out);
+    }
+
     // An ECO splice's leaves are super-leaves: added and dirtied sinks,
     // and the roots of surviving subtrees. The engine takes the floor
     // over them through `leaf_floor`, so an internal root's static term
-    // and enable probability bound it too. The distance half still
-    // assumes point partners: a survivor root's merging region can come
-    // closer than its center (docs/algorithms.md §Incremental ECO).
+    // and enable probability bound it too; and it shrinks `dist` by the
+    // region radii (read from `bound_terms`), so a survivor root's
+    // segment reaching past its center is covered as well
+    // (docs/algorithms.md §Incremental ECO).
     fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
         self.inner
             .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
@@ -603,37 +615,7 @@ fn add_profile(acc: &mut GreedyProfile, p: &GreedyProfile) {
 mod tests {
     use super::*;
     use crate::run_greedy_with_scratch;
-
-    /// Objective over plain points: cost = Manhattan distance, a merge
-    /// creates the midpoint (the greedy test objective, subset-closed:
-    /// a local instance over any member set has bit-identical leaf
-    /// states).
-    #[derive(Clone)]
-    struct PointObjective {
-        points: Vec<Point>,
-    }
-
-    impl MergeObjective for PointObjective {
-        fn cost(&self, a: usize, b: usize) -> f64 {
-            self.points[a].manhattan(self.points[b])
-        }
-        fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-            self.cost(a, b)
-        }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
-            dist
-        }
-        fn location(&self, node: usize) -> Point {
-            self.points[node]
-        }
-        fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-            assert!(a < b, "merge ({a}, {b}) is not in ascending order");
-            assert_eq!(k, self.points.len());
-            let mid = self.points[a].midpoint(self.points[b]);
-            self.points.push(mid);
-            Ok(())
-        }
-    }
+    use crate::testing::PointObjective;
 
     fn scatter(n: usize) -> Vec<Point> {
         (0..n)
@@ -654,6 +636,47 @@ mod tests {
                 log_decisions: true,
             },
             target_region_size: target,
+        }
+    }
+
+    /// The sub-run view's bound kernel must stay bitwise equal to its
+    /// scalar bound under a non-monotone map — where it canonicalizes
+    /// pairs and the kernel prices center-first — over segment regions
+    /// (merged nodes) and point leaves, on odd sub-slices of the rows.
+    #[test]
+    fn mapped_kernel_is_bitwise_scalar_under_a_non_monotone_map() {
+        use crate::{BoundColumns, NearestNeighborObjective, Sink};
+        let tech = gcr_rctree::Technology::default();
+        let sinks: Vec<Sink> = scatter(24)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| Sink::new(p, 0.02 + 0.01 * (i % 3) as f64))
+            .collect();
+        let mut inner = NearestNeighborObjective::new(&tech, &sinks, None);
+        for (k, (a, b)) in [(0, 5), (7, 9), (24, 11), (2, 3)].into_iter().enumerate() {
+            inner.merge(a, b, 24 + k).unwrap();
+        }
+        let mut map: Vec<u32> = vec![25, 4, 26, 1, 27, 8, 6, 13, 12, 10, 14];
+        let n = map.len();
+        let mapped = MappedObjective {
+            inner: &mut inner,
+            map: &mut map,
+            next_global: 28,
+        };
+        let mut rows = BoundColumns::default();
+        for y in 0..n {
+            rows.push(mapped.bound_terms(y));
+        }
+        for center in 0..n {
+            let terms = mapped.bound_terms(center);
+            for (start, end) in [(0, n), (1, n), (3, 8)] {
+                let mut out = vec![f64::NAN; end - start];
+                mapped.bound_kernel(&terms, rows.rows().slice(start..end), &mut out);
+                for (y, got) in (start..end).zip(out) {
+                    let want = mapped.cost_lower_bound(center, y);
+                    assert_eq!(got.to_bits(), want.to_bits(), "({center}, {y})");
+                }
+            }
         }
     }
 

@@ -691,43 +691,7 @@ pub fn apply_eco<O: MergeObjective>(
 mod tests {
     use super::*;
     use crate::greedy::run_greedy_with_scratch;
-
-    /// The coarsening test objective: cost = Manhattan distance, merge
-    /// creates the midpoint. Subset-closed, so an ECO objective over the
-    /// new leaf set has bit-identical leaf states.
-    #[derive(Clone)]
-    struct PointObjective {
-        points: Vec<Point>,
-    }
-
-    impl PointObjective {
-        fn over(points: &[Point]) -> Self {
-            Self {
-                points: points.to_vec(),
-            }
-        }
-    }
-
-    impl MergeObjective for PointObjective {
-        fn cost(&self, a: usize, b: usize) -> f64 {
-            self.points[a].manhattan(self.points[b])
-        }
-        fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-            self.cost(a, b)
-        }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
-            dist
-        }
-        fn location(&self, node: usize) -> Point {
-            self.points[node]
-        }
-        fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-            assert_eq!(k, self.points.len());
-            let mid = self.points[a].midpoint(self.points[b]);
-            self.points.push(mid);
-            Ok(())
-        }
-    }
+    use crate::testing::PointObjective;
 
     fn scatter(n: usize) -> Vec<Point> {
         (0..n)

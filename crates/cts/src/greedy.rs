@@ -5,7 +5,7 @@ use gcr_trace::{alloc_count, Tracer};
 
 use crate::arena::NODE_INDEX_LIMIT;
 use crate::nearest::BucketGrid;
-use crate::{CtsError, Topology};
+use crate::{BoundColumns, BoundRows, BoundTerms, CtsError, Topology};
 
 /// The pluggable cost model of the bottom-up greedy merger.
 ///
@@ -32,12 +32,14 @@ use crate::{CtsError, Topology};
 ///
 /// * `cost_lower_bound(a, b) <= cost(a, b)` for every live pair, and
 /// * `cost_lower_bound_at_distance(x, dist, floor) <= cost(x, y)` for
-///   every sink leaf `y` whose location is at Manhattan distance `>= dist`
-///   from `location(x)` and whose [`leaf_floor`](Self::leaf_floor) is
-///   componentwise `>= floor`.
+///   every leaf `y` whose merging region lies at distance `>= dist` from
+///   `x`'s and whose [`leaf_floor`](Self::leaf_floor) is componentwise
+///   `>= floor`.
 ///
 /// The engine passes as `floor` the componentwise minimum of `leaf_floor`
-/// over the leaves still alive when it prices the ring. Leaves only ever
+/// over the leaves still alive when it prices the ring, and as `dist` the
+/// ring's center distance shrunk by the region radii (0 for point
+/// leaves; see [`BoundTerms::radius`]). Leaves only ever
 /// die, so that minimum only rises, and a key priced earlier still
 /// bounds every pair it stands in for.
 ///
@@ -63,34 +65,33 @@ pub trait MergeObjective: Sync {
     /// static terms).
     fn cost_lower_bound(&self, a: usize, b: usize) -> f64;
 
-    /// Batched [`cost_lower_bound`](Self::cost_lower_bound): writes the
-    /// bound of `(center, candidates[i])` into `out[i]` for every
-    /// candidate. The engine prices whole candidate sets (seed rings,
-    /// expansion rings, post-merge floods) through this method, so
-    /// implementations should stream their per-node columns in
-    /// [`BOUND_LANES`](crate::BOUND_LANES)-wide branch-free chunks that
-    /// LLVM can unroll or vectorize.
+    /// The per-node inputs of the batched bound: `node`'s merging region
+    /// and the two scalars [`bound_kernel`](Self::bound_kernel) reads.
+    /// Like the cost, it must depend only on `node`'s (immutable) state:
+    /// the engine copies a node's terms once, into a live-ordered column
+    /// mirror, and prices every later flood from that copy.
+    fn bound_terms(&self, node: usize) -> BoundTerms;
+
+    /// Batched [`cost_lower_bound`](Self::cost_lower_bound) over columns:
+    /// writes the bound of `(c, y_i)` into `out[i]`, where `center` is
+    /// `bound_terms(c)` and row `i` of `rows` is `bound_terms(y_i)`. The
+    /// engine prices every candidate set (seed rings, expansion rings,
+    /// post-merge floods) through this one kernel, so implementations
+    /// should be a single [`BoundRows::price`] pass.
     ///
     /// **Contract:** each `out[i]` must be bit-identical to
-    /// `cost_lower_bound(center, candidates[i] as usize)` — the engine
-    /// mixes batched and per-pair bounds for the same node, and a single
-    /// differing bit in a heap key could reorder pops. The default
-    /// implementation simply delegates per pair.
+    /// `cost_lower_bound(c, y_i)`: a single differing bit in a heap key
+    /// could reorder pops.
     ///
     /// # Panics
     ///
-    /// Implementations may assume (and the default asserts) that
-    /// `candidates` and `out` have equal lengths.
-    fn bound_batch(&self, center: usize, candidates: &[u32], out: &mut [f64]) {
-        assert_eq!(candidates.len(), out.len());
-        for (o, &y) in out.iter_mut().zip(candidates) {
-            *o = self.cost_lower_bound(center, y as usize);
-        }
-    }
+    /// Implementations may assume (and [`BoundRows::price`] asserts) that
+    /// `rows` and `out` have equal lengths.
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]);
 
-    /// Admissible lower bound on `cost(node, y)` over every **sink leaf**
-    /// `y` located at Manhattan distance at least `dist` from
-    /// `location(node)` whose [`leaf_floor`](Self::leaf_floor) is
+    /// Admissible lower bound on `cost(node, y)` over every **leaf** `y`
+    /// whose merging region lies at distance at least `dist` from
+    /// `node`'s and whose [`leaf_floor`](Self::leaf_floor) is
     /// componentwise at least `floor`. Used to price the not-yet-generated
     /// bucket-grid rings of a leaf, so `node` is always a leaf when the
     /// engine calls this.
@@ -137,8 +138,9 @@ pub struct GreedyStats {
     pub ring_expansions: u64,
     /// Heap entries popped, including lazily-deleted dead ones.
     pub heap_pops: u64,
-    /// [`MergeObjective::bound_batch`] invocations (seed sweeps, ring
-    /// expansions, and post-merge floods each count once).
+    /// Candidate batches priced through [`MergeObjective::bound_kernel`]
+    /// (each seed ring set, ring expansion, and post-merge flood counts
+    /// once).
     pub bound_batches: u64,
     /// Candidates whose bound lost to the center node's best known exact
     /// cost and were parked in the deferred-candidate slab instead of
@@ -563,51 +565,76 @@ fn row_heapify(items: &mut [(f64, u32)]) {
 pub struct GreedyScratch {
     heap: MinHeap,
     alive: Vec<bool>,
+    /// The live nodes, in no particular order: removal swaps the last
+    /// node into the hole.
     live: Vec<u32>,
+    /// Each live node's slot in `live` (stale for dead nodes).
+    live_pos: Vec<u32>,
+    /// The live nodes' [`BoundTerms`], row `i` belonging to `live[i]`:
+    /// floods price straight from these columns.
+    live_terms: BoundColumns,
     members: Vec<u32>,
     batch: Vec<(u32, u32)>,
     entries: Vec<Entry>,
     locations: Vec<Point>,
     merges: Vec<(usize, usize)>,
-    /// Candidate node indices of the batch currently being priced.
+    /// Candidate node indices of the seed or ring batch being priced.
     cand: Vec<u32>,
+    /// The [`BoundTerms`] of a ring batch's `cand`, row for row.
+    cand_terms: BoundColumns,
+    /// Per-worker buffers the seed sweep copies each leaf's candidate
+    /// terms into (see [`seed_bound_batches`]).
+    seed_terms: Vec<BoundColumns>,
     /// Per-leaf offsets into `cand` during the seed sweep (CSR layout).
     cand_starts: Vec<u32>,
-    /// `bound_batch` output column, parallel to `cand`.
+    /// Bound kernel output column: parallel to `cand` for seed and ring
+    /// batches, to `live` for floods. Only ever grows, so pricing a batch
+    /// never zero-fills it.
     bounds: Vec<f64>,
     /// Best known exact cost touching each node (+∞ until its first
     /// exact evaluation) — the filtering threshold of the pruned engine.
     best_seen: Vec<f64>,
-    /// `(bound, candidate)` staging buffer for the truncation quickselect
-    /// in [`defer_row`].
-    selbuf: Vec<(f64, u32)>,
+    /// The packed row keys a truncated flood keeps (see
+    /// [`select_flood`]).
+    selbuf: Vec<u128>,
     slab: CandidateSlab,
-    /// Floor of the at-distance ring bound over the live leaves.
-    live_floor: LiveFloor,
+    /// Floors of the at-distance ring bound over the live leaves.
+    live_floor: LiveFloor<3>,
     /// Decision log of the last run, populated only under
     /// [`GreedyParams::log_decisions`].
     decisions: Vec<MergeDecision>,
 }
 
-/// The componentwise minimum of [`MergeObjective::leaf_floor`] over the
-/// live leaves, in amortized O(1) per query. Each floor term keeps the
+/// The componentwise minimum of `N` per-leaf terms over the live leaves,
+/// in amortized O(1) per query. The engine floors three: the two of
+/// [`MergeObjective::leaf_floor`] and the negated region radius (so the
+/// third floor is minus the largest live radius). Each term keeps the
 /// leaves sorted by that term (once per run, `total_cmp` with ties by
 /// leaf index) and a cursor that only moves forward, past leaves that
 /// have died; leaves never come back to life, so a skipped slot never
-/// needs revisiting. Both orders keep their capacity across runs, so a
+/// needs revisiting. Every order keeps its capacity across runs, so a
 /// warm run sorts without allocating.
-#[derive(Clone, Debug, Default)]
-struct LiveFloor {
+#[derive(Clone, Debug)]
+struct LiveFloor<const N: usize> {
     /// Per floor term: `(term, leaf)`, ascending.
-    order: [Vec<(f64, u32)>; 2],
+    order: [Vec<(f64, u32)>; N],
     /// Per floor term: the first slot of `order` that may still be alive.
-    cursor: [usize; 2],
+    cursor: [usize; N],
 }
 
-impl LiveFloor {
+impl<const N: usize> Default for LiveFloor<N> {
+    fn default() -> Self {
+        Self {
+            order: std::array::from_fn(|_| Vec::new()),
+            cursor: [0; N],
+        }
+    }
+}
+
+impl<const N: usize> LiveFloor<N> {
     /// Sorts the leaves by each floor term; `floors` yields the terms of
     /// leaves `0, 1, …` in order.
-    fn reset(&mut self, floors: impl Iterator<Item = [f64; 2]>) {
+    fn reset(&mut self, floors: impl Iterator<Item = [f64; N]>) {
         for order in &mut self.order {
             order.clear();
         }
@@ -619,13 +646,13 @@ impl LiveFloor {
         for order in &mut self.order {
             order.sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
         }
-        self.cursor = [0; 2];
+        self.cursor = [0; N];
     }
 
     /// The current floor: per term, the least value any live leaf holds
     /// (`+∞` once no leaf is alive).
-    fn floor(&mut self, alive: &[bool]) -> [f64; 2] {
-        let mut floor = [f64::INFINITY; 2];
+    fn floor(&mut self, alive: &[bool]) -> [f64; N] {
+        let mut floor = [f64::INFINITY; N];
         for ((order, cursor), out) in self.order.iter().zip(&mut self.cursor).zip(&mut floor) {
             while let Some(&(term, leaf)) = order.get(*cursor) {
                 if alive[leaf as usize] {
@@ -663,22 +690,31 @@ impl GreedyScratch {
 
     /// Clears every buffer and sizes the liveness state for a run over
     /// `total = 2 * num_leaves - 1` nodes with leaves `0..num_leaves`
-    /// initially alive.
-    fn reset(&mut self, total: usize, num_leaves: usize) {
+    /// initially alive. With `mirror` (the pruned engine) it also sizes
+    /// `live_pos` and reserves the live mirror's rows, so the merge loop
+    /// never grows them.
+    fn reset(&mut self, total: usize, num_leaves: usize, mirror: bool) {
         self.heap.data.clear();
         self.alive.clear();
         self.alive.resize(total, false);
         self.alive[..num_leaves].fill(true);
         self.live.clear();
         self.live.extend(0..num_leaves as u32);
+        self.live_pos.clear();
+        self.live_terms.clear();
+        if mirror {
+            self.live_pos.extend(0..num_leaves as u32);
+            self.live_pos.resize(total, u32::MAX);
+            self.live_terms.reserve(num_leaves);
+        }
         self.members.clear();
         self.batch.clear();
         self.entries.clear();
         self.locations.clear();
         self.merges.clear();
         self.cand.clear();
+        self.cand_terms.clear();
         self.cand_starts.clear();
-        self.bounds.clear();
         self.best_seen.clear();
         self.best_seen.resize(total, f64::INFINITY);
         self.selbuf.clear();
@@ -695,7 +731,38 @@ impl GreedyScratch {
 /// untouched.
 #[cfg(feature = "shadow-invariants")]
 mod shadow {
-    use super::{Entry, MinHeap, Point};
+    use super::{BoundColumns, Entry, MergeObjective, MinHeap, Point};
+
+    /// Before a flood prices from the live mirror: `live_pos` must invert
+    /// `live`, and every mirror row must equal its node's
+    /// [`bound_terms`](MergeObjective::bound_terms) bit for bit — a stale
+    /// or misplaced row would price a pair from another node's state.
+    pub(super) fn live_mirror<O: MergeObjective>(
+        objective: &O,
+        live: &[u32],
+        live_pos: &[u32],
+        terms: &BoundColumns,
+    ) {
+        assert_eq!(
+            terms.len(),
+            live.len(),
+            "shadow-invariants: live mirror holds {} rows for {} live nodes",
+            terms.len(),
+            live.len()
+        );
+        let rows = terms.rows();
+        for (i, &node) in live.iter().enumerate() {
+            assert_eq!(
+                live_pos[node as usize] as usize, i,
+                "shadow-invariants: live_pos of node {node} does not point at its live slot {i}"
+            );
+            assert_eq!(
+                rows.row(i).to_bits(),
+                objective.bound_terms(node as usize).to_bits(),
+                "shadow-invariants: live mirror row {i} differs from node {node}'s bound terms"
+            );
+        }
+    }
 
     /// After a pop, the new heap top must not precede the popped entry in
     /// the strict `(key, kind, a, b)` total order — a cheap online probe
@@ -765,7 +832,16 @@ mod shadow {
 /// optimizer erases, keeping call sites unconditional.
 #[cfg(not(feature = "shadow-invariants"))]
 mod shadow {
-    use super::{Entry, MinHeap, Point};
+    use super::{BoundColumns, Entry, MergeObjective, MinHeap, Point};
+
+    #[inline]
+    pub(super) fn live_mirror<O: MergeObjective>(
+        _objective: &O,
+        _live: &[u32],
+        _live_pos: &[u32],
+        _terms: &BoundColumns,
+    ) {
+    }
 
     #[inline]
     pub(super) fn heap_monotone(_heap: &MinHeap, _popped: Entry) {}
@@ -820,61 +896,81 @@ fn evaluate_exact_pairs_into<O: MergeObjective>(
     });
 }
 
-/// Prices one center node against a candidate batch via
-/// [`MergeObjective::bound_batch`], sharding the batch across `threads`
-/// workers when it is at least [`PARALLEL_THRESHOLD`] long. Each worker
-/// writes a disjoint `bounds` sub-slice, so the output is independent of
-/// the sharding (and of `threads`).
-fn bound_batch_sharded<O: MergeObjective>(
+/// The first `n` slots of the kernel output column, growing it only when
+/// a batch outgrows every earlier one (stale values are overwritten by
+/// the kernel, so nothing is zero-filled per batch).
+fn out_column(bounds: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    if bounds.len() < n {
+        bounds.resize(n, 0.0);
+    }
+    &mut bounds[..n]
+}
+
+/// Prices `center` against every row of `rows` through
+/// [`MergeObjective::bound_kernel`], splitting the columns into
+/// contiguous slices across `threads` workers when the batch is at least
+/// [`PARALLEL_THRESHOLD`] long. Each worker writes a disjoint `out`
+/// sub-slice, so the output is independent of the split (and of
+/// `threads`).
+fn price_rows<O: MergeObjective>(
     objective: &O,
-    center: usize,
-    candidates: &[u32],
-    bounds: &mut [f64],
+    center: &BoundTerms,
+    rows: BoundRows<'_>,
+    out: &mut [f64],
     threads: usize,
 ) {
-    if candidates.len() < PARALLEL_THRESHOLD || threads == 1 {
-        objective.bound_batch(center, candidates, bounds);
+    if rows.len() < PARALLEL_THRESHOLD || threads == 1 {
+        objective.bound_kernel(center, rows, out);
         return;
     }
-    let chunk = candidates.len().div_ceil(threads);
+    let chunk = rows.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for (cs, bs) in candidates.chunks(chunk).zip(bounds.chunks_mut(chunk)) {
-            scope.spawn(move || objective.bound_batch(center, cs, bs));
+        for (i, part) in out.chunks_mut(chunk).enumerate() {
+            let start = i * chunk;
+            let slice = rows.slice(start..start + part.len());
+            scope.spawn(move || objective.bound_kernel(center, slice, part));
         }
     });
 }
 
 /// Prices the seed phase's per-leaf candidate lists (CSR layout:
 /// `starts[x]..starts[x + 1]` indexes `cand` for leaf `x`) with one
-/// [`MergeObjective::bound_batch`] call per leaf, fanning contiguous leaf
-/// ranges across `threads` workers when the flood is large. Results are
-/// independent of the leaf partitioning.
+/// [`MergeObjective::bound_kernel`] call per leaf, each over that leaf's
+/// candidates' terms gathered from the leaf rows `leaves` into `terms`
+/// (a per-leaf batch stays in cache; the whole seed's terms would not).
+/// Contiguous leaf ranges fan across `threads` workers when the flood is
+/// large, worker `t` copying into `terms[t]`; the serial sweep uses
+/// `terms[0]`. Results are independent of the leaf partitioning.
 fn seed_bound_batches<O: MergeObjective>(
     objective: &O,
+    leaves: BoundRows<'_>,
     cand: &[u32],
     starts: &[u32],
     bounds: &mut [f64],
+    terms: &mut [BoundColumns],
     threads: usize,
 ) {
     let num_centers = starts.len() - 1;
-    let price_range = |range: std::ops::Range<usize>, out: &mut [f64]| {
+    let price_range = |range: std::ops::Range<usize>, out: &mut [f64], terms: &mut BoundColumns| {
         let base = starts[range.start] as usize;
         for x in range {
             let (s, e) = (starts[x] as usize, starts[x + 1] as usize);
             if e > s {
-                objective.bound_batch(x, &cand[s..e], &mut out[s - base..e - base]);
+                terms.clear();
+                terms.extend_from_rows(leaves, &cand[s..e]);
+                objective.bound_kernel(&leaves.row(x), terms.rows(), &mut out[s - base..e - base]);
             }
         }
     };
     if cand.len() < PARALLEL_THRESHOLD || threads == 1 {
-        price_range(0..num_centers, bounds);
+        price_range(0..num_centers, bounds, &mut terms[0]);
         return;
     }
     let price_range = &price_range;
     std::thread::scope(|scope| {
         let mut rest = bounds;
         let mut begin = 0;
-        for t in 0..threads {
+        for (t, buf) in terms.iter_mut().enumerate().take(threads) {
             let end = ((t + 1) * num_centers) / threads;
             if end <= begin {
                 continue;
@@ -883,7 +979,7 @@ fn seed_bound_batches<O: MergeObjective>(
             let (mine, tail) = rest.split_at_mut(len);
             rest = tail;
             let range = begin..end;
-            scope.spawn(move || price_range(range, mine));
+            scope.spawn(move || price_range(range, mine, buf));
             begin = end;
         }
     });
@@ -965,125 +1061,43 @@ fn gather_seed_rings_sharded(
     }
 }
 
-/// Routes one priced candidate batch of `center`: the minimum bound goes
-/// straight to the heap (it is the candidate a greedy commit will want,
-/// so parking it would only force a row reopen later), and the rest are
-/// parked in a fresh slab row covered by a single `KIND_DEFER` entry
+/// Routes one priced seed or ring batch of `center`: the minimum bound
+/// goes straight to the heap (it is the candidate a greedy commit will
+/// want, so parking it would only force a row reopen later), and the rest
+/// are parked in a fresh slab row covered by a single `KIND_DEFER` entry
 /// keyed at the remainder's minimum bound — an admissible stand-in for
 /// every parked pair, so deferral never changes the committed merges. No
 /// parked candidate touches the heap until the row's key actually
 /// surfaces; rows whose center merges first cost one lazy-deleted pop in
 /// total.
-///
-/// With `truncate` set (flood batches), only the [`ROW_KEEP`] cheapest
-/// candidates are stored; the rest stay representable by the row's
-/// cutoff and are re-priced on demand. `floor` (from a draining
-/// truncated row) drops every candidate at or below the previous cutoff,
-/// keeping re-floods disjoint from what earlier rows already surfaced.
-#[allow(clippy::too_many_arguments)]
 fn defer_row(
     heap: &mut MinHeap,
     slab: &mut CandidateSlab,
-    selbuf: &mut Vec<(f64, u32)>,
     stats: &mut GreedyStats,
     center: u32,
     cand: &[u32],
     bounds: &[f64],
-    truncate: bool,
-    floor: Option<(f64, u32)>,
 ) {
-    // Sentinel form of the floor cutoff: with no floor, every finite key
-    // beats `-inf` in one predictable comparison, so the filter costs
-    // nothing on the (dominant) un-floored flood path.
-    let (fkey, fy) = floor.unwrap_or((f64::NEG_INFINITY, 0));
-    let below_floor = |key: f64, y: u32| key <= fkey && !row_lt((fkey, fy), (key, y));
-    if !truncate {
-        // Small batch (seed ring / expansion ring): store verbatim.
-        let mut lead = (f64::INFINITY, u32::MAX);
-        let mut k = 0_usize;
-        for (&y, &key) in cand.iter().zip(bounds) {
-            assert!(!key.is_nan(), "merge bound of ({y}, {center}) is NaN");
-            if below_floor(key, y) {
-                continue;
-            }
-            k += 1;
-            if row_lt((key, y), lead) {
-                lead = (key, y);
-            }
-        }
-        if k == 0 {
-            return;
-        }
-        push_bound(heap, center, lead.1, lead.0);
-        let row_start = slab.items.len();
-        let mut deferred_min = (f64::INFINITY, u32::MAX);
-        let mut skipped_lead = false;
-        for (&y, &key) in cand.iter().zip(bounds) {
-            if below_floor(key, y) {
-                continue;
-            }
-            if !skipped_lead && (key, y) == lead {
-                skipped_lead = true;
-                continue;
-            }
-            slab.items.push((key, y));
-            if row_lt((key, y), deferred_min) {
-                deferred_min = (key, y);
-            }
-        }
-        finish_row(
-            heap,
-            slab,
-            stats,
-            center,
-            row_start,
-            deferred_min.0,
-            false,
-            (0.0, 0),
-        );
-        return;
-    }
-    // Truncation path: stage the batch, then one quickselect puts the
-    // ROW_KEEP + 1 cheapest candidates (under `row_lt`) in front — O(n)
-    // with no per-item heap churn, and the pivot element itself is the
-    // cutoff every discarded candidate strictly exceeds, which is what
-    // lets a future re-flood reconstruct exactly the tail this row never
-    // held.
-    selbuf.clear();
+    let mut lead = (f64::INFINITY, u32::MAX);
     for (&y, &key) in cand.iter().zip(bounds) {
         assert!(!key.is_nan(), "merge bound of ({y}, {center}) is NaN");
-        if below_floor(key, y) {
-            continue;
+        if row_lt((key, y), lead) {
+            lead = (key, y);
         }
-        selbuf.push((key, y));
     }
-    if selbuf.is_empty() {
+    if cand.is_empty() {
         return;
     }
-    let truncated = selbuf.len() > ROW_KEEP + 1;
-    let mut cutoff = (0.0, 0);
-    if truncated {
-        selbuf.select_nth_unstable_by(ROW_KEEP, |p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
-        cutoff = selbuf[ROW_KEEP];
-        selbuf.truncate(ROW_KEEP + 1);
-    }
-    let mut best_i = 0;
-    for i in 1..selbuf.len() {
-        if row_lt(selbuf[i], selbuf[best_i]) {
-            best_i = i;
-        }
-    }
-    let (lead_key, lead) = selbuf[best_i];
-    push_bound(heap, center, lead, lead_key);
+    push_bound(heap, center, lead.1, lead.0);
     let row_start = slab.items.len();
     let mut deferred_min = (f64::INFINITY, u32::MAX);
-    for (i, &item) in selbuf.iter().enumerate() {
-        if i == best_i {
+    for (&y, &key) in cand.iter().zip(bounds) {
+        if y == lead.1 {
             continue;
         }
-        slab.items.push(item);
-        if row_lt(item, deferred_min) {
-            deferred_min = item;
+        slab.items.push((key, y));
+        if row_lt((key, y), deferred_min) {
+            deferred_min = (key, y);
         }
     }
     finish_row(
@@ -1093,9 +1107,232 @@ fn defer_row(
         center,
         row_start,
         deferred_min.0,
-        truncated,
-        cutoff,
+        false,
+        (0.0, 0),
     );
+}
+
+/// Routes one priced flood batch of `center` like [`defer_row`], but
+/// stores only the [`ROW_KEEP`] cheapest candidates after the lead (see
+/// [`select_flood`]); the rest stay representable by the row's cutoff
+/// and are re-priced on demand. A re-flood passes the `floor` of the
+/// drained row it replaces, dropping every candidate at or below that
+/// cutoff so re-floods stay disjoint from what earlier rows surfaced.
+#[allow(clippy::too_many_arguments)]
+fn defer_flood(
+    heap: &mut MinHeap,
+    slab: &mut CandidateSlab,
+    selbuf: &mut Vec<u128>,
+    stats: &mut GreedyStats,
+    center: u32,
+    ids: &[u32],
+    bounds: &[f64],
+    floor: Option<(f64, u32)>,
+) {
+    let Some(row) = select_flood(center, ids, bounds, floor, selbuf) else {
+        return;
+    };
+    push_bound(heap, center, row.lead.1, row.lead.0);
+    let row_start = slab.items.len();
+    let mut deferred_min = u128::MAX;
+    for &key in selbuf.iter() {
+        slab.items.push(row_unkey(key));
+        deferred_min = deferred_min.min(key);
+    }
+    let deferred_min = if deferred_min == u128::MAX {
+        f64::INFINITY
+    } else {
+        row_unkey(deferred_min).0
+    };
+    finish_row(
+        heap,
+        slab,
+        stats,
+        center,
+        row_start,
+        deferred_min,
+        row.cutoff.is_some(),
+        row.cutoff.unwrap_or((0.0, 0)),
+    );
+}
+
+/// Candidates a truncated flood row keeps: the lead plus [`ROW_KEEP`]
+/// stored ones.
+const FLOOD_KEEP: usize = ROW_KEEP + 1;
+
+/// Packs `(bound, partner)` into one integer whose unsigned order is
+/// exactly [`row_lt`]'s: the bound's bits, remapped so that unsigned
+/// order is `f64::total_cmp` order (flip every bit of a negative, only
+/// the sign bit of a positive), above the partner in the low 32 bits.
+fn row_key((key, y): (f64, u32)) -> u128 {
+    let bits = key.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    (u128::from(ordered) << 32) | u128::from(y)
+}
+
+/// Inverse of [`row_key`].
+fn row_unkey(packed: u128) -> (f64, u32) {
+    let ordered = (packed >> 32) as u64;
+    let bits = ordered ^ ((!((ordered as i64) >> 63) as u64) | (1 << 63));
+    (f64::from_bits(bits), packed as u32)
+}
+
+/// What [`select_flood`] chose from one flood batch.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct FloodRow {
+    /// The cheapest candidate, which goes straight to the heap.
+    lead: (f64, u32),
+    /// The most expensive kept candidate, set only when the batch held
+    /// more than [`FLOOD_KEEP`] candidates above the floor.
+    cutoff: Option<(f64, u32)>,
+}
+
+/// Kept candidates [`select_flood`] buffers before it compacts the
+/// buffer back to the [`FLOOD_KEEP`] least.
+const SELECT_SPAN: usize = 2 * FLOOD_KEEP;
+
+/// Candidates [`keep_cheapest`] screens per block against one limit.
+const SCREEN_BLOCK: usize = 128;
+
+/// Picks the [`FLOOD_KEEP`] least `(bound, partner)` candidates of a
+/// flood batch (`ids[i]` priced at `bounds[i]`) strictly above `floor`,
+/// as [`row_key`]s in `sel`. A first flood has no floor and `ids` (the
+/// live set) does not hold `center`; a re-flood has a floor, and the
+/// center's own row in `ids` is skipped. Returns `None` when no
+/// candidate qualifies; otherwise the lead is removed from `sel`, which
+/// is left holding the stored set.
+///
+/// The result is exactly that of a quickselect over the whole batch
+/// under [`row_lt`]: the same lead, stored set, cutoff and truncation
+/// flag, since `row_key` order is `row_lt` order and every partner is
+/// distinct.
+fn select_flood(
+    center: u32,
+    ids: &[u32],
+    bounds: &[f64],
+    floor: Option<(f64, u32)>,
+    sel: &mut Vec<u128>,
+) -> Option<FloodRow> {
+    sel.clear();
+    let truncated = if let Some(floor) = floor {
+        // Until its first compaction `keep_cheapest` keeps everything
+        // above the floor: either `sel` holds every qualifying candidate,
+        // or at least SELECT_SPAN of them qualified.
+        let compacted = keep_cheapest(center, ids, bounds, row_key(floor), f64::INFINITY, sel);
+        compacted || sel.len() > FLOOD_KEEP
+    } else {
+        debug_assert!(
+            !ids.contains(&center),
+            "a first flood's live set holds its center"
+        );
+        // No key packs to 0 (that would be a NaN), so nothing is floored.
+        keep_cheapest(center, ids, bounds, 0, flood_limit(bounds), sel);
+        ids.len() > FLOOD_KEEP
+    };
+    if sel.is_empty() {
+        return None;
+    }
+    let max = if sel.len() > FLOOD_KEEP {
+        keep_least(sel)
+    } else {
+        sel.iter().copied().fold(0, u128::max)
+    };
+    let cutoff = truncated.then(|| row_unkey(max));
+    let mut lead_i = 0;
+    for i in 1..sel.len() {
+        if sel[i] < sel[lead_i] {
+            lead_i = i;
+        }
+    }
+    let lead = row_unkey(sel.swap_remove(lead_i));
+    Some(FloodRow { lead, cutoff })
+}
+
+/// A bound at or above the [`FLOOD_KEEP`]-th least of an unfloored
+/// batch, from one vectorizable pass over the column: the minima of the
+/// [`SELECT_SPAN`] strided groups `{k, k + SELECT_SPAN, …}` are distinct
+/// candidates, so at least `FLOOD_KEEP` candidates lie at or below the
+/// `FLOOD_KEEP`-th least minimum, found by an integer select on the
+/// minima's `total_cmp`-ordered bits. (The compare-select skips NaNs, so
+/// a group of NaNs keeps its `+∞` start, which only loosens the limit.)
+/// `+∞` for batches too short to fill every group.
+fn flood_limit(bounds: &[f64]) -> f64 {
+    if bounds.len() <= SELECT_SPAN {
+        return f64::INFINITY;
+    }
+    let mut minima = [f64::INFINITY; SELECT_SPAN];
+    let mut rows = bounds.chunks_exact(SELECT_SPAN);
+    for row in &mut rows {
+        for (m, &b) in minima.iter_mut().zip(row) {
+            *m = if b < *m { b } else { *m };
+        }
+    }
+    for (m, &b) in minima.iter_mut().zip(rows.remainder()) {
+        *m = if b < *m { b } else { *m };
+    }
+    let mut keys = minima.map(|m| (row_key((m, 0)) >> 32) as u64);
+    let (_, &mut limit, _) = keys.select_nth_unstable(FLOOD_KEEP - 1);
+    row_unkey(u128::from(limit) << 32).0
+}
+
+/// Adds to `sel` the candidates of a batch that can still be among its
+/// [`FLOOD_KEEP`] least strictly above `floor`, `center` skipped; returns
+/// whether the buffer was ever compacted.
+///
+/// Each block of [`SCREEN_BLOCK`] bounds is first screened against
+/// `limit_key` by a branch-free float compare that only collects the
+/// survivors' offsets; `limit_key` must be at or above the `FLOOD_KEEP`-th
+/// least qualifying bound. Survivors are packed and ordered exactly, and
+/// every [`SELECT_SPAN`] kept ones the buffer is cut back to its
+/// `FLOOD_KEEP` least, tightening the limit. A screened-out bound is
+/// above the limit and so out of the running (and above the floor too,
+/// which lies below every kept key); NaN, ties and signed zeros all pass
+/// the screen to the exact integer order, where NaN is rejected.
+fn keep_cheapest(
+    center: u32,
+    ids: &[u32],
+    bounds: &[f64],
+    floor: u128,
+    mut limit_key: f64,
+    sel: &mut Vec<u128>,
+) -> bool {
+    let mut limit = u128::MAX;
+    let mut compacted = false;
+    let mut survivors = [0_u32; SCREEN_BLOCK];
+    for (ids, bounds) in ids.chunks(SCREEN_BLOCK).zip(bounds.chunks(SCREEN_BLOCK)) {
+        let mut n = 0;
+        for (j, &key) in bounds.iter().enumerate() {
+            survivors[n] = j as u32;
+            // NaN compares false, so it survives to be rejected below.
+            n += 1 - usize::from(key > limit_key);
+        }
+        for &j in &survivors[..n] {
+            let (y, key) = (ids[j as usize], bounds[j as usize]);
+            if y == center {
+                continue;
+            }
+            assert!(!key.is_nan(), "merge bound of ({y}, {center}) is NaN");
+            let packed = row_key((key, y));
+            if packed <= floor || packed >= limit {
+                continue;
+            }
+            sel.push(packed);
+            if sel.len() == SELECT_SPAN {
+                limit = keep_least(sel);
+                limit_key = row_unkey(limit).0;
+                compacted = true;
+            }
+        }
+    }
+    compacted
+}
+
+/// Cuts `sel` (longer than [`FLOOD_KEEP`]) back to its `FLOOD_KEEP`
+/// least keys and returns the largest of them.
+fn keep_least(sel: &mut Vec<u128>) -> u128 {
+    let (_, &mut max, _) = sel.select_nth_unstable(FLOOD_KEEP - 1);
+    sel.truncate(FLOOD_KEEP);
+    max
 }
 
 /// Pushes the `KIND_BOUND` entry of `(center, y)` in canonical `(lo, hi)`
@@ -1138,23 +1375,36 @@ fn finish_row(
 
 /// Heap key of leaf `x`'s next expansion entry, which stands in for every
 /// pair of `x` not yet generated: those partners live in grid rings
-/// `>= ring`, hence at Manhattan distance `> (ring - 1) * cell`, and are
-/// live leaves, hence at or above the live-leaf `floor` — an admissible
-/// bound by the `cost_lower_bound_at_distance` contract. `None` once
-/// every cell has been swept.
+/// `>= ring`, hence have locations at Manhattan distance
+/// `> (ring - 1) * cell`, and are live leaves, hence at or above the
+/// live-leaf `floor` — an admissible bound by the
+/// `cost_lower_bound_at_distance` contract. `None` once every cell has
+/// been swept.
+///
+/// A leaf's location is the center of its merging region, and a
+/// super-leaf (an ECO splice's survivor root) holds a segment reaching
+/// its radius past that center, so the region distance the pairwise
+/// bound uses can fall short of the center distance by `x`'s radius plus
+/// the partner's. The ring distance is shrunk by `x`'s radius plus the
+/// largest live radius (`-floor[2]`); both are 0 for point leaves, whose
+/// keys stay exactly the plain ring distance's.
 fn expansion_key<O: MergeObjective>(
     objective: &O,
     grid: &BucketGrid,
     x: usize,
     location: Point,
     ring: usize,
-    floor: [f64; 2],
+    floor: [f64; 3],
 ) -> Option<f64> {
     if ring > grid.max_ring(location) {
         return None;
     }
-    let dist = grid.cell_size() * (ring - 1) as f64;
-    let key = objective.cost_lower_bound_at_distance(x, dist, floor);
+    let mut dist = grid.cell_size() * (ring - 1) as f64;
+    let reach = objective.bound_terms(x).radius() - floor[2];
+    if reach > 0.0 {
+        dist = (dist - reach).max(0.0);
+    }
+    let key = objective.cost_lower_bound_at_distance(x, dist, [floor[0], floor[1]]);
     assert!(!key.is_nan(), "expansion bound of leaf {x} is NaN");
     Some(key)
 }
@@ -1170,8 +1420,10 @@ fn expansion_key<O: MergeObjective>(
 /// computed only when a bound surfaces at the top of the heap — i.e. only
 /// when it is competitive with the best known exact cost. Candidate
 /// batches (seed rings, ring expansions, post-merge floods) are priced by
-/// the objective's vectorized [`bound_batch`](MergeObjective::bound_batch)
-/// kernel, and only each batch's cheapest candidate becomes a heap entry;
+/// the objective's columnar [`bound_kernel`](MergeObjective::bound_kernel)
+/// — floods straight from a live-ordered mirror of the live nodes'
+/// [`BoundTerms`] — and only each batch's cheapest candidate becomes a
+/// heap entry;
 /// the rest wait in a slab row covered by a single deferred entry keyed
 /// at their minimum bound, released in small batches only when that
 /// minimum becomes competitive with the center's best known cost (see
@@ -1242,15 +1494,19 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
             limit: NODE_INDEX_LIMIT,
         });
     }
-    scratch.reset(total, num_leaves);
+    scratch.reset(total, num_leaves, true);
     let GreedyScratch {
         heap,
         alive,
         live,
+        live_pos,
+        live_terms,
         members,
         locations,
         merges,
         cand,
+        cand_terms,
+        seed_terms,
         cand_starts,
         bounds,
         best_seen,
@@ -1262,8 +1518,18 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
     } = scratch;
 
     locations.extend((0..num_leaves).map(|i| objective.location(i)));
+    for leaf in 0..num_leaves {
+        live_terms.push(objective.bound_terms(leaf));
+    }
     let mut grid = BucketGrid::build(locations);
-    live_floor.reset((0..num_leaves).map(|leaf| objective.leaf_floor(leaf)));
+    live_floor.reset((0..num_leaves).map(|leaf| {
+        let [static_floor, signal_floor] = objective.leaf_floor(leaf);
+        [
+            static_floor,
+            signal_floor,
+            -live_terms.rows().row(leaf).radius(),
+        ]
+    }));
 
     // Seed: every leaf's nearby rings as one slab row (each pair once,
     // from its lower-index endpoint), plus one expansion entry per leaf
@@ -1298,21 +1564,23 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
     }
     stats.bound_evals += cand.len() as u64;
     stats.bound_batches += cand_starts.windows(2).filter(|w| w[1] > w[0]).count() as u64;
-    bounds.resize(cand.len(), 0.0);
-    seed_bound_batches(&*objective, cand, cand_starts, bounds, threads);
+    if seed_terms.len() < threads {
+        seed_terms.resize_with(threads, BoundColumns::default);
+    }
+    // Every leaf is live and in place, so `live_terms` row `y` is leaf
+    // `y`'s terms.
+    seed_bound_batches(
+        &*objective,
+        live_terms.rows(),
+        cand,
+        cand_starts,
+        out_column(bounds, cand.len()),
+        seed_terms,
+        threads,
+    );
     for x in 0..num_leaves {
         let (s, e) = (cand_starts[x] as usize, cand_starts[x + 1] as usize);
-        defer_row(
-            heap,
-            slab,
-            selbuf,
-            &mut stats,
-            x as u32,
-            &cand[s..e],
-            &bounds[s..e],
-            false,
-            None,
-        );
+        defer_row(heap, slab, &mut stats, x as u32, &cand[s..e], &bounds[s..e]);
     }
     profile.seed_ms = seed_start.elapsed().as_secs_f64() * 1e3;
     profile.seed_allocs = alloc_count() - seed_allocs0;
@@ -1370,18 +1638,21 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                 // afterwards every pair of `x` is priced and parked.
                 if live_leaves <= 8 * ring {
                     cand.clear();
-                    cand.extend(
-                        live.iter()
-                            .copied()
-                            .filter(|&y| (y as usize) < num_leaves && (y as usize) > x),
-                    );
+                    cand_terms.clear();
+                    let rows = live_terms.rows();
+                    for (i, &y) in live.iter().enumerate() {
+                        if (y as usize) < num_leaves && (y as usize) > x {
+                            cand.push(y);
+                            cand_terms.push(rows.row(i));
+                        }
+                    }
                     if !cand.is_empty() {
-                        bounds.clear();
-                        bounds.resize(cand.len(), 0.0);
-                        bound_batch_sharded(&*objective, x, cand, bounds, threads);
+                        let out = out_column(bounds, cand.len());
+                        let center = objective.bound_terms(x);
+                        price_rows(&*objective, &center, cand_terms.rows(), out, threads);
                         stats.bound_batches += 1;
                         stats.bound_evals += cand.len() as u64;
-                        defer_row(heap, slab, selbuf, &mut stats, a, cand, bounds, false, None);
+                        defer_row(heap, slab, &mut stats, a, cand, out);
                     }
                     continue;
                 }
@@ -1425,13 +1696,17 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     }
                 };
                 if !cand.is_empty() {
-                    bounds.clear();
-                    bounds.resize(cand.len(), 0.0);
-                    bound_batch_sharded(&*objective, x, cand, bounds, threads);
-                    shadow::expansion_covers(entry.key, x, cand, bounds);
+                    cand_terms.clear();
+                    for &y in cand.iter() {
+                        cand_terms.push(objective.bound_terms(y as usize));
+                    }
+                    let out = out_column(bounds, cand.len());
+                    let center = objective.bound_terms(x);
+                    price_rows(&*objective, &center, cand_terms.rows(), out, threads);
+                    shadow::expansion_covers(entry.key, x, cand, out);
                     stats.bound_batches += 1;
                     stats.bound_evals += cand.len() as u64;
-                    defer_row(heap, slab, selbuf, &mut stats, a, cand, bounds, false, None);
+                    defer_row(heap, slab, &mut stats, a, cand, out);
                 }
                 if let Some(key) = next_key {
                     heap.push(Entry::new(key, KIND_EXPAND, a, ring as u32));
@@ -1491,24 +1766,23 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     // Everything at or below it was either stored here
                     // or is covered by a younger node's own flood row,
                     // and the cutoff rises strictly per re-flood, so
-                    // this converges.
-                    cand.clear();
-                    cand.extend(live.iter().copied().filter(|&y| y != a));
-                    if !cand.is_empty() {
-                        bounds.clear();
-                        bounds.resize(cand.len(), 0.0);
-                        bound_batch_sharded(&*objective, center, cand, bounds, threads);
+                    // this converges. The live mirror holds the center
+                    // too; its self-bound is priced and then skipped.
+                    if live.len() > 1 {
+                        shadow::live_mirror(&*objective, live, live_pos, live_terms);
+                        let out = out_column(bounds, live.len());
+                        let center_terms = live_terms.rows().row(live_pos[center] as usize);
+                        price_rows(&*objective, &center_terms, live_terms.rows(), out, threads);
                         stats.bound_batches += 1;
-                        stats.bound_evals += cand.len() as u64;
-                        defer_row(
+                        stats.bound_evals += live.len() as u64 - 1;
+                        defer_flood(
                             heap,
                             slab,
                             selbuf,
                             &mut stats,
                             a,
-                            cand,
-                            bounds,
-                            true,
+                            live,
+                            out,
                             Some((row.thresh, row.tpartner)),
                         );
                     }
@@ -1556,33 +1830,32 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                         key_bits: entry.key.to_bits(),
                     });
                 }
-                live.retain(|&n| alive[n as usize]);
+                for dead in [x, y] {
+                    let pos = live_pos[dead] as usize;
+                    live.swap_remove(pos);
+                    live_terms.swap_remove(pos);
+                    if let Some(&moved) = live.get(pos) {
+                        live_pos[moved as usize] = pos as u32;
+                    }
+                }
                 // Flood: price the new node against the whole live set in
-                // one kernel sweep and park the entire batch in the slab.
-                // Nothing reaches the heap unless the row's minimum bound
-                // becomes competitive before the new node itself merges.
-                cand.clear();
-                cand.extend_from_slice(live);
-                if !cand.is_empty() {
-                    bounds.clear();
-                    bounds.resize(cand.len(), 0.0);
-                    bound_batch_sharded(&*objective, next, cand, bounds, threads);
+                // one streaming kernel pass over the live mirror and keep
+                // the cheapest of the batch in the slab. Nothing reaches
+                // the heap unless the row's minimum bound becomes
+                // competitive before the new node itself merges.
+                let next_terms = objective.bound_terms(next);
+                if !live.is_empty() {
+                    shadow::live_mirror(&*objective, live, live_pos, live_terms);
+                    let out = out_column(bounds, live.len());
+                    price_rows(&*objective, &next_terms, live_terms.rows(), out, threads);
                     stats.bound_batches += 1;
-                    stats.bound_evals += cand.len() as u64;
-                    defer_row(
-                        heap,
-                        slab,
-                        selbuf,
-                        &mut stats,
-                        next as u32,
-                        cand,
-                        bounds,
-                        true,
-                        None,
-                    );
+                    stats.bound_evals += live.len() as u64;
+                    defer_flood(heap, slab, selbuf, &mut stats, next as u32, live, out, None);
                 }
                 alive[next] = true;
+                live_pos[next] = live.len() as u32;
                 live.push(next as u32);
+                live_terms.push(next_terms);
                 next += 1;
                 if heap.len() > watermark {
                     heap.retain_live(alive);
@@ -1685,7 +1958,7 @@ pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
             limit: NODE_INDEX_LIMIT,
         });
     }
-    scratch.reset(total, num_leaves);
+    scratch.reset(total, num_leaves, false);
     let GreedyScratch {
         heap,
         alive,
@@ -1815,13 +2088,7 @@ pub fn run_greedy_checked<O: MergeObjective + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Objective over plain points: cost = Manhattan distance; a merge
-    /// creates the midpoint. The distance *is* its own admissible bound.
-    #[derive(Clone)]
-    struct PointObjective {
-        points: Vec<Point>,
-    }
+    use crate::testing::PointObjective;
 
     /// The pruned engine on a cold scratch with default params.
     fn run_pruned<O: MergeObjective>(
@@ -1841,27 +2108,6 @@ mod tests {
         let mut scratch = GreedyScratch::new();
         run_greedy_exhaustive_with_scratch(n, objective, &GreedyParams::default(), &mut scratch)
             .map(|(topology, stats, _)| (topology, stats))
-    }
-
-    impl MergeObjective for PointObjective {
-        fn cost(&self, a: usize, b: usize) -> f64 {
-            self.points[a].manhattan(self.points[b])
-        }
-        fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-            self.cost(a, b)
-        }
-        fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
-            dist
-        }
-        fn location(&self, node: usize) -> Point {
-            self.points[node]
-        }
-        fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-            assert_eq!(k, self.points.len());
-            let mid = self.points[a].midpoint(self.points[b]);
-            self.points.push(mid);
-            Ok(())
-        }
     }
 
     #[test]
@@ -2149,6 +2395,12 @@ mod tests {
                 fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
                     self.0.cost(a, b) + 1.0 // overshoots every exact cost
                 }
+                fn bound_terms(&self, node: usize) -> BoundTerms {
+                    self.0.bound_terms(node)
+                }
+                fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+                    rows.price(center, out, |d, _| d + 1.0);
+                }
                 fn cost_lower_bound_at_distance(
                     &self,
                     _node: usize,
@@ -2190,6 +2442,12 @@ mod tests {
                 fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
                     self.0.cost(a, b)
                 }
+                fn bound_terms(&self, node: usize) -> BoundTerms {
+                    self.0.bound_terms(node)
+                }
+                fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+                    self.0.bound_kernel(center, rows, out);
+                }
                 fn cost_lower_bound_at_distance(
                     &self,
                     _node: usize,
@@ -2216,7 +2474,7 @@ mod tests {
     }
 
     /// Leaves `0..floors.len()` with the given floor terms.
-    fn live_floor_over(floors: &[[f64; 2]]) -> LiveFloor {
+    fn live_floor_over(floors: &[[f64; 2]]) -> LiveFloor<2> {
         let mut floor = LiveFloor::default();
         floor.reset(floors.iter().copied());
         floor
@@ -2276,6 +2534,12 @@ mod tests {
                 // Inverts the ordering: near pairs get huge "bounds".
                 1e9 - self.0.cost(a, b)
             }
+            fn bound_terms(&self, node: usize) -> BoundTerms {
+                self.0.bound_terms(node)
+            }
+            fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+                rows.price(center, out, |d, _| 1e9 - d);
+            }
             fn cost_lower_bound_at_distance(
                 &self,
                 _node: usize,
@@ -2297,6 +2561,181 @@ mod tests {
                 .collect(),
         });
         let _ = run_greedy_checked(12, &mut obj);
+    }
+
+    /// Non-NaN keys the packed order must get right, edge values first.
+    fn edge_key() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::MIN_POSITIVE),
+            Just(-f64::MIN_POSITIVE),
+            Just(f64::from_bits(1)),
+            Just(-f64::from_bits(1)),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MAX),
+            Just(f64::MIN),
+            Just(1.0),
+            any::<f64>(),
+            // Any bit pattern, with NaNs folded onto the infinities.
+            any::<u64>().prop_map(|w| {
+                let x = f64::from_bits(w);
+                if x.is_nan() {
+                    f64::INFINITY.copysign(x)
+                } else {
+                    x
+                }
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2_000))]
+
+        /// Packed row keys sort exactly as `row_lt` and unpack bitwise.
+        #[test]
+        fn row_key_order_is_row_lt_order(
+            p in (edge_key(), proptest::prelude::any::<u32>()),
+            q in (edge_key(), proptest::prelude::any::<u32>()),
+        ) {
+            proptest::prop_assert_eq!(row_key(p) < row_key(q), row_lt(p, q));
+            proptest::prop_assert_eq!(row_key(q) < row_key(p), row_lt(q, p));
+            for x in [p, q] {
+                let (key, y) = row_unkey(row_key(x));
+                proptest::prop_assert_eq!((key.to_bits(), y), (x.0.to_bits(), x.1));
+            }
+        }
+    }
+
+    /// The per-batch quickselect `select_flood` replaced, kept as its
+    /// oracle: stage every candidate above the floor, select the
+    /// `ROW_KEEP + 1` least under `row_lt`, and take the least as the lead
+    /// and the pivot as the cutoff. It returns the lead, the stored set
+    /// (sorted) and the cutoff. One deliberate difference from the old
+    /// engine: without a floor it drops nothing, where the old sentinel
+    /// floor `(−∞, 0)` silently dropped a `(−∞, 0)` candidate.
+    fn quickselect_oracle(
+        center: u32,
+        ids: &[u32],
+        bounds: &[f64],
+        floor: Option<(f64, u32)>,
+    ) -> Selection {
+        let below_floor = |key: f64, y: u32| {
+            floor.is_some_and(|(fkey, fy)| key <= fkey && !row_lt((fkey, fy), (key, y)))
+        };
+        let mut selbuf: Vec<(f64, u32)> = ids
+            .iter()
+            .zip(bounds)
+            .map(|(&y, &key)| (key, y))
+            .filter(|&(key, y)| y != center && !below_floor(key, y))
+            .collect();
+        if selbuf.is_empty() {
+            return None;
+        }
+        let truncated = selbuf.len() > ROW_KEEP + 1;
+        let mut cutoff = None;
+        if truncated {
+            selbuf.select_nth_unstable_by(ROW_KEEP, |p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
+            cutoff = Some(selbuf[ROW_KEEP]);
+            selbuf.truncate(ROW_KEEP + 1);
+        }
+        let mut best_i = 0;
+        for i in 1..selbuf.len() {
+            if row_lt(selbuf[i], selbuf[best_i]) {
+                best_i = i;
+            }
+        }
+        let lead = selbuf.swap_remove(best_i);
+        selbuf.sort_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
+        Some((lead, selbuf, cutoff))
+    }
+
+    /// `select_flood`'s answer in the oracle's form.
+    fn streamed(center: u32, ids: &[u32], bounds: &[f64], floor: Option<(f64, u32)>) -> Selection {
+        let mut sel = Vec::new();
+        let row = select_flood(center, ids, bounds, floor, &mut sel)?;
+        let mut stored: Vec<(f64, u32)> = sel.into_iter().map(row_unkey).collect();
+        stored.sort_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
+        Some((row.lead, stored, row.cutoff))
+    }
+
+    /// A flood row's selection: lead, sorted stored set and cutoff.
+    type Selection = Option<((f64, u32), Vec<(f64, u32)>, Option<(f64, u32)>)>;
+
+    /// Bitwise view of a selection, so `-0.0` and `0.0` differ.
+    type Bits = Option<((u64, u32), Vec<(u64, u32)>, Option<(u64, u32)>)>;
+
+    fn bits(sel: Selection) -> Bits {
+        let b = |(k, y): (f64, u32)| (k.to_bits(), y);
+        sel.map(|(lead, stored, cutoff)| {
+            (b(lead), stored.into_iter().map(b).collect(), cutoff.map(b))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(400))]
+
+        /// Streamed truncation equals the quickselect oracle — lead,
+        /// stored set, cutoff and truncation flag — on batches around the
+        /// row size and on long ones, with duplicate and edge keys, first
+        /// floods (no floor, center absent) and re-floods (a floor from
+        /// the batch, the center's own row present).
+        #[test]
+        fn streamed_truncation_matches_quickselect(
+            len in proptest::prop_oneof![
+                proptest::strategy::Just(0_usize),
+                proptest::strategy::Just(1),
+                proptest::strategy::Just(ROW_KEEP),
+                proptest::strategy::Just(ROW_KEEP + 1),
+                proptest::strategy::Just(ROW_KEEP + 2),
+                proptest::strategy::Just(2 * ROW_KEEP + 3),
+                900_usize..1100,
+            ],
+            seed in proptest::prelude::any::<u64>(),
+            pool in 1_usize..40,
+            refloor in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = proptest::test_runner::TestRng::seeded(seed);
+            // Keys drawn from a small pool repeat; edge keys mix in.
+            let keys: Vec<f64> = (0..pool)
+                .map(|i| match i % 5 {
+                    0 => [0.0, -0.0, f64::INFINITY, f64::from_bits(1), f64::MAX][rng.index(5)],
+                    _ => (rng.next_u64() % 1_000) as f64 * 0.25,
+                })
+                .collect();
+            let mut ids: Vec<u32> = (0..len as u32).map(|i| i * 7 + 3).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.index(i + 1));
+            }
+            let bounds: Vec<f64> = (0..len).map(|_| keys[rng.index(pool)]).collect();
+            let (center, floor) = if refloor && len > 0 {
+                let at = rng.index(len);
+                let floor = (bounds[at], ids[at]);
+                (ids[rng.index(len)], Some(floor))
+            } else {
+                (1, None)
+            };
+            proptest::prop_assert_eq!(
+                bits(streamed(center, &ids, &bounds, floor)),
+                bits(quickselect_oracle(center, &ids, &bounds, floor))
+            );
+        }
+    }
+
+    /// The one place the streamed selection departs from the old
+    /// quickselect: a first flood keeps a `(−∞, 0)` candidate that the
+    /// old sentinel floor silently dropped, leaving its pair uncovered.
+    #[test]
+    fn unfloored_flood_keeps_every_candidate() {
+        let ids = [0_u32, 5, 9];
+        let bounds = [f64::NEG_INFINITY, 1.0, 2.0];
+        let (lead, stored, cutoff) = streamed(7, &ids, &bounds, None).unwrap();
+        assert_eq!(lead.1, 0);
+        assert_eq!(lead.0, f64::NEG_INFINITY);
+        assert_eq!(stored, vec![(1.0, 5), (2.0, 9)]);
+        assert_eq!(cutoff, None);
     }
 
     /// The packed tag must order exactly like the `(kind, a, b)` triple.

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+mod bound;
 mod bst;
 mod coarsen;
 mod design_io;
@@ -67,10 +68,13 @@ mod mmm;
 mod nearest;
 mod route;
 mod sink;
+#[cfg(test)]
+mod testing;
 mod topology;
 mod tree;
 
-pub use arena::{clone_preserving_capacity, MergeArena, BOUND_LANES};
+pub use arena::{clone_preserving_capacity, MergeArena};
+pub use bound::{BoundColumns, BoundRows, BoundTerms};
 pub use bst::{bounded_skew_merge, embed_bounded_skew, BstOutcome, BstState};
 pub use coarsen::{
     partition_regions, run_greedy_coarsened, CoarsenParams, CoarsenScratch, DEFAULT_REGION_SIZE,

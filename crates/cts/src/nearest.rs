@@ -2,8 +2,8 @@ use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
 
 use crate::{
-    embed, run_greedy_with_scratch, ClockTree, CtsError, DeviceAssignment, GreedyParams,
-    GreedyScratch, MergeArena, MergeObjective, Sink, Topology,
+    embed, run_greedy_with_scratch, BoundRows, BoundTerms, ClockTree, CtsError, DeviceAssignment,
+    GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, Topology,
 };
 
 /// A uniform bucket grid over a fixed point set, in the spirit of
@@ -336,10 +336,17 @@ impl MergeObjective for NearestNeighborObjective {
         self.cost(a, b)
     }
 
-    // The bound is the region distance itself, so the batched kernel is
-    // exactly the arena's columnar distance sweep.
-    fn bound_batch(&self, center: usize, candidates: &[u32], out: &mut [f64]) {
-        self.arena.distance_batch(center, candidates, out);
+    #[inline]
+    fn bound_terms(&self, node: usize) -> BoundTerms {
+        BoundTerms {
+            region: self.arena.region(node),
+            scalars: [0.0; 2],
+        }
+    }
+
+    // The bound is the region distance itself.
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+        rows.price(center, out, |d, _| d);
     }
 
     fn cost_lower_bound_at_distance(&self, _node: usize, dist: f64, _floor: [f64; 2]) -> f64 {

@@ -1,8 +1,9 @@
-//! Contract tests for the batched bound kernels: `bound_batch` must be
-//! **bitwise** identical to the scalar `cost_lower_bound` path for every
-//! objective, because the pruned engine mixes batched and per-pair bounds
-//! for the same node and a single ULP of drift would reorder heap entries
-//! (see `docs/performance.md` §Bound kernels and candidate filtering).
+//! Contract tests for the columnar bound kernels: `bound_kernel` over
+//! `bound_terms` rows must be **bitwise** identical to the scalar
+//! `cost_lower_bound` path for every objective, because a single ULP of
+//! drift would reorder heap entries (see `docs/performance.md` §Bound
+//! kernels and candidate filtering). The crate-private sub-run view
+//! (`MappedObjective`) has the same check in `gcr-cts`'s own tests.
 //! A second set of tests pins the filtering behavior itself: candidate
 //! filtering must actually engage on an r1-scale workload and must never
 //! change the merge order relative to the exhaustive reference.
@@ -12,8 +13,8 @@
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{ActivityDrivenObjective, GatedObjective, RouterConfig};
 use gcr_cts::{
-    run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, GreedyParams, GreedyScratch,
-    MergeObjective, NearestNeighborObjective, Sink,
+    run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, BoundColumns, GreedyParams,
+    GreedyScratch, MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -43,11 +44,13 @@ fn tables_for(num_sinks: usize, seed: u64) -> ActivityTables {
 }
 
 /// Merges a few leaf pairs so the arena holds internal nodes too (whose
-/// `SoA` rows are segments, not points), then checks every `(center,
-/// candidate-set)` batch bitwise against the scalar path — in both
-/// orientations the engine uses (`center < y` for ring expansions,
-/// `center > y` for post-merge floods).
-fn assert_batch_matches_scalar<O: MergeObjective>(objective: &mut O, num_leaves: usize) {
+/// merging regions are segments, not points), then checks every
+/// center's bound kernel bitwise against the scalar path: over the
+/// candidates' [`BoundTerms`] rows in both orientations the engine uses
+/// (`center < y` for ring expansions, `center > y` for post-merge
+/// floods), and over sub-slices that start and end at odd offsets, as
+/// the engine's per-thread column splits do.
+fn assert_kernel_matches_scalar<O: MergeObjective>(objective: &mut O, num_leaves: usize) {
     let mut next = num_leaves;
     let mut leaf = 0;
     while leaf + 1 < num_leaves && next < num_leaves + 3 {
@@ -56,21 +59,24 @@ fn assert_batch_matches_scalar<O: MergeObjective>(objective: &mut O, num_leaves:
         leaf += 2;
     }
     let total = next;
-    let mut out = vec![0.0; total];
     for center in 0..total {
-        let candidates: Vec<u32> = (0..total as u32)
-            .filter(|&y| y as usize != center)
-            .collect();
-        out.clear();
-        out.resize(candidates.len(), f64::NAN);
-        objective.bound_batch(center, &candidates, &mut out);
-        for (i, &y) in candidates.iter().enumerate() {
-            let scalar = objective.cost_lower_bound(center, y as usize);
-            assert!(
-                out[i].to_bits() == scalar.to_bits(),
-                "bound_batch({center}, {y}) = {:?} differs from scalar {scalar:?}",
-                out[i],
-            );
+        let candidates: Vec<usize> = (0..total).filter(|&y| y != center).collect();
+        let mut rows = BoundColumns::default();
+        for &y in &candidates {
+            rows.push(objective.bound_terms(y));
+        }
+        let terms = objective.bound_terms(center);
+        let n = candidates.len();
+        for (start, end) in [(0, n), (0, n.min(1)), (1.min(n), n), (3.min(n), n.min(12))] {
+            let mut out = vec![f64::NAN; end - start];
+            objective.bound_kernel(&terms, rows.rows().slice(start..end), &mut out);
+            for (&y, got) in candidates[start..end].iter().zip(out) {
+                let scalar = objective.cost_lower_bound(center, y);
+                assert!(
+                    got.to_bits() == scalar.to_bits(),
+                    "bound_kernel({center}, {y}) = {got:?} differs from scalar {scalar:?}",
+                );
+            }
         }
     }
 }
@@ -84,7 +90,7 @@ proptest! {
     fn nearest_neighbor_batch_is_bitwise_scalar(sinks in sinks_strategy(48)) {
         let tech = Technology::default();
         let mut objective = NearestNeighborObjective::new(&tech, &sinks, None);
-        assert_batch_matches_scalar(&mut objective, sinks.len());
+        assert_kernel_matches_scalar(&mut objective, sinks.len());
     }
 
     /// Equation-3 objective: same bitwise contract, across random
@@ -103,7 +109,7 @@ proptest! {
             &sinks,
             &module_of,
         );
-        assert_batch_matches_scalar(&mut objective, sinks.len());
+        assert_kernel_matches_scalar(&mut objective, sinks.len());
     }
 
     /// Activity-driven (Téllez-style) objective: same bitwise contract.
@@ -114,7 +120,7 @@ proptest! {
         let tables = tables_for(sinks.len(), seed);
         let mut objective =
             ActivityDrivenObjective::new(&tech, &tables, &sinks, die.half_perimeter());
-        assert_batch_matches_scalar(&mut objective, sinks.len());
+        assert_kernel_matches_scalar(&mut objective, sinks.len());
     }
 }
 

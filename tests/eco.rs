@@ -16,7 +16,8 @@
 
 use gcr_core::{route_gated_eco, route_gated_mapped, GatedObjective, GatedRouting, RouterConfig};
 use gcr_cts::{
-    apply_eco, plan_eco_leaves, EcoEdit, EcoScratch, GreedyParams, MergeObjective, Sink,
+    apply_eco, plan_eco_leaves, run_greedy_checked, BoundRows, BoundTerms, BucketGrid, EcoEdit,
+    EcoScratch, GreedyParams, MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -245,4 +246,128 @@ fn splice_floor_bounds_every_super_leaf_pair() {
             );
         }
     }
+}
+
+/// A splice over super-leaves, as `apply_eco` runs its search: local node
+/// `i` is node `map[i]` of the caller's objective, and pairs reach the
+/// inner objective in ascending global order. It mirrors the engine's
+/// crate-private sub-run view, but owns its objective so that
+/// `run_greedy_checked` can clone it for the exhaustive reference.
+#[derive(Clone)]
+struct Splice<O> {
+    inner: O,
+    map: Vec<u32>,
+    next: usize,
+}
+
+impl<O: MergeObjective> Splice<O> {
+    fn pair(&self, a: usize, b: usize) -> (usize, usize) {
+        let (x, y) = (self.map[a] as usize, self.map[b] as usize);
+        (x.min(y), x.max(y))
+    }
+}
+
+impl<O: MergeObjective> MergeObjective for Splice<O> {
+    fn cost(&self, a: usize, b: usize) -> f64 {
+        let (x, y) = self.pair(a, b);
+        self.inner.cost(x, y)
+    }
+    fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
+        let (x, y) = self.pair(a, b);
+        self.inner.cost_lower_bound(x, y)
+    }
+    fn bound_terms(&self, node: usize) -> BoundTerms {
+        self.inner.bound_terms(self.map[node] as usize)
+    }
+    fn bound_kernel(&self, center: &BoundTerms, rows: BoundRows<'_>, out: &mut [f64]) {
+        self.inner.bound_kernel(center, rows, out);
+    }
+    fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
+        self.inner
+            .cost_lower_bound_at_distance(self.map[node] as usize, dist, floor)
+    }
+    fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
+        self.inner.leaf_floor(self.map[leaf] as usize)
+    }
+    fn location(&self, node: usize) -> Point {
+        self.inner.location(self.map[node] as usize)
+    }
+    fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), gcr_cts::CtsError> {
+        assert_eq!(k, self.map.len());
+        let (x, y) = self.pair(a, b);
+        self.inner.merge(x, y, self.next)?;
+        self.map.push(self.next as u32);
+        self.next += 1;
+        Ok(())
+    }
+}
+
+/// The ECO splice's ring keys must hold for super-leaves whose merging
+/// region is a segment, not a point. A survivor root merged from two
+/// diagonal sinks `D` apart carries a merging segment reaching `D` (in
+/// Manhattan distance) either side of its center, so a partner near one
+/// end of the segment is close to the region but more than six grid
+/// cells from the center — outside the seeded rings, where only the ring
+/// keys stand in for it. The pruned splice must still commit exactly the
+/// exhaustive engine's merges (with the shadow checks compiled in, every
+/// ring sweep's coverage is checked too).
+#[test]
+fn splice_ring_keys_cover_segment_super_leaves() {
+    let d = 30_000.0;
+    let end = Point::new(d + 10.0, -10.0);
+    let mut sinks = vec![
+        Sink::new(Point::ORIGIN, 0.05),
+        Sink::new(Point::new(d, d), 0.05),
+        Sink::new(end, 0.05),
+    ];
+    // A 36 × 36 grid over [-d/2, 3d/2]², clear of the root's segment
+    // (x + y = d) and of the end sink, so every near partner of the root
+    // is the end sink.
+    let step = 2.0 * d / 35.0;
+    for i in 0..36 {
+        for j in 0..36 {
+            let p = Point::new(
+                -d / 2.0 + step * f64::from(i),
+                -d / 2.0 + step * f64::from(j),
+            );
+            if (p.x + p.y - d).abs() > 0.3 * d && p.manhattan(end) > 0.3 * d {
+                sinks.push(Sink::new(p, 0.05));
+            }
+        }
+    }
+    let tech = Technology::default();
+    let mut inner = NearestNeighborObjective::new(&tech, &sinks, None);
+    let root = sinks.len();
+    inner.merge(0, 1, root).unwrap();
+    let radius = inner.bound_terms(root).radius();
+    assert!(
+        radius >= d - 1.0,
+        "the survivor root must carry a segment: radius {radius}"
+    );
+
+    // Locals: the survivor root, then every other sink.
+    let map: Vec<u32> = std::iter::once(root as u32).chain(2..root as u32).collect();
+    let locations: Vec<Point> = map.iter().map(|&g| inner.location(g as usize)).collect();
+    let grid = BucketGrid::build(&locations);
+    let cells = |p: Point| {
+        let c = grid.cell_size();
+        (((p.x - locations[0].x) / c).abs()).max(((p.y - locations[0].y) / c).abs())
+    };
+    assert!(
+        cells(end) > 7.0 && radius > grid.cell_size(),
+        "the end sink must lie beyond the seeded rings of the root ({} cells) and the \
+         segment must reach past the root's own cell",
+        cells(end)
+    );
+
+    let n = map.len();
+    let mut splice = Splice {
+        inner,
+        map,
+        next: root + 1,
+    };
+    let (topology, log) = run_greedy_checked(n, &mut splice).unwrap();
+    assert_eq!(topology.num_leaves(), n);
+    // The root and the end sink (local 1) are the cheapest pair by far.
+    assert_eq!((log[0].a, log[0].b), (0, 1), "first merge {:?}", log[0]);
 }
