@@ -555,13 +555,6 @@ fn render_json(params: &WorkloadParams, provenance: &str, runs: &[Comparison]) -
     out
 }
 
-fn parse_benchmark(name: &str) -> Option<TsayBenchmark> {
-    TsayBenchmark::ALL
-        .into_iter()
-        .chain(TsayBenchmark::SCALED)
-        .find(|b| b.name() == name)
-}
-
 /// Parsed command line.
 #[derive(Debug)]
 struct Cli {
@@ -592,7 +585,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 Some(p) => trace_path = Some(p),
                 None => return Err("--trace requires a path".to_owned()),
             }
-        } else if let Some(b) = parse_benchmark(&arg) {
+        } else if let Some(b) = TsayBenchmark::from_name(&arg) {
             benchmarks.push(b);
         } else {
             return Err(format!(

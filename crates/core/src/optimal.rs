@@ -27,7 +27,7 @@ use crate::{ControllerPlan, GatedRouting};
 /// [`evaluate_with_mask`](crate::evaluate_with_mask).
 ///
 /// This is an *extension* beyond the paper (its rules R1–R3 are local
-/// heuristics); the `ablations` and `optimal_reduction` binaries report
+/// heuristics); `gcr experiment ablations` and `optimal_reduction` report
 /// how much the exact optimum improves on them. The implementation is
 /// fully iterative (two index sweeps), so tree depth only affects memory
 /// (O(N · depth) table entries), never the stack.

@@ -18,7 +18,7 @@ use crate::{GatedRouting, RouteError, RouterConfig};
 ///
 /// This is the prior work the paper extends; `route_activity_driven`
 /// exists as the comparator for the objective ablation
-/// (`gcr-report --bin ablations`). It ignores wire lengths and controller
+/// (`gcr experiment ablations`). It ignores wire lengths and controller
 /// distances during ordering — exactly the information the paper's
 /// Equation-3 objective adds.
 ///

@@ -67,15 +67,6 @@ impl DesignKey {
     }
 }
 
-/// Looks up a benchmark by its wire name (`"r1"` … `"r8"`).
-#[must_use]
-pub fn benchmark_by_name(name: &str) -> Option<TsayBenchmark> {
-    TsayBenchmark::ALL
-        .into_iter()
-        .chain(TsayBenchmark::SCALED)
-        .find(|b| b.name() == name)
-}
-
 /// A parsed, scanned, route-ready design (cache value).
 #[derive(Debug)]
 pub struct DesignEntry {
@@ -331,14 +322,6 @@ pub fn single_shot_reference(key: DesignKey) -> Result<(Arc<DesignEntry>, Routin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn benchmark_lookup_covers_suite_and_scaled() {
-        assert_eq!(benchmark_by_name("r1"), Some(TsayBenchmark::R1));
-        assert_eq!(benchmark_by_name("r5"), Some(TsayBenchmark::R5));
-        assert_eq!(benchmark_by_name("r8"), Some(TsayBenchmark::R8));
-        assert_eq!(benchmark_by_name("r9"), None);
-    }
 
     #[test]
     fn design_key_canonical_is_stable() {

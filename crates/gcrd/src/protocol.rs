@@ -518,7 +518,7 @@ mod tests {
         // benchmark lookup turns it into an error response.
         let r = parse_request(&line).unwrap();
         assert_eq!(r.benchmark.as_deref(), Some(name.as_str()));
-        assert_eq!(crate::engine::benchmark_by_name(&name), None);
+        assert_eq!(gcr_workloads::TsayBenchmark::from_name(&name), None);
         // Unterminated: a malformed-JSON error located at the end of the
         // line.
         let cut = &line[..line.len() - 2];

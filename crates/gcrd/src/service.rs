@@ -49,11 +49,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gcr_trace::Tracer;
+use gcr_workloads::TsayBenchmark;
 
 use crate::cache::LruCache;
 use crate::engine::{
-    benchmark_by_name, build_design, eco_design, route_design, verify_routing, DesignEntry,
-    DesignKey, RoutingEntry, WorkerScratch,
+    build_design, eco_design, route_design, verify_routing, DesignEntry, DesignKey, RoutingEntry,
+    WorkerScratch,
 };
 use crate::protocol::{
     parse_request, Command, Request, Response, StatsSnapshot, MAX_LINE_BYTES, MAX_STREAM_LEN,
@@ -525,7 +526,8 @@ fn design_key(shared: &Shared, request: &Request) -> Result<DesignKey, String> {
         .benchmark
         .as_deref()
         .ok_or("missing \"benchmark\"")?;
-    let benchmark = benchmark_by_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
+    let benchmark =
+        TsayBenchmark::from_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
     let stream_len = request
         .stream_len
         .unwrap_or(shared.config.default_stream_len);

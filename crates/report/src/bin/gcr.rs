@@ -10,6 +10,10 @@
 //! `--trace` names the *instruction* trace input; `--trace-out` writes a
 //! Chrome-trace timeline of the routing flow itself (activity scan,
 //! Equation-3 merge, embedding, evaluation) for `chrome://tracing`.
+//!
+//! `gcr experiment NAME` prints one of the paper's tables and figures or
+//! an extension study on the synthetic benchmarks (see
+//! [`gcr_report::Experiment`]).
 // CLI entry point: aborting with the expect message is the intended
 // failure mode for bad inputs or a broken terminal.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -27,15 +31,23 @@ use gcr_core::{
 use gcr_cts::{build_buffered_tree, Sink};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{to_spice, Technology};
-use gcr_report::{render_svg, SvgOptions};
+use gcr_report::{render_svg, run_experiment, Experiment, ExperimentOptions, SvgOptions};
 use gcr_trace::{ChromeTraceSink, EchoWarnSink, TraceSink, Tracer};
 use gcr_workloads::io::parse_sinks;
+use gcr_workloads::TsayBenchmark;
 
 const USAGE: &str = "\
 usage: gcr route --sinks F --rtl F --trace F [--die W H] [--strength S]
                  [--svg OUT] [--spice OUT] [--save OUT] [--controllers K]
                  [--optimal] [--trace-out OUT]
        gcr evaluate --design F --rtl F --trace F
+       gcr experiment NAME [FLAGS], where NAME [FLAGS] is one of
+           table4 | fig3 | fig6 | optimal_reduction [--quick]
+           fig4 | fig5 | ablations | tech_scaling | reduction_vs_trace
+           breakdown | corners | skew_tradeoff [--bench r1..r5]
+           render_tree [--bench r1..r5] [--out SVG]
+           variance [--seeds N]
+           all [--quick] [--out HTML]
        gcr init-example DIR
 ";
 
@@ -45,6 +57,13 @@ fn main() -> ExitCode {
         Some("route") => route_command(&args[1..]),
         Some("evaluate") => evaluate_command(&args[1..]),
         Some("init-example") => init_example(&args[1..]),
+        Some("experiment") => match parse_experiment(&args[1..]) {
+            Ok((exp, opts)) => run_experiment(exp, &opts),
+            Err(e) => {
+                eprint!("error: {e}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        },
         _ => {
             eprint!("{USAGE}");
             return ExitCode::from(2);
@@ -286,6 +305,40 @@ fn evaluate_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Parses `gcr experiment NAME [FLAGS]`. Every error is a usage error:
+/// an unknown experiment, a flag the experiment does not take, or a bad
+/// value, all rejected before any workload is generated.
+fn parse_experiment(args: &[String]) -> Result<(Experiment, ExperimentOptions), String> {
+    let name = args.first().ok_or("experiment needs a name")?;
+    let exp = Experiment::from_name(name).ok_or_else(|| format!("unknown experiment {name}"))?;
+    let mut opts = ExperimentOptions::default();
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        if !exp.flags().contains(&a.as_str()) {
+            return Err(format!("experiment {name} does not take {a}"));
+        }
+        let mut val = || it.next().ok_or_else(|| format!("missing value after {a}"));
+        match a.as_str() {
+            "--quick" => opts.quick = true,
+            "--bench" => {
+                let v = val()?;
+                opts.bench = TsayBenchmark::from_name(v)
+                    .filter(|b| TsayBenchmark::ALL.contains(b))
+                    .ok_or_else(|| format!("--bench takes r1..r5, not {v}"))?;
+            }
+            "--seeds" => {
+                let v = val()?;
+                opts.seeds = v
+                    .parse()
+                    .map_err(|_| format!("--seeds takes a positive count, not {v}"))?;
+            }
+            "--out" => opts.out = Some(val()?.clone()),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok((exp, opts))
+}
+
 fn init_example(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let dir = args.first().ok_or("init-example needs a directory")?;
     fs::create_dir_all(dir)?;
@@ -321,4 +374,18 @@ I4: M3 M4
          gcr route --sinks {dir}/sinks.txt --rtl {dir}/rtl.txt --trace {dir}/trace.txt"
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_flag_selects_every_published_benchmark() {
+        for b in TsayBenchmark::ALL {
+            let args = ["breakdown", "--bench", b.name()].map(String::from);
+            let (exp, opts) = parse_experiment(&args).unwrap();
+            assert_eq!((exp, opts.bench), (Experiment::Breakdown, b));
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! The extension experiments as tested library functions: corner analysis,
 //! cross-seed variance, technology scaling, the bounded-skew trade-off,
-//! and the DP-vs-heuristic reduction comparison. The binaries of the same
-//! names are thin wrappers over these.
+//! and the DP-vs-heuristic reduction comparison. `gcr experiment` prints
+//! them as tables.
 
 use gcr_core::{
     corner_analysis, evaluate, evaluate_buffered, evaluate_with_mask, reduce_gates_optimal,

@@ -1,17 +1,21 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (§5–§6) from the substrates in this workspace.
 //!
-//! Each experiment is a library function returning structured rows — the
-//! binaries under `src/bin/` print them as ASCII tables, and the
-//! integration tests assert the paper's qualitative shapes on them:
+//! Each experiment is a library function returning structured rows —
+//! [`run_experiment`] prints them as ASCII tables (`gcr experiment
+//! <name>` on the command line), and the integration tests assert the
+//! paper's qualitative shapes on them:
 //!
-//! | paper artifact | function | binary |
+//! | paper artifact | function | command |
 //! |---|---|---|
-//! | Table 4 (benchmark characteristics) | [`table4`] | `cargo run -p gcr-report --bin table4` |
-//! | Fig. 3 (buffered vs gated vs gate-reduced, r1–r5) | [`fig3`] | `… --bin fig3` |
-//! | Fig. 4 (module activity vs switched capacitance) | [`fig4`] | `… --bin fig4` |
-//! | Fig. 5 (gate reduction vs switched capacitance/area) | [`fig5`] | `… --bin fig5` |
-//! | Fig. 6 / §6 (distributed controllers) | [`fig6`] | `… --bin fig6` |
+//! | Table 4 (benchmark characteristics) | [`table4`] | `gcr experiment table4` |
+//! | Fig. 3 (buffered vs gated vs gate-reduced, r1–r5) | [`fig3`] | `gcr experiment fig3` |
+//! | Fig. 4 (module activity vs switched capacitance) | [`fig4`] | `gcr experiment fig4` |
+//! | Fig. 5 (gate reduction vs switched capacitance/area) | [`fig5`] | `gcr experiment fig5` |
+//! | Fig. 6 / §6 (distributed controllers) | [`fig6`] | `gcr experiment fig6` |
+//!
+//! [`Experiment`] lists the extension studies too; `gcr experiment all`
+//! runs the table and the four figures in one go.
 //!
 //! The pipeline shared by all of them lives in [`run_pipeline`]: generate
 //! a workload, build the buffered baseline, run the gated router, apply
@@ -35,6 +39,7 @@ pub use experiments::fig4::{fig4, render as render_fig4, Fig4Row};
 pub use experiments::fig5::{fig5, render as render_fig5, Fig5Row};
 pub use experiments::fig6::{fig6, render as render_fig6, Fig6Row};
 pub use experiments::pipeline::{run_pipeline, PipelineResult, DEFAULT_STRENGTHS};
+pub use experiments::run::{run_experiment, Experiment, ExperimentOptions};
 pub use experiments::table4::{render as render_table4, table4, Table4Row};
 pub use svg::{render_svg, SvgOptions};
 pub use table::TextTable;

@@ -37,7 +37,7 @@ impl Default for SvgOptions {
 /// star routing to the controller(s).
 ///
 /// The output is deterministic and suitable for golden-file testing; see
-/// the `render_tree` binary for a file-producing front end.
+/// `gcr experiment render_tree` for a file-producing front end.
 ///
 /// # Panics
 ///

@@ -152,10 +152,7 @@ fn parse_audit_args(mut args: impl Iterator<Item = String>) -> Result<AuditOptio
                 opts.benchmarks = value
                     .split(',')
                     .map(|name| {
-                        TsayBenchmark::ALL
-                            .into_iter()
-                            .chain(TsayBenchmark::SCALED)
-                            .find(|b| b.name() == name)
+                        TsayBenchmark::from_name(name)
                             .ok_or_else(|| format!("unknown benchmark {name}; expected r1..r8"))
                     })
                     .collect::<Result<_, _>>()?;

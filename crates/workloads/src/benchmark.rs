@@ -76,6 +76,15 @@ impl TsayBenchmark {
         }
     }
 
+    /// Resolves a [`Self::name`] (`"r1"` … `"r8"`) back to the benchmark.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .chain(Self::SCALED)
+            .find(|b| b.name() == name)
+    }
+
     /// Synthetic die side: sink density is held constant across the suite
     /// (side ∝ √N, anchored at 30 000 λ for r1).
     #[must_use]
@@ -251,6 +260,14 @@ mod tests {
         }
         let c = Benchmark::tsay(TsayBenchmark::R1, 43);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn from_name_covers_suite_and_scaled() {
+        assert_eq!(TsayBenchmark::from_name("r1"), Some(TsayBenchmark::R1));
+        assert_eq!(TsayBenchmark::from_name("r5"), Some(TsayBenchmark::R5));
+        assert_eq!(TsayBenchmark::from_name("r8"), Some(TsayBenchmark::R8));
+        assert_eq!(TsayBenchmark::from_name("r9"), None);
     }
 
     #[test]
