@@ -88,8 +88,8 @@ pub use optimal::reduce_gates_optimal;
 pub use reduction::{reduce_gates, reduce_gates_untied, ReductionParams};
 pub use router::{
     gated_region_factory, gated_routing_for_topology, gated_routing_for_topology_mapped,
-    route_gated, route_gated_coarsened, route_gated_mapped, GatedObjective, GatedRouting,
-    RouterConfig,
+    node_activity, route_gated, route_gated_coarsened, route_gated_mapped, GatedObjective,
+    GatedRouting, RouterConfig,
 };
 pub use simulate::{simulate_stream, SimulationReport, WINDOW};
 pub use tellez::{route_activity_driven, ActivityDrivenObjective};

@@ -507,21 +507,7 @@ pub fn gated_routing_for_topology_mapped(
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
     check_module_of(sinks, module_of, tables)?;
-    let n_modules = tables.rtl().num_modules();
-    let mut node_modules: Vec<ModuleSet> = Vec::with_capacity(topology.len());
-    let mut node_stats: Vec<EnableStats> = Vec::with_capacity(topology.len());
-    for (_, node) in topology.bottom_up() {
-        let set = match node {
-            gcr_cts::TopoNode::Leaf { sink } => {
-                ModuleSet::with_modules(n_modules, [module_of[sink]])
-            }
-            gcr_cts::TopoNode::Internal { left, right } => {
-                node_modules[left].union(&node_modules[right])
-            }
-        };
-        node_stats.push(tables.enable_stats(&set));
-        node_modules.push(set);
-    }
+    let (node_modules, node_stats) = node_activity(&topology, module_of, tables);
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
     let tree = embed_sized(
         &topology,
@@ -538,6 +524,38 @@ pub fn gated_routing_for_topology_mapped(
         node_stats,
         node_modules,
     })
+}
+
+/// Every topology node's module set and enable statistics, indexed by
+/// node: a leaf holds its sink's module `module_of[sink]`, an internal
+/// node the union of its children's sets.
+///
+/// # Panics
+///
+/// Panics when `module_of` misses a leaf of `topology` or names a module
+/// outside `tables`.
+#[must_use]
+pub fn node_activity(
+    topology: &Topology,
+    module_of: &[usize],
+    tables: &ActivityTables,
+) -> (Vec<ModuleSet>, Vec<EnableStats>) {
+    let n_modules = tables.rtl().num_modules();
+    let mut node_modules: Vec<ModuleSet> = Vec::with_capacity(topology.len());
+    let mut node_stats: Vec<EnableStats> = Vec::with_capacity(topology.len());
+    for (_, node) in topology.bottom_up() {
+        let set = match node {
+            gcr_cts::TopoNode::Leaf { sink } => {
+                ModuleSet::with_modules(n_modules, [module_of[sink]])
+            }
+            gcr_cts::TopoNode::Internal { left, right } => {
+                node_modules[left].union(&node_modules[right])
+            }
+        };
+        node_stats.push(tables.enable_stats(&set));
+        node_modules.push(set);
+    }
+    (node_modules, node_stats)
 }
 
 /// Checks that `module_of` maps every sink to a module of `tables`.

@@ -1,15 +1,15 @@
 //! The columnar inputs of the batched bound kernels.
 //!
-//! Every candidate batch of the pruned greedy engine — seed rings,
-//! expansion rings, post-merge floods and re-floods — prices one center
-//! node against many partners with
+//! Every candidate batch of the pruned greedy engine — expansion rings,
+//! post-merge floods and re-floods — prices one center node against many
+//! partners with
 //! [`MergeObjective::bound_kernel`](crate::MergeObjective::bound_kernel).
 //! The kernel never sees node ids: it reads each partner's
 //! [`BoundTerms`] from contiguous struct-of-arrays columns
 //! ([`BoundRows`]), so a flood streams memory instead of gathering six
 //! values per candidate through an index list. The engine keeps the live
 //! nodes' terms in live order (one row per live node), and copies a ring
-//! or seed batch's terms into the same layout before pricing it.
+//! batch's terms into the same layout before pricing it.
 
 use std::ops::Range;
 
@@ -101,18 +101,6 @@ impl BoundColumns {
         self.s1.push(s1);
     }
 
-    /// Appends row `at[i]` of `from` for every `i`, in order: one gather
-    /// loop per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index in `at` is out of bounds for `from`.
-    pub fn extend_from_rows(&mut self, from: BoundRows<'_>, at: &[u32]) {
-        for (column, src) in self.columns_mut().into_iter().zip(from.columns()) {
-            column.extend(at.iter().map(|&i| src[i as usize]));
-        }
-    }
-
     /// Removes row `i` in O(1) by moving the last row into its slot.
     ///
     /// # Panics
@@ -177,10 +165,6 @@ impl<'a> BoundRows<'a> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.u_lo.is_empty()
-    }
-
-    fn columns(&self) -> [&'a [f64]; 6] {
-        [self.u_lo, self.u_hi, self.v_lo, self.v_hi, self.s0, self.s1]
     }
 
     /// Row `i`.
@@ -277,11 +261,6 @@ mod tests {
         assert_eq!(cols.rows().row(1), terms(4), "the last row fills the hole");
         cols.push(terms(9));
         assert_eq!(cols.rows().slice(4..5).row(0), terms(9));
-        let mut gathered = BoundColumns::default();
-        gathered.extend_from_rows(cols.rows(), &[4, 0, 4]);
-        assert_eq!(gathered.len(), 3);
-        assert_eq!(gathered.rows().row(0), terms(9));
-        assert_eq!(gathered.rows().row(1), terms(0));
         cols.clear();
         assert!(cols.is_empty() && cols.rows().is_empty());
     }

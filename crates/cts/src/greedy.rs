@@ -75,8 +75,8 @@ pub trait MergeObjective: Sync {
     /// Batched [`cost_lower_bound`](Self::cost_lower_bound) over columns:
     /// writes the bound of `(c, y_i)` into `out[i]`, where `center` is
     /// `bound_terms(c)` and row `i` of `rows` is `bound_terms(y_i)`. The
-    /// engine prices every candidate set (seed rings, expansion rings,
-    /// post-merge floods) through this one kernel, so implementations
+    /// engine prices every candidate set (expansion rings, post-merge
+    /// floods and re-floods) through this one kernel, so implementations
     /// should be a single [`BoundRows::price`] pass.
     ///
     /// **Contract:** each `out[i]` must be bit-identical to
@@ -139,8 +139,7 @@ pub struct GreedyStats {
     /// Heap entries popped, including lazily-deleted dead ones.
     pub heap_pops: u64,
     /// Candidate batches priced through [`MergeObjective::bound_kernel`]
-    /// (each seed ring set, ring expansion, and post-merge flood counts
-    /// once).
+    /// (each ring expansion, post-merge flood and re-flood counts once).
     pub bound_batches: u64,
     /// Candidates whose bound lost to the center node's best known exact
     /// cost and were parked in the deferred-candidate slab instead of
@@ -230,7 +229,7 @@ pub fn canonical_decision_log(decisions: &[MergeDecision]) -> String {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GreedyProfile {
     /// Wall time (ms) of the seed phase: location gathering, bucket-grid
-    /// construction, initial bound batch, heapify.
+    /// construction and one ring-0 expansion entry per leaf.
     pub seed_ms: f64,
     /// Wall time (ms) of the merge loop (topology assembly excluded).
     pub loop_ms: f64,
@@ -431,14 +430,6 @@ impl MinHeap {
 /// Candidate batches below this size are evaluated on the calling thread.
 const PARALLEL_THRESHOLD: usize = 4_096;
 
-/// Grid rings generated per leaf before the first expansion entry takes
-/// over (ring 0 is the leaf's own cell). Seed rings are priced by the
-/// parallel kernel sweep outside the merge loop, so a generous radius
-/// trades cheap up-front pricing for in-loop expansion pops — under the
-/// switched-capacitance objective, whose slow-growing bounds otherwise
-/// keep expansion entries surfacing for most of the run.
-const INITIAL_RINGS: usize = 6;
-
 /// Worker-thread count for this run: explicit [`GreedyParams::threads`],
 /// else the `GCR_THREADS` environment variable, else
 /// `available_parallelism()`; clamped to `1..=MAX_THREADS`. Called once
@@ -578,17 +569,12 @@ pub struct GreedyScratch {
     entries: Vec<Entry>,
     locations: Vec<Point>,
     merges: Vec<(usize, usize)>,
-    /// Candidate node indices of the seed or ring batch being priced.
+    /// Candidate node indices of the ring batch being priced.
     cand: Vec<u32>,
     /// The [`BoundTerms`] of a ring batch's `cand`, row for row.
     cand_terms: BoundColumns,
-    /// Per-worker buffers the seed sweep copies each leaf's candidate
-    /// terms into (see [`seed_bound_batches`]).
-    seed_terms: Vec<BoundColumns>,
-    /// Per-leaf offsets into `cand` during the seed sweep (CSR layout).
-    cand_starts: Vec<u32>,
-    /// Bound kernel output column: parallel to `cand` for seed and ring
-    /// batches, to `live` for floods. Only ever grows, so pricing a batch
+    /// Bound kernel output column: parallel to `cand` for ring batches,
+    /// to `live` for floods. Only ever grows, so pricing a batch
     /// never zero-fills it.
     bounds: Vec<f64>,
     /// Best known exact cost touching each node (+∞ until its first
@@ -714,7 +700,6 @@ impl GreedyScratch {
         self.merges.clear();
         self.cand.clear();
         self.cand_terms.clear();
-        self.cand_starts.clear();
         self.best_seen.clear();
         self.best_seen.resize(total, f64::INFINITY);
         self.selbuf.clear();
@@ -933,135 +918,7 @@ fn price_rows<O: MergeObjective>(
     });
 }
 
-/// Prices the seed phase's per-leaf candidate lists (CSR layout:
-/// `starts[x]..starts[x + 1]` indexes `cand` for leaf `x`) with one
-/// [`MergeObjective::bound_kernel`] call per leaf, each over that leaf's
-/// candidates' terms gathered from the leaf rows `leaves` into `terms`
-/// (a per-leaf batch stays in cache; the whole seed's terms would not).
-/// Contiguous leaf ranges fan across `threads` workers when the flood is
-/// large, worker `t` copying into `terms[t]`; the serial sweep uses
-/// `terms[0]`. Results are independent of the leaf partitioning.
-fn seed_bound_batches<O: MergeObjective>(
-    objective: &O,
-    leaves: BoundRows<'_>,
-    cand: &[u32],
-    starts: &[u32],
-    bounds: &mut [f64],
-    terms: &mut [BoundColumns],
-    threads: usize,
-) {
-    let num_centers = starts.len() - 1;
-    let price_range = |range: std::ops::Range<usize>, out: &mut [f64], terms: &mut BoundColumns| {
-        let base = starts[range.start] as usize;
-        for x in range {
-            let (s, e) = (starts[x] as usize, starts[x + 1] as usize);
-            if e > s {
-                terms.clear();
-                terms.extend_from_rows(leaves, &cand[s..e]);
-                objective.bound_kernel(&leaves.row(x), terms.rows(), &mut out[s - base..e - base]);
-            }
-        }
-    };
-    if cand.len() < PARALLEL_THRESHOLD || threads == 1 {
-        price_range(0..num_centers, bounds, &mut terms[0]);
-        return;
-    }
-    let price_range = &price_range;
-    std::thread::scope(|scope| {
-        let mut rest = bounds;
-        let mut begin = 0;
-        for (t, buf) in terms.iter_mut().enumerate().take(threads) {
-            let end = ((t + 1) * num_centers) / threads;
-            if end <= begin {
-                continue;
-            }
-            let len = (starts[end] - starts[begin]) as usize;
-            let (mine, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let range = begin..end;
-            scope.spawn(move || price_range(range, mine, buf));
-            begin = end;
-        }
-    });
-}
-
-/// Gathers the seed-phase candidate lists of the leaves in `range`:
-/// rings `0..=INITIAL_RINGS` of each leaf, keeping higher-indexed
-/// partners so every pair appears once, appended to `cand` with the
-/// per-leaf candidate count pushed to `counts`. A pure function of the
-/// grid and the range — disjoint ranges gathered on separate workers and
-/// concatenated in leaf order reproduce the serial sweep exactly.
-fn gather_seed_rings(
-    grid: &BucketGrid,
-    locations: &[Point],
-    range: std::ops::Range<usize>,
-    members: &mut Vec<u32>,
-    cand: &mut Vec<u32>,
-    counts: &mut Vec<u32>,
-) {
-    for x in range {
-        let before = cand.len();
-        for ring in 0..=INITIAL_RINGS {
-            grid.ring_members(locations[x], ring, members);
-            cand.extend(members.iter().copied().filter(|&y| (y as usize) > x));
-        }
-        counts.push((cand.len() - before) as u32);
-    }
-}
-
-/// Sharded seed ring sweep: contiguous leaf ranges gathered on `threads`
-/// workers (each with its own buffers), concatenated in leaf order into
-/// the CSR `cand` / `cand_starts` pair. The combined batch is identical
-/// to the serial sweep's at any thread count.
-#[expect(
-    clippy::expect_used,
-    reason = "a panicking ring-sweep worker must propagate, not be swallowed"
-)]
-fn gather_seed_rings_sharded(
-    grid: &BucketGrid,
-    locations: &[Point],
-    threads: usize,
-    cand: &mut Vec<u32>,
-    cand_starts: &mut Vec<u32>,
-) {
-    let num_leaves = locations.len();
-    let chunk = num_leaves.div_ceil(threads);
-    let parts: Vec<(Vec<u32>, Vec<u32>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_leaves)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(num_leaves);
-                scope.spawn(move || {
-                    let mut members = Vec::new();
-                    let mut part = Vec::new();
-                    let mut counts = Vec::with_capacity(hi - lo);
-                    gather_seed_rings(
-                        grid,
-                        locations,
-                        lo..hi,
-                        &mut members,
-                        &mut part,
-                        &mut counts,
-                    );
-                    (part, counts)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("seed ring-sweep worker panicked"))
-            .collect()
-    });
-    for (part, counts) in parts {
-        cand.extend_from_slice(&part);
-        for c in counts {
-            let prev = cand_starts[cand_starts.len() - 1];
-            cand_starts.push(prev + c);
-        }
-    }
-}
-
-/// Routes one priced seed or ring batch of `center`: the minimum bound
+/// Routes one priced ring batch of `center`: the minimum bound
 /// goes straight to the heap (it is the candidate a greedy commit will
 /// want, so parking it would only force a row reopen later), and the rest
 /// are parked in a fresh slab row covered by a single `KIND_DEFER` entry
@@ -1375,11 +1232,11 @@ fn finish_row(
 
 /// Heap key of leaf `x`'s next expansion entry, which stands in for every
 /// pair of `x` not yet generated: those partners live in grid rings
-/// `>= ring`, hence have locations at Manhattan distance
-/// `> (ring - 1) * cell`, and are live leaves, hence at or above the
-/// live-leaf `floor` — an admissible bound by the
-/// `cost_lower_bound_at_distance` contract. `None` once every cell has
-/// been swept.
+/// `>= ring`, hence have locations at Manhattan distance at least
+/// `(ring - 1) * cell` (clamped at 0: ring 0 is `x`'s own cell), and are
+/// live leaves, hence at or above the live-leaf `floor` — an admissible
+/// bound by the `cost_lower_bound_at_distance` contract. `None` once
+/// every cell has been swept.
 ///
 /// A leaf's location is the center of its merging region, and a
 /// super-leaf (an ECO splice's survivor root) holds a segment reaching
@@ -1399,7 +1256,7 @@ fn expansion_key<O: MergeObjective>(
     if ring > grid.max_ring(location) {
         return None;
     }
-    let mut dist = grid.cell_size() * (ring - 1) as f64;
+    let mut dist = grid.cell_size() * ring.saturating_sub(1) as f64;
     let reach = objective.bound_terms(x).radius() - floor[2];
     if reach > 0.0 {
         dist = (dist - reach).max(0.0);
@@ -1418,8 +1275,10 @@ fn expansion_key<O: MergeObjective>(
 /// lower bounds generated from a bucket grid over the sink locations
 /// (Edahiro \[3\]) in on-demand expansion rings, and the exact cost is
 /// computed only when a bound surfaces at the top of the heap — i.e. only
-/// when it is competitive with the best known exact cost. Candidate
-/// batches (seed rings, ring expansions, post-merge floods) are priced by
+/// when it is competitive with the best known exact cost. Every leaf
+/// starts with one expansion entry at its own cell, so ring expansion is
+/// the only candidate generator besides the post-merge floods. Candidate
+/// batches (ring expansions, floods, re-floods) are priced by
 /// the objective's columnar [`bound_kernel`](MergeObjective::bound_kernel)
 /// — floods straight from a live-ordered mirror of the live nodes'
 /// [`BoundTerms`] — and only each batch's cheapest candidate becomes a
@@ -1506,8 +1365,6 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
         merges,
         cand,
         cand_terms,
-        seed_terms,
-        cand_starts,
         bounds,
         best_seen,
         selbuf,
@@ -1531,56 +1388,14 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
         ]
     }));
 
-    // Seed: every leaf's nearby rings as one slab row (each pair once,
-    // from its lower-index endpoint), plus one expansion entry per leaf
-    // standing in for all farther partners. Candidate lists are gathered
-    // into one flat CSR batch, priced by the vectorized bound kernels
-    // (fanned across the worker pool on large instances), then parked in
-    // the slab — the heap starts with two entries per leaf and only ever
-    // sees candidates whose bounds actually become competitive.
-    cand_starts.push(0);
-    if num_leaves >= PARALLEL_THRESHOLD && threads > 1 {
-        gather_seed_rings_sharded(&grid, locations, threads, cand, cand_starts);
-    } else {
-        gather_seed_rings(&grid, locations, 0..num_leaves, members, cand, cand_starts);
-        // `gather_seed_rings` pushed per-leaf counts; turn them into the
-        // cumulative CSR starts in place.
-        for i in 1..cand_starts.len() {
-            cand_starts[i] += cand_starts[i - 1];
-        }
-    }
-    stats.ring_expansions += (num_leaves * (INITIAL_RINGS + 1)) as u64;
+    // Seed: one expansion entry per leaf at its own cell (ring 0, at
+    // distance 0), standing in for every pair of the leaf; the merge
+    // loop's ring sweeps generate all candidates from there.
     let seed_floor = live_floor.floor(alive);
     for (x, &loc) in locations.iter().enumerate() {
-        if let Some(key) = expansion_key(&*objective, &grid, x, loc, INITIAL_RINGS + 1, seed_floor)
-        {
-            heap.push(Entry::new(
-                key,
-                KIND_EXPAND,
-                x as u32,
-                (INITIAL_RINGS + 1) as u32,
-            ));
+        if let Some(key) = expansion_key(&*objective, &grid, x, loc, 0, seed_floor) {
+            heap.push(Entry::new(key, KIND_EXPAND, x as u32, 0));
         }
-    }
-    stats.bound_evals += cand.len() as u64;
-    stats.bound_batches += cand_starts.windows(2).filter(|w| w[1] > w[0]).count() as u64;
-    if seed_terms.len() < threads {
-        seed_terms.resize_with(threads, BoundColumns::default);
-    }
-    // Every leaf is live and in place, so `live_terms` row `y` is leaf
-    // `y`'s terms.
-    seed_bound_batches(
-        &*objective,
-        live_terms.rows(),
-        cand,
-        cand_starts,
-        out_column(bounds, cand.len()),
-        seed_terms,
-        threads,
-    );
-    for x in 0..num_leaves {
-        let (s, e) = (cand_starts[x] as usize, cand_starts[x + 1] as usize);
-        defer_row(heap, slab, &mut stats, x as u32, &cand[s..e], &bounds[s..e]);
     }
     profile.seed_ms = seed_start.elapsed().as_secs_f64() * 1e3;
     profile.seed_allocs = alloc_count() - seed_allocs0;
@@ -1664,7 +1479,10 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                 // combined kernel batch and one slab row instead of a
                 // pop/push cycle per ring — removes heap traffic without
                 // changing the committed merges (pricing extra pairs at
-                // admissible keys never can).
+                // admissible keys never can). A batch of fewer than
+                // DEFER_BATCH candidates keeps gathering regardless, for
+                // the reason deferred pops release that many: a pop that
+                // yields one or two pairs would thrash the heap.
                 let mut tau = heap.peek().map_or(entry.key, |top| entry.key.max(top.key));
                 if best_seen[x].is_finite() {
                     tau = tau.max(best_seen[x]);
@@ -1688,7 +1506,9 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     let next = expansion_key(&*objective, &grid, x, locations[x], ring, ring_floor);
                     match next {
                         Some(key)
-                            if key <= tau && gathered < RING_GATHER && cand.len() < ROW_KEEP =>
+                            if (key <= tau || cand.len() < DEFER_BATCH)
+                                && gathered < RING_GATHER
+                                && cand.len() < ROW_KEEP =>
                         {
                             continue;
                         }

@@ -19,14 +19,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use gcr_activity::{io as aio, ActivityTables};
 use gcr_core::{
-    evaluate, evaluate_buffered, evaluate_with_mask, reduce_gates_untied, route_gated,
-    ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
+    evaluate, evaluate_buffered, evaluate_with_mask, node_activity, reduce_gates_untied,
+    route_gated, ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
 };
 use gcr_cts::{build_buffered_tree, Sink};
 use gcr_geometry::{BBox, Point};
@@ -54,15 +55,18 @@ usage: gcr route --sinks F --rtl F --trace F [--die W H] [--strength S]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("route") => route_command(&args[1..]),
-        Some("evaluate") => evaluate_command(&args[1..]),
+        Some("route") => match parse_route(&args[1..]) {
+            Ok(route) => route_command(route),
+            Err(e) => return usage_error(&e),
+        },
+        Some("evaluate") => match parse_evaluate(&args[1..]) {
+            Ok(eval) => evaluate_command(eval),
+            Err(e) => return usage_error(&e),
+        },
         Some("init-example") => init_example(&args[1..]),
         Some("experiment") => match parse_experiment(&args[1..]) {
             Ok((exp, opts)) => run_experiment(exp, &opts),
-            Err(e) => {
-                eprint!("error: {e}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return usage_error(&e),
         },
         _ => {
             eprint!("{USAGE}");
@@ -78,50 +82,125 @@ fn main() -> ExitCode {
     }
 }
 
-fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut sinks_path = None;
-    let mut rtl_path = None;
-    let mut trace_path = None;
-    let mut die: Option<(f64, f64)> = None;
-    let mut strength = 0.2f64;
-    let mut svg_out: Option<String> = None;
-    let mut spice_out: Option<String> = None;
-    let mut save_out: Option<String> = None;
-    let mut optimal = false;
-    let mut controllers = 1usize;
-    let mut trace_out: Option<String> = None;
+/// Prints a usage error and the usage to stderr: exit code 2.
+fn usage_error(e: &str) -> ExitCode {
+    eprint!("error: {e}\n{USAGE}");
+    ExitCode::from(2)
+}
 
+/// The flags of `gcr route`.
+struct RouteArgs {
+    sinks_path: String,
+    rtl_path: String,
+    trace_path: String,
+    die: Option<(f64, f64)>,
+    strength: f64,
+    svg_out: Option<String>,
+    spice_out: Option<String>,
+    save_out: Option<String>,
+    optimal: bool,
+    controllers: NonZeroUsize,
+    trace_out: Option<String>,
+}
+
+/// The flags of `gcr evaluate`.
+struct EvaluateArgs {
+    design_path: String,
+    rtl_path: String,
+    trace_path: String,
+}
+
+/// The value after `flag`.
+fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("missing value after {flag}"))
+}
+
+/// Parses `gcr route FLAGS`. Every error is a usage error that names its
+/// flag: an unknown flag, a missing flag or value, or a value out of
+/// range, all rejected before any file is read.
+fn parse_route(args: &[String]) -> Result<RouteArgs, String> {
+    let (mut sinks, mut rtl, mut trace) = (None, None, None);
+    let mut die = None;
+    let mut strength = 0.2;
+    let (mut svg_out, mut spice_out, mut save_out, mut trace_out) = (None, None, None, None);
+    let mut optimal = false;
+    let mut controllers = NonZeroUsize::MIN;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("missing value after {a}"))
-        };
         match a.as_str() {
-            "--sinks" => sinks_path = Some(val()?.to_owned()),
-            "--rtl" => rtl_path = Some(val()?.to_owned()),
-            "--trace" => trace_path = Some(val()?.to_owned()),
-            "--strength" => strength = val()?.parse()?,
-            "--svg" => svg_out = Some(val()?.to_owned()),
-            "--spice" => spice_out = Some(val()?.to_owned()),
-            "--save" => save_out = Some(val()?.to_owned()),
-            "--optimal" => optimal = true,
-            "--controllers" => controllers = val()?.parse()?,
-            "--trace-out" => trace_out = Some(val()?.to_owned()),
-            "--die" => {
-                let w: f64 = val()?.parse()?;
-                let h: f64 = val()?.parse()?;
-                die = Some((w, h));
+            "--sinks" => sinks = Some(flag_value(&mut it, a)?.to_owned()),
+            "--rtl" => rtl = Some(flag_value(&mut it, a)?.to_owned()),
+            "--trace" => trace = Some(flag_value(&mut it, a)?.to_owned()),
+            "--strength" => {
+                let v = flag_value(&mut it, a)?;
+                strength = v
+                    .parse()
+                    .ok()
+                    .filter(|s| (0.0..=1.0).contains(s))
+                    .ok_or_else(|| format!("--strength takes a number in [0, 1], not {v}"))?;
             }
-            other => return Err(format!("unknown flag {other}").into()),
+            "--svg" => svg_out = Some(flag_value(&mut it, a)?.to_owned()),
+            "--spice" => spice_out = Some(flag_value(&mut it, a)?.to_owned()),
+            "--save" => save_out = Some(flag_value(&mut it, a)?.to_owned()),
+            "--optimal" => optimal = true,
+            "--controllers" => {
+                let v = flag_value(&mut it, a)?;
+                controllers = v
+                    .parse()
+                    .map_err(|_| format!("--controllers takes a positive count, not {v}"))?;
+            }
+            "--trace-out" => trace_out = Some(flag_value(&mut it, a)?.to_owned()),
+            "--die" => {
+                let (w, h) = (flag_value(&mut it, a)?, flag_value(&mut it, a)?);
+                let side = |v: &str| v.parse().ok().filter(|x: &f64| x.is_finite() && *x > 0.0);
+                die = Some(side(w).zip(side(h)).ok_or_else(|| {
+                    format!("--die takes a finite positive width and height, not {w} {h}")
+                })?);
+            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    let sinks_path = sinks_path.ok_or("--sinks is required")?;
-    let rtl_path = rtl_path.ok_or("--rtl is required")?;
-    let trace_path = trace_path.ok_or("--trace is required")?;
+    Ok(RouteArgs {
+        sinks_path: sinks.ok_or("--sinks is required")?,
+        rtl_path: rtl.ok_or("--rtl is required")?,
+        trace_path: trace.ok_or("--trace is required")?,
+        die,
+        strength,
+        svg_out,
+        spice_out,
+        save_out,
+        optimal,
+        controllers,
+        trace_out,
+    })
+}
 
-    let chrome = trace_out.as_ref().map(|_| Arc::new(ChromeTraceSink::new()));
+/// Parses `gcr evaluate FLAGS`, with the usage errors of [`parse_route`].
+fn parse_evaluate(args: &[String]) -> Result<EvaluateArgs, String> {
+    let (mut design, mut rtl, mut trace) = (None, None, None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--design" => design = Some(flag_value(&mut it, a)?.to_owned()),
+            "--rtl" => rtl = Some(flag_value(&mut it, a)?.to_owned()),
+            "--trace" => trace = Some(flag_value(&mut it, a)?.to_owned()),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(EvaluateArgs {
+        design_path: design.ok_or("--design is required")?,
+        rtl_path: rtl.ok_or("--rtl is required")?,
+        trace_path: trace.ok_or("--trace is required")?,
+    })
+}
+
+fn route_command(route: RouteArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let chrome = route
+        .trace_out
+        .as_ref()
+        .map(|_| Arc::new(ChromeTraceSink::new()));
     let tracer = match &chrome {
         Some(sink) => Tracer::new(Arc::new(EchoWarnSink::new(
             Arc::clone(sink) as Arc<dyn TraceSink>
@@ -129,18 +208,18 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         None => Tracer::disabled(),
     };
 
-    let sinks = parse_sinks(&fs::read_to_string(&sinks_path)?)?;
-    let rtl = aio::parse_rtl(&fs::read_to_string(&rtl_path)?, Some(sinks.len()))?;
-    let stream = aio::parse_trace(&rtl, &fs::read_to_string(&trace_path)?)?;
+    let sinks = parse_sinks(&fs::read_to_string(&route.sinks_path)?)?;
+    let rtl = aio::parse_rtl(&fs::read_to_string(&route.rtl_path)?, Some(sinks.len()))?;
+    let stream = aio::parse_trace(&rtl, &fs::read_to_string(&route.trace_path)?)?;
 
-    let die = match die {
+    let die = match route.die {
         Some((w, h)) => BBox::new(Point::ORIGIN, Point::new(w, h)),
         None => BBox::of_points(sinks.iter().map(Sink::location)).ok_or("no sinks")?,
     };
     let tech = Technology::default();
     let mut config = RouterConfig::new(tech.clone(), die);
-    if controllers > 1 {
-        let levels = (controllers as f64).log(4.0).round() as u32;
+    if route.controllers.get() > 1 {
+        let levels = (route.controllers.get() as f64).log(4.0).round() as u32;
         config = config.with_controller(ControllerPlan::distributed(die, levels.max(1)));
     }
 
@@ -156,13 +235,17 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         &tech,
         DeviceRole::Gate,
     );
-    let mask = if optimal {
+    let mask = if route.optimal {
         gcr_core::reduce_gates_optimal(&routing, &tech, config.controller())
     } else {
         reduce_gates_untied(
             &routing,
             &tech,
-            &ReductionParams::from_strength_scaled(strength, &tech, die.half_perimeter() / 8.0),
+            &ReductionParams::from_strength_scaled(
+                route.strength,
+                &tech,
+                die.half_perimeter() / 8.0,
+            ),
         )
     };
     let reduced = evaluate_with_mask(
@@ -210,19 +293,19 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         (sim.total_switched_cap - reduced.total_switched_cap).abs()
     );
 
-    if let Some(path) = save_out {
+    if let Some(path) = route.save_out {
         fs::write(
             &path,
             gcr_cts::save_design(&routing.topology, &sinks, &routing.tree, config.source()),
         )?;
         println!("design     : wrote {path}");
     }
-    if let Some(path) = spice_out {
+    if let Some(path) = route.spice_out {
         let (rc, sinks_rc) = routing.tree.to_rc_tree(&tech);
         fs::write(&path, to_spice(&rc, &sinks_rc, "gcr gated clock tree"))?;
         println!("spice      : wrote {path}");
     }
-    if let Some(path) = svg_out {
+    if let Some(path) = route.svg_out {
         let options = SvgOptions {
             node_stats: Some(routing.node_stats.clone()),
             controlled: Some(mask),
@@ -234,7 +317,7 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         )?;
         println!("svg        : wrote {path}");
     }
-    if let (Some(path), Some(sink)) = (&trace_out, &chrome) {
+    if let (Some(path), Some(sink)) = (&route.trace_out, &chrome) {
         sink.write_to(path)?;
         println!("flow trace : wrote {path}");
     }
@@ -243,31 +326,13 @@ fn route_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `gcr evaluate`: reload a saved design, rebuild the activity statistics
 /// from the given RTL/trace, and report its switched capacitance.
-fn evaluate_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut design_path = None;
-    let mut rtl_path = None;
-    let mut trace_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("missing value after {a}"))
-        };
-        match a.as_str() {
-            "--design" => design_path = Some(val()?.to_owned()),
-            "--rtl" => rtl_path = Some(val()?.to_owned()),
-            "--trace" => trace_path = Some(val()?.to_owned()),
-            other => return Err(format!("unknown flag {other}").into()),
-        }
-    }
-    let design_path = design_path.ok_or("--design is required")?;
-    let rtl_path = rtl_path.ok_or("--rtl is required")?;
-    let trace_path = trace_path.ok_or("--trace is required")?;
-
-    let loaded = gcr_cts::load_design(&fs::read_to_string(&design_path)?)?;
-    let rtl = aio::parse_rtl(&fs::read_to_string(&rtl_path)?, Some(loaded.sinks.len()))?;
-    let stream = aio::parse_trace(&rtl, &fs::read_to_string(&trace_path)?)?;
+fn evaluate_command(eval: EvaluateArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let loaded = gcr_cts::load_design(&fs::read_to_string(&eval.design_path)?)?;
+    let rtl = aio::parse_rtl(
+        &fs::read_to_string(&eval.rtl_path)?,
+        Some(loaded.sinks.len()),
+    )?;
+    let stream = aio::parse_trace(&rtl, &fs::read_to_string(&eval.trace_path)?)?;
     let tables = ActivityTables::scan(&rtl, &stream);
 
     let tech = Technology::default();
@@ -278,20 +343,9 @@ fn evaluate_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         &loaded.assignment,
         loaded.source,
     )?;
-    // Per-node stats from the topology's module sets (sink i = module i).
-    let n_modules = rtl.num_modules();
-    let mut sets: Vec<gcr_activity::ModuleSet> = Vec::with_capacity(loaded.topology.len());
-    let mut stats = Vec::with_capacity(loaded.topology.len());
-    for (_, node) in loaded.topology.bottom_up() {
-        let set = match node {
-            gcr_cts::TopoNode::Leaf { sink } => {
-                gcr_activity::ModuleSet::with_modules(n_modules, [sink])
-            }
-            gcr_cts::TopoNode::Internal { left, right } => sets[left].union(&sets[right]),
-        };
-        stats.push(tables.enable_stats(&set));
-        sets.push(set);
-    }
+    // Sink i is module i.
+    let identity: Vec<usize> = (0..loaded.sinks.len()).collect();
+    let (_, stats) = node_activity(&loaded.topology, &identity, &tables);
     let die = BBox::of_points(loaded.sinks.iter().map(Sink::location)).ok_or("no sinks")?;
     let plan = ControllerPlan::centralized(&die);
     let report = evaluate(&tree, &stats, &plan, &tech, DeviceRole::Gate);
@@ -317,22 +371,21 @@ fn parse_experiment(args: &[String]) -> Result<(Experiment, ExperimentOptions), 
         if !exp.flags().contains(&a.as_str()) {
             return Err(format!("experiment {name} does not take {a}"));
         }
-        let mut val = || it.next().ok_or_else(|| format!("missing value after {a}"));
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--bench" => {
-                let v = val()?;
+                let v = flag_value(&mut it, a)?;
                 opts.bench = TsayBenchmark::from_name(v)
                     .filter(|b| TsayBenchmark::ALL.contains(b))
                     .ok_or_else(|| format!("--bench takes r1..r5, not {v}"))?;
             }
             "--seeds" => {
-                let v = val()?;
+                let v = flag_value(&mut it, a)?;
                 opts.seeds = v
                     .parse()
                     .map_err(|_| format!("--seeds takes a positive count, not {v}"))?;
             }
-            "--out" => opts.out = Some(val()?.clone()),
+            "--out" => opts.out = Some(flag_value(&mut it, a)?.to_owned()),
             other => return Err(format!("unknown flag {other}")),
         }
     }

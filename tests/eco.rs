@@ -306,11 +306,11 @@ impl<O: MergeObjective> MergeObjective for Splice<O> {
 /// region is a segment, not a point. A survivor root merged from two
 /// diagonal sinks `D` apart carries a merging segment reaching `D` (in
 /// Manhattan distance) either side of its center, so a partner near one
-/// end of the segment is close to the region but more than six grid
-/// cells from the center — outside the seeded rings, where only the ring
-/// keys stand in for it. The pruned splice must still commit exactly the
-/// exhaustive engine's merges (with the shadow checks compiled in, every
-/// ring sweep's coverage is checked too).
+/// end of the segment is close to the region but more than seven grid
+/// cells from the center, where the root's ring key prices it at a
+/// distance far beyond the region distance. The pruned splice must still
+/// commit exactly the exhaustive engine's merges (with the shadow checks
+/// compiled in, every ring sweep's coverage is checked too).
 #[test]
 fn splice_ring_keys_cover_segment_super_leaves() {
     let d = 30_000.0;
@@ -355,7 +355,7 @@ fn splice_ring_keys_cover_segment_super_leaves() {
     };
     assert!(
         cells(end) > 7.0 && radius > grid.cell_size(),
-        "the end sink must lie beyond the seeded rings of the root ({} cells) and the \
+        "the end sink must lie more than seven cells from the root ({} cells) and the \
          segment must reach past the root's own cell",
         cells(end)
     );

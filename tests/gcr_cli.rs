@@ -104,3 +104,93 @@ fn table4_quick_prints_its_table() {
     );
     assert_eq!(stdout.matches("\n   r").count(), 3, "{stdout}");
 }
+
+/// `route` and `evaluate` parse every flag before reading a file: an
+/// unknown flag, a missing flag or value, or a value out of range exits
+/// 2 with the usage, names the flag, and prints nothing on stdout. The
+/// input paths do not exist, so reaching a file read would exit 1.
+#[test]
+fn hostile_route_and_evaluate_arguments_are_usage_errors() {
+    let route = [
+        "route", "--sinks", "no.txt", "--rtl", "no.txt", "--trace", "no.txt",
+    ];
+    let evaluate = [
+        "evaluate", "--design", "no.out", "--rtl", "no.txt", "--trace", "no.txt",
+    ];
+    let cases: [(&[&str], &[&str], &str); 17] = [
+        (&route, &["--bogus"], "--bogus"),
+        (&route, &["--strength", "abc"], "--strength"),
+        (&route, &["--strength", "2"], "--strength"),
+        (&route, &["--strength", "-3"], "--strength"),
+        (&route, &["--strength", "inf"], "--strength"),
+        (&route, &["--strength", "nan"], "--strength"),
+        (&route, &["--strength"], "--strength"),
+        (&route, &["--die", "nan", "1"], "--die"),
+        (&route, &["--die", "-5", "-5"], "--die"),
+        (&route, &["--die", "0", "5"], "--die"),
+        (&route, &["--die", "5"], "--die"),
+        (&route, &["--controllers", "0"], "--controllers"),
+        (&route, &["--controllers", "-1"], "--controllers"),
+        (&route[..5], &[], "--trace"),
+        (&evaluate, &["--bogus"], "--bogus"),
+        (&evaluate, &["--design"], "--design"),
+        (
+            &["evaluate", "--rtl", "no.txt", "--trace", "no.txt"],
+            &[],
+            "--design",
+        ),
+    ];
+    for (base, extra, flag) in cases {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let out = gcr(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(stderr.contains("usage: gcr"), "{args:?}: {stderr}");
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(
+            error.contains(flag),
+            "{args:?} does not name {flag}: {error}"
+        );
+    }
+}
+
+/// The value after `label` on the line of `stdout` that starts with it.
+fn field<'a>(stdout: &'a str, label: &str) -> &'a str {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix(label))
+        .unwrap_or_else(|| panic!("no `{label}` line in:\n{stdout}"))
+        .trim_start_matches([' ', ':'])
+}
+
+/// `init-example` → `route --save` → `evaluate`: the reloaded design
+/// evaluates to exactly the fully gated report `route` printed.
+#[test]
+fn route_save_then_evaluate_round_trips() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("gcr_cli_round_trip");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    assert!(gcr(&["init-example", &path("")]).status.success());
+    let (sinks, rtl, trace, design) = (
+        path("sinks.txt"),
+        path("rtl.txt"),
+        path("trace.txt"),
+        path("design.out"),
+    );
+    let routed = gcr(&[
+        "route", "--sinks", &sinks, "--rtl", &rtl, "--trace", &trace, "--save", &design,
+    ]);
+    assert!(routed.status.success(), "{routed:?}");
+    let routed = String::from_utf8(routed.stdout).unwrap();
+    assert_eq!(field(&routed, "sinks"), "6");
+    assert_eq!(field(&routed, "design"), format!("wrote {design}"));
+
+    let evaluated = gcr(&[
+        "evaluate", "--design", &design, "--rtl", &rtl, "--trace", &trace,
+    ]);
+    assert!(evaluated.status.success(), "{evaluated:?}");
+    let evaluated = String::from_utf8(evaluated.stdout).unwrap();
+    assert_eq!(field(&evaluated, "reloaded"), "6 sinks, 11 devices");
+    assert_eq!(field(&evaluated, "evaluation"), field(&routed, "gated"));
+}

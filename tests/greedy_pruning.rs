@@ -10,7 +10,10 @@
 
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{gated_routing_for_topology, GatedObjective, RouterConfig};
-use gcr_cts::{run_greedy_checked, NearestNeighborObjective, Sink, Topology};
+use gcr_cts::{
+    run_greedy_checked, run_greedy_with_scratch, GreedyParams, GreedyScratch,
+    NearestNeighborObjective, Sink, Topology,
+};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 use gcr_verify::{Verifier, VerifyInput};
@@ -63,6 +66,37 @@ fn verify_routed(topology: Topology, sinks: &[Sink], tables: &ActivityTables) {
             .with_controller(config.controller()),
     );
     assert!(!report.has_errors(), "{}", report.render_text());
+}
+
+/// Above 4 096 live nodes the pruned engine splits each flood's pricing
+/// across workers (docs/performance.md §4); on a flat instance that
+/// large, the decision log must not depend on the split.
+#[test]
+fn pruned_floods_split_across_threads_log_identically() {
+    let n = 4_500;
+    let sinks: Vec<Sink> = (0..n)
+        .map(|i| {
+            let (x, y) = (i * 37 % 4_999, i * 71 % 4_987);
+            Sink::new(Point::new(f64::from(x * 8), f64::from(y * 8)), 0.05)
+        })
+        .collect();
+    let tech = Technology::default();
+    let log = |threads: usize| {
+        let mut objective = NearestNeighborObjective::new(&tech, &sinks, None);
+        let params = GreedyParams {
+            threads: Some(threads),
+            log_decisions: true,
+        };
+        let mut scratch = GreedyScratch::new();
+        run_greedy_with_scratch(sinks.len(), &mut objective, &params, &mut scratch).unwrap();
+        scratch.take_decisions()
+    };
+    let serial = log(1);
+    assert_eq!(serial.len(), sinks.len() - 1);
+    assert!(
+        serial == log(2),
+        "decision logs differ between 1 and 2 threads"
+    );
 }
 
 proptest! {
