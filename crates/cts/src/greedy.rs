@@ -141,9 +141,11 @@ pub struct GreedyStats {
     /// Candidate batches priced through [`MergeObjective::bound_kernel`]
     /// (each ring expansion, post-merge flood and re-flood counts once).
     pub bound_batches: u64,
-    /// Candidates whose bound lost to the center node's best known exact
-    /// cost and were parked in the deferred-candidate slab instead of
-    /// becoming heap entries.
+    /// Candidates parked in the deferred-candidate slab instead of
+    /// becoming heap entries, less those a row reopen later released.
+    /// Every priced batch parks all its candidates but the cheapest (its
+    /// lead, which goes straight to the heap), or only the next 64
+    /// cheapest when the batch is truncated.
     pub bounds_filtered: u64,
 }
 
@@ -444,39 +446,35 @@ pub(crate) fn resolve_threads(params: &GreedyParams, tracer: &Tracer) -> usize {
     gcr_trace::threads::resolve(params.threads, "greedy.threads", tracer)
 }
 
-/// One row of the deferred-candidate slab: `(bound, partner)` candidates
-/// of `center` (the `a` of the owning `KIND_DEFER` entry) in the slab
-/// range `start..start + len`. Rows are written unordered (floods are
-/// the hot path and most rows are never reopened) and turned into a
-/// binary min-heap lazily on the first deferred pop; reopens then
-/// extract candidates in bound order at `O(log len)` apiece, shrinking
-/// `len` in place.
+/// One row of the deferred-candidate slab: the [`row_key`]-packed
+/// `(bound, partner)` candidates of `center` (the `a` of the owning
+/// `KIND_DEFER` entry) in the slab range `start..start + len`. Rows are
+/// written unordered (pricing is the hot path and most rows are never
+/// reopened) and sorted once, on the first deferred pop; reopens then
+/// release candidates in bound order by advancing `start`.
 ///
-/// A `truncated` row holds only the [`ROW_KEEP`] cheapest candidates of
-/// its flood batch; `thresh`/`tpartner` record the `(bound, partner)`
-/// cutoff of what it kept. Draining one re-prices its center against the
-/// current live set, keeping only candidates strictly above the cutoff —
-/// the cutoff rises with every re-flood, so the row converges instead of
-/// re-materializing pairs it already surfaced.
+/// A row with a `cutoff` holds only the [`ROW_KEEP`] cheapest candidates
+/// after the lead of its truncated batch, and `cutoff` is the `(bound, partner)` of the
+/// most expensive one it kept. Draining it re-prices its center against
+/// the current live set, keeping only candidates strictly above the
+/// cutoff — the cutoff rises with every re-flood, so the row converges
+/// instead of re-materializing pairs it already surfaced.
 #[derive(Clone, Copy, Debug)]
 struct SlabRow {
     start: u32,
     len: u32,
-    thresh: f64,
-    tpartner: u32,
-    heaped: bool,
-    truncated: bool,
+    cutoff: Option<(f64, u32)>,
+    sorted: bool,
 }
 
-/// Append-only storage for candidates whose bounds lost to their center
-/// node's best known exact cost. Row ranges never move once pushed (only
-/// their `cursor` advances), and the backing vectors retain their
-/// high-water capacity across runs, preserving the zero-allocation warm
-/// loop.
+/// Append-only storage for the parked candidates of every priced batch.
+/// Rows never move once pushed (a reopen only advances a
+/// row's `start`), and the backing vectors retain their high-water
+/// capacity across runs, preserving the zero-allocation warm loop.
 #[derive(Clone, Debug, Default)]
 struct CandidateSlab {
-    /// `(bound, partner)` pairs, grouped by row.
-    items: Vec<(f64, u32)>,
+    /// [`row_key`]-packed candidates, grouped by row.
+    items: Vec<u128>,
     rows: Vec<SlabRow>,
 }
 
@@ -494,16 +492,8 @@ impl CandidateSlab {
 /// materializing only a sliver of each row.
 const DEFER_BATCH: usize = 16;
 
-/// Maximum number of candidates one reopen materializes. The reopen
-/// window extends to the center's best known exact cost, and under the
-/// switched-capacitance objective (whose lower bounds sit far below the
-/// exact costs) that window can span most of a row; the cap keeps a
-/// single pop from flooding the heap with entries whose endpoints will
-/// be dead by the time they surface.
-const DEFER_CAP: usize = 64;
-
-/// Number of candidates a truncated flood row retains. Flood batches
-/// span the whole live set, but only the cheapest few bounds ever become
+/// Number of candidates a truncated row retains. Flood batches span the
+/// whole live set, but only the cheapest few bounds ever become
 /// competitive before the center itself merges; keeping a fixed-size
 /// prefix keeps the slab inside the cache instead of growing
 /// quadratically with the instance.
@@ -515,37 +505,6 @@ const ROW_KEEP: usize = 64;
 /// cap keeps a pathologically wide window from dragging a whole quadrant
 /// into one batch.
 const RING_GATHER: usize = 16;
-
-/// `(bound, partner)` ordering of the per-row min-heaps — the same
-/// `(key, index)` tie-break the main heap uses, keeping extraction order
-/// fully deterministic.
-fn row_lt(p: (f64, u32), q: (f64, u32)) -> bool {
-    p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)).is_lt()
-}
-
-/// Restores the min-heap invariant of `items` downward from slot `i`.
-fn row_sift_down(items: &mut [(f64, u32)], mut i: usize) {
-    loop {
-        let mut m = i;
-        for c in [2 * i + 1, 2 * i + 2] {
-            if c < items.len() && row_lt(items[c], items[m]) {
-                m = c;
-            }
-        }
-        if m == i {
-            return;
-        }
-        items.swap(i, m);
-        i = m;
-    }
-}
-
-/// Floyd heap construction: `O(len)`, run once per row on first reopen.
-fn row_heapify(items: &mut [(f64, u32)]) {
-    for i in (0..items.len() / 2).rev() {
-        row_sift_down(items, i);
-    }
-}
 
 /// Reusable buffers of the greedy engines. Constructing one per run
 /// reproduces the historical allocation profile; **reusing** one across
@@ -580,8 +539,7 @@ pub struct GreedyScratch {
     /// Best known exact cost touching each node (+∞ until its first
     /// exact evaluation) — the filtering threshold of the pruned engine.
     best_seen: Vec<f64>,
-    /// The packed row keys a truncated flood keeps (see
-    /// [`select_flood`]).
+    /// The packed row keys [`select_flood`] keeps from a batch.
     selbuf: Vec<u128>,
     slab: CandidateSlab,
     /// Floors of the at-distance ring bound over the live leaves.
@@ -918,63 +876,21 @@ fn price_rows<O: MergeObjective>(
     });
 }
 
-/// Routes one priced ring batch of `center`: the minimum bound
-/// goes straight to the heap (it is the candidate a greedy commit will
-/// want, so parking it would only force a row reopen later), and the rest
-/// are parked in a fresh slab row covered by a single `KIND_DEFER` entry
-/// keyed at the remainder's minimum bound — an admissible stand-in for
-/// every parked pair, so deferral never changes the committed merges. No
-/// parked candidate touches the heap until the row's key actually
-/// surfaces; rows whose center merges first cost one lazy-deleted pop in
-/// total.
-fn defer_row(
-    heap: &mut MinHeap,
-    slab: &mut CandidateSlab,
-    stats: &mut GreedyStats,
-    center: u32,
-    cand: &[u32],
-    bounds: &[f64],
-) {
-    let mut lead = (f64::INFINITY, u32::MAX);
-    for (&y, &key) in cand.iter().zip(bounds) {
-        assert!(!key.is_nan(), "merge bound of ({y}, {center}) is NaN");
-        if row_lt((key, y), lead) {
-            lead = (key, y);
-        }
-    }
-    if cand.is_empty() {
-        return;
-    }
-    push_bound(heap, center, lead.1, lead.0);
-    let row_start = slab.items.len();
-    let mut deferred_min = (f64::INFINITY, u32::MAX);
-    for (&y, &key) in cand.iter().zip(bounds) {
-        if y == lead.1 {
-            continue;
-        }
-        slab.items.push((key, y));
-        if row_lt((key, y), deferred_min) {
-            deferred_min = (key, y);
-        }
-    }
-    finish_row(
-        heap,
-        slab,
-        stats,
-        center,
-        row_start,
-        deferred_min.0,
-        false,
-        (0.0, 0),
-    );
-}
-
-/// Routes one priced flood batch of `center` like [`defer_row`], but
-/// stores only the [`ROW_KEEP`] cheapest candidates after the lead (see
-/// [`select_flood`]); the rest stay representable by the row's cutoff
-/// and are re-priced on demand. A re-flood passes the `floor` of the
+/// Routes one priced batch of `center` — a ring batch, a post-merge
+/// flood or a re-flood (`ids[i]` priced at `bounds[i]`). The cheapest
+/// candidate goes straight to the heap (it is the candidate a greedy
+/// commit will want, so parking it would only force a row reopen later).
+/// The rest, up to the [`ROW_KEEP`] next cheapest (see
+/// [`select_flood`]), are parked in a fresh slab row covered by a single
+/// `KIND_DEFER` entry keyed at their minimum bound — an admissible stand-in for every parked pair, so
+/// deferral never changes the committed merges. A longer batch is
+/// truncated: the rest stay representable by the row's cutoff and are
+/// re-priced when the row drains. A re-flood passes the `floor` of the
 /// drained row it replaces, dropping every candidate at or below that
 /// cutoff so re-floods stay disjoint from what earlier rows surfaced.
+/// No parked candidate touches the heap until the row's key actually
+/// surfaces; rows whose center merges first cost one lazy-deleted pop in
+/// total.
 #[allow(clippy::too_many_arguments)]
 fn defer_flood(
     heap: &mut MinHeap,
@@ -990,37 +906,39 @@ fn defer_flood(
         return;
     };
     push_bound(heap, center, row.lead.1, row.lead.0);
-    let row_start = slab.items.len();
-    let mut deferred_min = u128::MAX;
-    for &key in selbuf.iter() {
-        slab.items.push(row_unkey(key));
-        deferred_min = deferred_min.min(key);
-    }
-    let deferred_min = if deferred_min == u128::MAX {
-        f64::INFINITY
-    } else {
-        row_unkey(deferred_min).0
+    let Some(&deferred_min) = selbuf.iter().min() else {
+        // A truncated batch always stores ROW_KEEP candidates.
+        debug_assert!(row.cutoff.is_none());
+        return;
     };
-    finish_row(
-        heap,
-        slab,
-        stats,
+    let row_id = slab.rows.len() as u32;
+    debug_assert!(u64::from(row_id) <= INDEX_MASK);
+    slab.rows.push(SlabRow {
+        start: slab.items.len() as u32,
+        len: selbuf.len() as u32,
+        cutoff: row.cutoff,
+        sorted: false,
+    });
+    slab.items.extend_from_slice(selbuf);
+    stats.bounds_filtered += selbuf.len() as u64;
+    heap.push(Entry::new(
+        row_unkey(deferred_min).0,
+        KIND_DEFER,
         center,
-        row_start,
-        deferred_min,
-        row.cutoff.is_some(),
-        row.cutoff.unwrap_or((0.0, 0)),
-    );
+        row_id,
+    ));
 }
 
-/// Candidates a truncated flood row keeps: the lead plus [`ROW_KEEP`]
-/// stored ones.
+/// Candidates a truncated row keeps: the lead plus [`ROW_KEEP`] stored
+/// ones.
 const FLOOD_KEEP: usize = ROW_KEEP + 1;
 
 /// Packs `(bound, partner)` into one integer whose unsigned order is
-/// exactly [`row_lt`]'s: the bound's bits, remapped so that unsigned
-/// order is `f64::total_cmp` order (flip every bit of a negative, only
-/// the sign bit of a positive), above the partner in the low 32 bits.
+/// exactly the `(bound, partner)` order of the main heap's tie-break
+/// (`total_cmp` on the bound, then the partner): the bound's bits,
+/// remapped so that unsigned order is `f64::total_cmp` order (flip
+/// every bit of a negative, only the sign bit of a positive), above the
+/// partner in the low 32 bits.
 fn row_key((key, y): (f64, u32)) -> u128 {
     let bits = key.to_bits();
     let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
@@ -1034,7 +952,7 @@ fn row_unkey(packed: u128) -> (f64, u32) {
     (f64::from_bits(bits), packed as u32)
 }
 
-/// What [`select_flood`] chose from one flood batch.
+/// What [`select_flood`] chose from one priced batch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct FloodRow {
     /// The cheapest candidate, which goes straight to the heap.
@@ -1052,17 +970,17 @@ const SELECT_SPAN: usize = 2 * FLOOD_KEEP;
 const SCREEN_BLOCK: usize = 128;
 
 /// Picks the [`FLOOD_KEEP`] least `(bound, partner)` candidates of a
-/// flood batch (`ids[i]` priced at `bounds[i]`) strictly above `floor`,
-/// as [`row_key`]s in `sel`. A first flood has no floor and `ids` (the
-/// live set) does not hold `center`; a re-flood has a floor, and the
-/// center's own row in `ids` is skipped. Returns `None` when no
-/// candidate qualifies; otherwise the lead is removed from `sel`, which
-/// is left holding the stored set.
+/// priced batch (`ids[i]` priced at `bounds[i]`) strictly above `floor`,
+/// as [`row_key`]s in `sel`. A ring batch or a first flood has no floor
+/// and `ids` does not hold `center`; a re-flood has a floor, and the
+/// center's own row in `ids` (the live set) is skipped. Returns `None`
+/// when no candidate qualifies; otherwise the lead is removed from
+/// `sel`, which is left holding the stored set.
 ///
-/// The result is exactly that of a quickselect over the whole batch
-/// under [`row_lt`]: the same lead, stored set, cutoff and truncation
-/// flag, since `row_key` order is `row_lt` order and every partner is
-/// distinct.
+/// The result is exactly that of a quickselect over the whole batch in
+/// `(bound, partner)` order: the same lead, stored set, cutoff and
+/// truncation flag, since `row_key` order is that order and every
+/// partner is distinct.
 fn select_flood(
     center: u32,
     ids: &[u32],
@@ -1080,7 +998,7 @@ fn select_flood(
     } else {
         debug_assert!(
             !ids.contains(&center),
-            "a first flood's live set holds its center"
+            "an unfloored batch holds its center"
         );
         // No key packs to 0 (that would be a NaN), so nothing is floored.
         keep_cheapest(center, ids, bounds, 0, flood_limit(bounds), sel);
@@ -1199,37 +1117,6 @@ fn push_bound(heap: &mut MinHeap, center: u32, y: u32, key: f64) {
     heap.push(Entry::new(key, KIND_BOUND, lo, hi));
 }
 
-/// Seals a slab row started at `row_start` and pushes its covering
-/// `KIND_DEFER` entry (a no-op for an empty, non-truncated row).
-#[allow(clippy::too_many_arguments)]
-fn finish_row(
-    heap: &mut MinHeap,
-    slab: &mut CandidateSlab,
-    stats: &mut GreedyStats,
-    center: u32,
-    row_start: usize,
-    deferred_min: f64,
-    truncated: bool,
-    cutoff: (f64, u32),
-) {
-    let len = slab.items.len() - row_start;
-    if len == 0 && !truncated {
-        return;
-    }
-    let row_id = slab.rows.len() as u32;
-    debug_assert!(u64::from(row_id) <= INDEX_MASK);
-    slab.rows.push(SlabRow {
-        start: row_start as u32,
-        len: len as u32,
-        thresh: cutoff.0,
-        tpartner: cutoff.1,
-        heaped: false,
-        truncated,
-    });
-    stats.bounds_filtered += len as u64;
-    heap.push(Entry::new(deferred_min, KIND_DEFER, center, row_id));
-}
-
 /// Heap key of leaf `x`'s next expansion entry, which stands in for every
 /// pair of `x` not yet generated: those partners live in grid rings
 /// `>= ring`, hence have locations at Manhattan distance at least
@@ -1282,11 +1169,12 @@ fn expansion_key<O: MergeObjective>(
 /// the objective's columnar [`bound_kernel`](MergeObjective::bound_kernel)
 /// — floods straight from a live-ordered mirror of the live nodes'
 /// [`BoundTerms`] — and only each batch's cheapest candidate becomes a
-/// heap entry;
-/// the rest wait in a slab row covered by a single deferred entry keyed
-/// at their minimum bound, released in small batches only when that
-/// minimum becomes competitive with the center's best known cost (see
-/// docs/performance.md §Bound kernels and candidate filtering). Best-first
+/// heap entry. Up to 64 of the rest wait in a slab row covered by a
+/// single deferred entry keyed at their minimum bound, released in small
+/// batches only when that minimum becomes competitive with the center's
+/// best known cost; a longer batch is truncated and re-priced when its
+/// row drains (see docs/performance.md §Bound kernels and candidate
+/// filtering). Best-first
 /// search with admissible bounds commits exactly the merges of
 /// [`run_greedy_exhaustive_with_scratch`], bit-identically (see
 /// [`MergeObjective`]'s exactness contract), while evaluating a small
@@ -1418,9 +1306,6 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
     let mut t_last = loop_start;
     let loop_allocs0 = alloc_count();
     let mut next = num_leaves;
-    // Live *leaf* count, used to retire ring expansions whose perimeter
-    // sweeps would outcost a flat sweep over the surviving leaves.
-    let mut live_leaves = num_leaves;
     // Compact the heap (drop lazily-deleted entries) whenever it doubles
     // past the last compacted size — amortized O(total work) while keeping
     // the heap within a constant factor of its live contents.
@@ -1445,32 +1330,6 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     continue;
                 }
                 let mut ring = b as usize;
-                // Ring sweeps pay off while live leaves are dense; once a
-                // ring's perimeter holds more cells than there are live
-                // leaves left, pricing every remaining leaf in one kernel
-                // sweep is cheaper than chasing them ring by ring — and
-                // it retires this leaf's expansion entry for good, since
-                // afterwards every pair of `x` is priced and parked.
-                if live_leaves <= 8 * ring {
-                    cand.clear();
-                    cand_terms.clear();
-                    let rows = live_terms.rows();
-                    for (i, &y) in live.iter().enumerate() {
-                        if (y as usize) < num_leaves && (y as usize) > x {
-                            cand.push(y);
-                            cand_terms.push(rows.row(i));
-                        }
-                    }
-                    if !cand.is_empty() {
-                        let out = out_column(bounds, cand.len());
-                        let center = objective.bound_terms(x);
-                        price_rows(&*objective, &center, cand_terms.rows(), out, threads);
-                        stats.bound_batches += 1;
-                        stats.bound_evals += cand.len() as u64;
-                        defer_row(heap, slab, &mut stats, a, cand, out);
-                    }
-                    continue;
-                }
                 // Gather several rings per pop. A ring whose expansion
                 // key is below the next heap entry would pop right back
                 // as the very next entry anyway, and one inside the
@@ -1526,7 +1385,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     shadow::expansion_covers(entry.key, x, cand, out);
                     stats.bound_batches += 1;
                     stats.bound_evals += cand.len() as u64;
-                    defer_row(heap, slab, &mut stats, a, cand, out);
+                    defer_flood(heap, slab, selbuf, &mut stats, a, cand, out, None);
                 }
                 if let Some(key) = next_key {
                     heap.push(Entry::new(key, KIND_EXPAND, a, ring as u32));
@@ -1538,17 +1397,17 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     continue; // lazy deletion
                 }
                 // Re-open the slab row: the popped key (the row's minimum
-                // remaining bound) is now competitive. Heapify the row on
-                // first reopen, then extract candidates in bound order —
+                // remaining bound) is now competitive. Sort the row on
+                // first reopen, then release candidates in bound order —
                 // up to the center's best known exact cost, and at least
                 // DEFER_BATCH live candidates, so a row drained under
                 // heap pressure doesn't thrash one pop per candidate —
                 // and re-cover the remainder at its minimum bound.
-                let row = slab.rows[b as usize];
-                let start = row.start as usize;
-                let mut len = row.len as usize;
-                if !row.heaped {
-                    row_heapify(&mut slab.items[start..start + len]);
+                let mut row = slab.rows[b as usize];
+                let items = &mut slab.items[row.start as usize..][..row.len as usize];
+                if !row.sorted {
+                    items.sort_unstable();
+                    row.sorted = true;
                 }
                 let tau = if best_seen[center].is_finite() {
                     entry.key.max(best_seen[center])
@@ -1556,37 +1415,35 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     entry.key
                 };
                 let mut pushed = 0usize;
-                while len > 0 && pushed < DEFER_CAP {
-                    let (key, y) = slab.items[start];
+                let mut taken = 0usize;
+                for &packed in items.iter() {
+                    let (key, y) = row_unkey(packed);
                     if key > tau && pushed >= DEFER_BATCH {
                         break;
                     }
-                    slab.items[start] = slab.items[start + len - 1];
-                    len -= 1;
-                    row_sift_down(&mut slab.items[start..start + len], 0);
+                    taken += 1;
                     if alive[y as usize] {
-                        let (lo, hi) = if y < a { (y, a) } else { (a, y) };
-                        heap.push(Entry::new(key, KIND_BOUND, lo, hi));
+                        push_bound(heap, a, y, key);
                         pushed += 1;
                     }
                 }
                 stats.bounds_filtered -= pushed as u64;
-                slab.rows[b as usize] = SlabRow {
-                    len: len as u32,
-                    heaped: true,
-                    ..row
-                };
-                if len > 0 {
-                    heap.push(Entry::new(slab.items[start].0, KIND_DEFER, a, b));
-                } else if row.truncated {
-                    // The stored prefix is spent but the flood this row
+                row.start += taken as u32;
+                row.len -= taken as u32;
+                slab.rows[b as usize] = row;
+                if row.len > 0 {
+                    let key = row_unkey(slab.items[row.start as usize]).0;
+                    heap.push(Entry::new(key, KIND_DEFER, a, b));
+                } else if let Some(cutoff) = row.cutoff {
+                    // The stored prefix is spent but the batch this row
                     // came from was truncated: re-price the center
                     // against the current live set, keeping only
                     // candidates strictly above the recorded cutoff.
                     // Everything at or below it was either stored here
-                    // or is covered by a younger node's own flood row,
-                    // and the cutoff rises strictly per re-flood, so
-                    // this converges. The live mirror holds the center
+                    // or is covered by another entry (a younger node's
+                    // flood row, or another ring of a leaf center), and
+                    // the cutoff rises strictly per re-flood, so this
+                    // converges. The live mirror holds the center
                     // too; its self-bound is priced and then skipped.
                     if live.len() > 1 {
                         shadow::live_mirror(&*objective, live, live_pos, live_terms);
@@ -1595,16 +1452,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                         price_rows(&*objective, &center_terms, live_terms.rows(), out, threads);
                         stats.bound_batches += 1;
                         stats.bound_evals += live.len() as u64 - 1;
-                        defer_flood(
-                            heap,
-                            slab,
-                            selbuf,
-                            &mut stats,
-                            a,
-                            live,
-                            out,
-                            Some((row.thresh, row.tpartner)),
-                        );
+                        defer_flood(heap, slab, selbuf, &mut stats, a, live, out, Some(cutoff));
                     }
                 }
             }
@@ -1632,11 +1480,9 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                 // Retire dead leaves from the bucket grid so later ring
                 // sweeps skip their cells entirely.
                 if x < num_leaves {
-                    live_leaves -= 1;
                     grid.mark_dead(x);
                 }
                 if y < num_leaves {
-                    live_leaves -= 1;
                     grid.mark_dead(y);
                 }
                 objective.merge(x, y, next)?;
@@ -2381,6 +2227,12 @@ mod tests {
                 .collect(),
         });
         let _ = run_greedy_checked(12, &mut obj);
+    }
+
+    /// `(bound, partner)` order — the same `(key, index)` tie-break the
+    /// main heap uses — that [`row_key`] packs into one integer.
+    fn row_lt(p: (f64, u32), q: (f64, u32)) -> bool {
+        p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)).is_lt()
     }
 
     /// Non-NaN keys the packed order must get right, edge values first.

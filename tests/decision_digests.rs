@@ -5,8 +5,9 @@
 //! bound kernels that moves a single committed merge, partner or key bit
 //! changes a digest here.
 //!
-//! r1–r4 run in the default suite. r5 and r6 (the coarsened scale path)
-//! are `#[ignore]`d and run in release mode:
+//! r1–r4 run in the default suite. r5, r6 and r7 (the coarsened scale
+//! path; r7 takes about half a minute on two cores) are `#[ignore]`d and
+//! run in release mode:
 //!
 //! ```text
 //! cargo test --release -p gcr-report --test decision_digests -- --ignored
@@ -186,5 +187,20 @@ fn r6_digests() {
         TsayBenchmark::R6,
         Objective::NearestNeighbor,
         0x067e_e4a8_dd8a_ebd6,
+    );
+}
+
+#[test]
+#[ignore = "release-mode scale check (300 000 sinks, coarsened path); run with --ignored"]
+fn r7_digests() {
+    check(
+        TsayBenchmark::R7,
+        Objective::Equation3,
+        0xe421_5335_1683_3d24,
+    );
+    check(
+        TsayBenchmark::R7,
+        Objective::NearestNeighbor,
+        0x67cb_36dc_272d_ed64,
     );
 }
