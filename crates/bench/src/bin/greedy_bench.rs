@@ -45,8 +45,9 @@
 //! (load it in `chrome://tracing`, Perfetto or Speedscope): workload and
 //! activity-table construction, the warm pruned greedy run with its
 //! ring/defer/bound/merge sub-phases, and one full gated-routing flow per
-//! benchmark (Equation-3 merge, embedding, Equation-3 evaluation) so the
-//! trace covers every layer of the pipeline.
+//! benchmark (Equation-3 merge, embedding, Equation-3 evaluation, and the
+//! full `gcr-verify` lint suite with a span per pass) so the trace covers
+//! every layer of the pipeline.
 //!
 //! The JSON output backs two acceptance gates: the pruned engine must stay
 //! bit-identical everywhere, and `bench_diff` compares `pruned.wall_ms`
@@ -70,6 +71,7 @@ use gcr_cts::{
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
 use gcr_trace::{ChromeTraceSink, EchoWarnSink, TraceSink, Tracer};
+use gcr_verify::{Verifier, VerifyInput};
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
 
 use common::write_or_report;
@@ -447,8 +449,9 @@ fn run_benchmark(
     }
 
     // With tracing on, additionally record one full gated-routing flow —
-    // Equation-3 merge, zero-skew embedding, Equation-3 evaluation — so
-    // the timeline covers every pipeline layer, not just the merge loop.
+    // Equation-3 merge, zero-skew embedding, Equation-3 evaluation and
+    // verification — so the timeline covers every pipeline layer, not
+    // just the merge loop.
     // The coarsened entry point picks the engine: flat on the reference
     // benchmarks, regions on the scale ones, like the measured runs.
     if tracer.enabled() {
@@ -469,6 +472,13 @@ fn run_benchmark(
             DeviceRole::Gate,
         );
         assert!(report.total_switched_cap.is_finite());
+        let input = VerifyInput::new(&routing.tree, config.tech())
+            .with_die(workload.benchmark.die)
+            .with_controller(config.controller())
+            .with_tables(&workload.tables)
+            .with_node_stats(&routing.node_stats);
+        let verified = Verifier::with_default_lints().run(&input);
+        assert!(!verified.has_errors(), "{}", verified.render_text());
     }
     runs
 }

@@ -406,6 +406,8 @@ impl ClockTree {
     )]
     pub fn to_rc_tree(&self, tech: &Technology) -> (RcTree, Vec<NodeId>) {
         let mut rc = RcTree::new(tech.source());
+        // One RC node per non-root edge plus a zero-length stub per device.
+        rc.reserve(self.nodes.len().saturating_sub(1) + self.device_count());
         let mut rc_ids: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let root = self.root();
         let root_attach = match self.nodes[root.0].device {

@@ -113,12 +113,14 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    fn send(&self, line: &str) {
+    /// Writes `line` and its newline in one `write_all`, so a reply is
+    /// one write on the socket.
+    fn send(&self, mut line: String) {
+        line.push('\n');
         let mut guard = lock_tolerant(&self.stream);
         // A vanished client is its own problem; the daemon drops the
         // bytes and keeps serving everyone else.
         let _ = guard.write_all(line.as_bytes());
-        let _ = guard.write_all(b"\n");
         let _ = guard.flush();
     }
 }
@@ -366,7 +368,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         }
         if line.len() > MAX_LINE_BYTES {
             writer.send(
-                &Response::error("", format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+                Response::error("", format!("request line exceeds {MAX_LINE_BYTES} bytes"))
                     .render(),
             );
             if !skip_to_newline(&mut reader) {
@@ -390,7 +392,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(msg) => {
-            writer.send(&Response::error("", msg).render());
+            writer.send(Response::error("", msg).render());
             return;
         }
     };
@@ -403,13 +405,13 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
         Command::Ping => {
             let mut resp = Response::ok(&request.id);
             resp.cmd = Some("ping");
-            writer.send(&resp.render());
+            writer.send(resp.render());
         }
         Command::Stats => {
             let mut resp = Response::ok(&request.id);
             resp.cmd = Some("stats");
             resp.stats = Some(shared.snapshot());
-            writer.send(&resp.render());
+            writer.send(resp.render());
         }
         Command::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
@@ -419,7 +421,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
             let mut resp = Response::ok(&request.id);
             resp.cmd = Some("shutdown");
             resp.drained = Some(shared.completed.load(Ordering::Relaxed));
-            writer.send(&resp.render());
+            writer.send(resp.render());
             shared.stopped.store(true, Ordering::SeqCst);
             shared.queue.close();
         }
@@ -430,7 +432,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
 fn enqueue_work(shared: &Arc<Shared>, request: Request, writer: &Arc<ConnWriter>) {
     if matches!(request.cmd, Command::Sleep | Command::Panic) && !shared.config.debug_commands {
         writer.send(
-            &Response::error(
+            Response::error(
                 &request.id,
                 format!("{:?} requires debug_commands", request.cmd.name()),
             )
@@ -445,7 +447,7 @@ fn enqueue_work(shared: &Arc<Shared>, request: Request, writer: &Arc<ConnWriter>
             shared.rejected.load(Ordering::Relaxed) as f64,
         );
         writer.send(
-            &Response::rejected(&request.id, "draining", shared.config.retry_after_ms).render(),
+            Response::rejected(&request.id, "draining", shared.config.retry_after_ms).render(),
         );
         return;
     }
@@ -467,7 +469,7 @@ fn enqueue_work(shared: &Arc<Shared>, request: Request, writer: &Arc<ConnWriter>
             PushError::Full => "queue full",
             PushError::Closed => "draining",
         };
-        writer.send(&Response::rejected(&id, reason, shared.config.retry_after_ms).render());
+        writer.send(Response::rejected(&id, reason, shared.config.retry_after_ms).render());
     } else {
         shared.tracer.counter(
             "gcrd.inflight",
@@ -500,7 +502,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let respond_start = shared.tracer.now_ns();
-        job.writer.send(&response.render());
+        job.writer.send(response.render());
         let end = shared.tracer.now_ns();
         shared
             .tracer

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::num::NonZeroU32;
 
 use crate::{analysis::DelayAnalysis, Device};
 
@@ -35,7 +36,27 @@ struct Node {
     /// Optional buffering device at this node; its input sits at the node,
     /// its output drives the children edges.
     device: Option<Device>,
-    children: Vec<NodeId>,
+    /// The children form a singly linked list in insertion order, so
+    /// adding a node never allocates a per-node child vector. Links are
+    /// nonzero: the root, node 0, is never anyone's child.
+    first_child: Option<NonZeroU32>,
+    last_child: Option<NonZeroU32>,
+    next_sibling: Option<NonZeroU32>,
+}
+
+impl Node {
+    fn new(parent: Option<NodeId>, wire_res: f64, wire_cap: f64) -> Self {
+        Node {
+            parent,
+            wire_res,
+            wire_cap,
+            cap_load: 0.0,
+            device: None,
+            first_child: None,
+            last_child: None,
+            next_sibling: None,
+        }
+    }
 }
 
 /// A distributed RC tree with optional buffering devices, analyzed under
@@ -75,16 +96,15 @@ impl RcTree {
     #[must_use]
     pub fn new(source: Device) -> Self {
         Self {
-            nodes: vec![Node {
-                parent: None,
-                wire_res: 0.0,
-                wire_cap: 0.0,
-                cap_load: 0.0,
-                device: None,
-                children: Vec::new(),
-            }],
+            nodes: vec![Node::new(None, 0.0, 0.0)],
             source,
         }
+    }
+
+    /// Reserves room for at least `additional` more nodes, so a builder
+    /// that knows its size adds them without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
     }
 
     /// The root node id (always 0).
@@ -110,25 +130,28 @@ impl RcTree {
     ///
     /// # Panics
     ///
-    /// Panics if `parent` is out of range or the RC values are negative or
-    /// non-finite.
+    /// Panics if `parent` is out of range, the RC values are negative or
+    /// non-finite, or the new node's id would not fit in a `u32`.
     pub fn add_node(&mut self, parent: NodeId, wire_res: f64, wire_cap: f64) -> NodeId {
         assert!(parent.0 < self.nodes.len(), "unknown parent {parent}");
         assert!(
             wire_res.is_finite() && wire_res >= 0.0 && wire_cap.is_finite() && wire_cap >= 0.0,
             "wire RC must be finite and >= 0, got R={wire_res}, C={wire_cap}"
         );
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            parent: Some(parent),
-            wire_res,
-            wire_cap,
-            cap_load: 0.0,
-            device: None,
-            children: Vec::new(),
-        });
-        self.nodes[parent.0].children.push(id);
-        id
+        // Nonzero because the root already exists.
+        let Some(link) = u32::try_from(self.nodes.len())
+            .ok()
+            .and_then(NonZeroU32::new)
+        else {
+            panic!("RcTree node ids must fit in a u32");
+        };
+        self.nodes.push(Node::new(Some(parent), wire_res, wire_cap));
+        let p = &mut self.nodes[parent.0];
+        match p.last_child.replace(link) {
+            Some(last) => self.nodes[last.get() as usize].next_sibling = Some(link),
+            None => p.first_child = Some(link),
+        }
+        NodeId(link.get() as usize)
     }
 
     /// Sets the pin load at `node` (pF).
@@ -166,10 +189,12 @@ impl RcTree {
         self.nodes[node.0].parent
     }
 
-    /// The children of `node`.
-    #[must_use]
-    pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.0].children
+    /// The children of `node`, in insertion order.
+    pub(crate) fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.nodes[node.0].first_child, |ch| {
+            self.nodes[ch.get() as usize].next_sibling
+        })
+        .map(|ch| NodeId(ch.get() as usize))
     }
 
     /// Ids of all leaf nodes, in insertion order.
@@ -177,34 +202,31 @@ impl RcTree {
     pub fn leaves(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .map(NodeId)
-            .filter(|&n| self.nodes[n.0].children.is_empty() && (n.0 != 0 || self.nodes.len() == 1))
+            .filter(|&n| {
+                self.nodes[n.0].first_child.is_none() && (n.0 != 0 || self.nodes.len() == 1)
+            })
             .collect()
     }
 
-    /// Nodes in a topological (parent-before-child) order.
-    fn topo_order(&self) -> Vec<NodeId> {
-        // Insertion order already guarantees parents precede children.
-        (0..self.nodes.len()).map(NodeId).collect()
-    }
-
     /// Runs the Elmore analysis and returns per-node arrivals and
-    /// capacitances.
+    /// capacitances. Insertion order puts parents before children, so one
+    /// descending sweep accumulates capacitance and one ascending sweep
+    /// propagates arrivals.
     #[must_use]
     pub fn analyze(&self) -> DelayAnalysis {
         let n = self.nodes.len();
-        let order = self.topo_order();
 
         // Post-order accumulation of downstream capacitance.
         let mut cap_at_output = vec![0.0f64; n]; // cap driven at the node's output point
         let mut cap_seen = vec![0.0f64; n]; // cap presented to the wire above
-        for &id in order.iter().rev() {
-            let node = &self.nodes[id.0];
+        for i in (0..n).rev() {
+            let node = &self.nodes[i];
             let mut c = node.cap_load;
-            for &ch in &node.children {
+            for ch in self.children(NodeId(i)) {
                 c += self.nodes[ch.0].wire_cap + cap_seen[ch.0];
             }
-            cap_at_output[id.0] = c;
-            cap_seen[id.0] = match node.device {
+            cap_at_output[i] = c;
+            cap_seen[i] = match node.device {
                 Some(d) => d.input_cap(),
                 None => c,
             };
@@ -213,7 +235,7 @@ impl RcTree {
         // Pre-order arrival propagation.
         let mut arrival = vec![0.0f64; n]; // at node input (node location)
         let mut drive = vec![0.0f64; n]; // at the point driving the children edges
-        for &id in &order {
+        for id in (0..n).map(NodeId) {
             let node = &self.nodes[id.0];
             if let Some(p) = node.parent {
                 arrival[id.0] = drive[p.0] + node.wire_res * (node.wire_cap / 2.0 + cap_seen[id.0]);
@@ -362,6 +384,8 @@ mod tests {
         let s1 = t.add_node(m, 1.0, 0.1);
         let s2 = t.add_node(m, 1.0, 0.1);
         assert_eq!(t.leaves(), vec![s1, s2]);
+        assert_eq!(t.children(m).collect::<Vec<_>>(), vec![s1, s2]);
+        assert_eq!(t.children(s1).count(), 0);
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
     }

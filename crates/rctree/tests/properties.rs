@@ -125,3 +125,139 @@ proptest! {
         prop_assert!(skew <= 1e-9 * scale, "mirror skew {skew}");
     }
 }
+
+/// One node of an oracle tree: parent index (ignored for the root), wire
+/// RC, pin load and an optional device.
+#[derive(Debug, Clone)]
+struct OracleNode {
+    parent: usize,
+    wire_res: f64,
+    wire_cap: f64,
+    load: f64,
+    device: Option<Device>,
+}
+
+/// Random trees for the oracle comparison. `fanout` bounds how far back a
+/// node may look for its parent: node `i` hangs off one of the first
+/// `i / fanout + 1` nodes, so a small `fanout` gives wide nodes with
+/// three or more children. Roughly every third node carries a device.
+fn oracle_tree(max_nodes: usize, fanout: usize) -> impl Strategy<Value = Vec<OracleNode>> {
+    prop::collection::vec(
+        (
+            0usize..1000,
+            0.1..50.0f64,
+            0.001..1.0f64,
+            0.0..0.5f64,
+            0u32..3,
+            (0.01..0.2f64, 10.0..400.0f64, 0.0..60.0f64),
+        ),
+        1..max_nodes,
+    )
+    .prop_map(move |raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(
+                |(i, (p, r, c, l, kind, (cin, rout, intrinsic)))| OracleNode {
+                    parent: p % (i / fanout + 1),
+                    wire_res: r,
+                    wire_cap: c,
+                    load: l,
+                    device: (kind == 0).then(|| Device::new(cin, rout, intrinsic, 0.0)),
+                },
+            )
+            .collect()
+    })
+}
+
+/// The textbook Elmore recursion over explicit per-node child lists kept
+/// in insertion order: the independent reference `analyze` must match
+/// bit for bit. `nodes[i]` is tree node `i`; node 0 is the root, whose
+/// `parent` field is ignored.
+struct Oracle<'a> {
+    nodes: &'a [OracleNode],
+    children: Vec<Vec<usize>>,
+    source: Device,
+}
+
+impl Oracle<'_> {
+    fn cap_at_output(&self, i: usize) -> f64 {
+        let mut c = self.nodes[i].load;
+        for &ch in &self.children[i] {
+            c += self.nodes[ch].wire_cap + self.cap_seen(ch);
+        }
+        c
+    }
+
+    fn cap_seen(&self, i: usize) -> f64 {
+        match self.nodes[i].device {
+            Some(d) => d.input_cap(),
+            None => self.cap_at_output(i),
+        }
+    }
+
+    /// Arrival at node `i`, given the drive potential of its parent.
+    fn arrivals(&self, i: usize, parent_drive: Option<f64>, out: &mut [f64]) {
+        let node = &self.nodes[i];
+        let arrival = match parent_drive {
+            Some(d) => d + node.wire_res * (node.wire_cap / 2.0 + self.cap_seen(i)),
+            None => 0.0,
+        };
+        let stage = match (parent_drive, node.device) {
+            (None, _) => self.source.stage_delay(self.cap_at_output(i)),
+            (Some(_), Some(d)) => d.stage_delay(self.cap_at_output(i)),
+            (Some(_), None) => 0.0,
+        };
+        out[i] = arrival;
+        for &ch in &self.children[i] {
+            self.arrivals(ch, Some(arrival + stage), out);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `analyze` equals the recursive Elmore oracle bit for bit, on wide
+    /// and deep random trees with devices anywhere, the root included.
+    #[test]
+    fn analyze_is_bitwise_the_recursive_oracle(
+        nodes in oracle_tree(60, 3),
+        deep in oracle_tree(40, 1000),
+    ) {
+        for nodes in [&nodes, &deep] {
+            let mut t = RcTree::new(src());
+            let mut ids = vec![t.root()];
+            let mut children = vec![Vec::new(); nodes.len()];
+            for (i, node) in nodes.iter().enumerate() {
+                if i > 0 {
+                    ids.push(t.add_node(ids[node.parent], node.wire_res, node.wire_cap));
+                    children[node.parent].push(i);
+                }
+                t.set_load(ids[i], node.load);
+                if let Some(d) = node.device {
+                    t.set_device(ids[i], d);
+                }
+            }
+            let oracle = Oracle { nodes, children, source: src() };
+            let mut arrival = vec![0.0; nodes.len()];
+            oracle.arrivals(0, None, &mut arrival);
+            let an = t.analyze();
+            for (i, &id) in ids.iter().enumerate() {
+                prop_assert_eq!(an.arrival(id).to_bits(), arrival[i].to_bits(), "arrival of {}", id);
+                prop_assert_eq!(an.cap_seen(id).to_bits(), oracle.cap_seen(i).to_bits(), "cap_seen of {}", id);
+                prop_assert_eq!(
+                    an.cap_at_output(id).to_bits(),
+                    oracle.cap_at_output(i).to_bits(),
+                    "cap_at_output of {}",
+                    id
+                );
+            }
+        }
+        // The wide strategy must actually produce wide nodes.
+        let mut fan = vec![0usize; nodes.len()];
+        for node in &nodes[1..] {
+            fan[node.parent] += 1;
+        }
+        prop_assume!(fan.iter().any(|&k| k >= 3));
+    }
+}

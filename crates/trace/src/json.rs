@@ -18,20 +18,31 @@ const MAX_DEPTH: usize = 128;
 /// Appends `s` to `out` escaped for a JSON string literal: `"`, `\`,
 /// `\n`, `\r` and `\t` get their short escapes, other control
 /// characters `\u00XX`; everything else is copied as is.
+///
+/// Every byte that needs escaping is ASCII, so the scan runs over bytes
+/// and copies each maximal run between escapes with one `push_str`; a
+/// run never splits a multi-byte character.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    out.reserve(s.len());
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// A parsed JSON value.
@@ -460,6 +471,52 @@ mod tests {
         assert_eq!(result.unwrap_err().message, "nesting too deep");
     }
 
+    /// The char-at-a-time escaper `escape_into` replaced: the reference
+    /// its output must equal byte for byte.
+    fn escape_char_by_char(out: &mut String, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn assert_escapes_like_the_oracle(s: &str) {
+        // A non-empty prefix checks that the escaper appends.
+        let (mut ours, mut oracle) = (String::from("{"), String::from("{"));
+        escape_into(&mut ours, s);
+        escape_char_by_char(&mut oracle, s);
+        assert_eq!(ours, oracle, "escaping {s:?}");
+    }
+
+    #[test]
+    fn escape_matches_the_char_by_char_oracle() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "\"",
+            "\\",
+            "plain ascii, no escapes",
+            "\"quoted\" and \\back\\slashed\\",
+            "π, 中文 and 🦀: two-, three- and four-byte UTF-8",
+            "\u{1f}é\u{0}中\n🦀\"",
+            "ends with a control\u{7}",
+            "\u{7f} is not a control character",
+            &every_control,
+            &format!("{every_control}mid{every_control}"),
+        ] {
+            assert_escapes_like_the_oracle(s);
+        }
+    }
+
     #[test]
     fn escape_uses_short_escapes_and_hex_for_other_controls() {
         let mut out = String::new();
@@ -470,9 +527,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Escaping then parsing returns the original text for strings
-        /// mixing quotes, backslashes, `\r`, other control characters
-        /// and non-ASCII.
+        /// Escaping matches the char-by-char oracle, and parsing the
+        /// result returns the original text, for strings mixing quotes,
+        /// backslashes, `\r`, other control characters and non-ASCII.
         #[test]
         fn escape_round_trips_through_parse(chars in prop::collection::vec(
             prop_oneof![
@@ -487,6 +544,7 @@ mod tests {
             0..40,
         )) {
             let s: String = chars.into_iter().collect();
+            assert_escapes_like_the_oracle(&s);
             let mut literal = String::from("\"");
             escape_into(&mut literal, &s);
             literal.push('"');

@@ -3,19 +3,22 @@
 //! [`gcr_core::evaluate_with_mask`] — and, when one is supplied, a stored
 //! [`PowerReport`] — against it.
 //!
-//! The derivation here deliberately takes the naive route: for every
-//! edge it walks *up* the tree to find the nearest controlled gate and
-//! weights that edge's capacitance by the gate's enable probability
+//! The derivation here deliberately takes another route: for every edge
+//! it follows parent links *up* the tree to the nearest controlled gate
+//! (one memoized walk, so each node is visited once, whatever its index)
+//! and weights that edge's capacitance by the gate's enable probability
 //! (§2.1), then sums each controlled gate's enable star wire weighted by
 //! its transition probability (§2.2). `gcr_core::evaluate` computes the
-//! same quantity with a memoized single sweep; agreement within float
-//! noise is the check.
+//! same quantity with a top-down sweep that relies on the
+//! children-before-parents index order; agreement within float noise is
+//! the check.
 //!
 //! [`PowerReport`]: gcr_core::PowerReport
 
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::input::VerifyInput;
 use crate::lint::Lint;
+use crate::passes::{resolve_parent_chains, ChainEnd};
 use gcr_activity::EnableStats;
 use gcr_core::{evaluate_with_mask, ControllerPlan};
 
@@ -80,30 +83,23 @@ impl Lint for SwitchedCapLint {
             None => return,
         };
 
-        // W(T), the naive way: each edge's capacitance — wire, the sink
+        // W(T) from parent links: each edge's capacitance — wire, the sink
         // load at its foot, and the child gate pins hanging at its foot —
         // switches with the enable probability of the nearest controlled
         // gate at or above it (§2.1).
-        let domain_of = |start: usize| -> f64 {
-            let mut cur = start;
-            let mut hops = 0usize;
-            loop {
-                let node = tree.node(tree.id(cur));
-                if controlled[cur] && node.device().is_some() {
-                    return stats[cur].signal;
-                }
-                match node.parent() {
-                    Some(p) => cur = p.index(),
-                    None => return 1.0,
-                }
-                hops += 1;
-                if hops > n {
-                    return f64::NAN; // cyclic; the structure pass reports
-                }
-            }
-        };
+        let domain = resolve_parent_chains(
+            tree,
+            |i| {
+                (controlled[i] && tree.node(tree.id(i)).device().is_some()).then(|| stats[i].signal)
+            },
+            |end| match end {
+                ChainEnd::Root => 1.0,
+                // Broken structure; the structure pass reports it.
+                ChainEnd::OutOfRange | ChainEnd::Cycle => f64::NAN,
+            },
+        );
         let mut clock_cap = 0.0;
-        for i in 0..n {
+        for (i, &dom) in domain.iter().enumerate() {
             let node = tree.node(tree.id(i));
             let mut cap_here = tech.unit_cap() * node.electrical_length();
             if let Some(k) = node.sink() {
@@ -114,7 +110,7 @@ impl Lint for SwitchedCapLint {
                     cap_here += d.input_cap();
                 }
             }
-            clock_cap += domain_of(i) * cap_here;
+            clock_cap += dom * cap_here;
         }
         // The root gate's own input pin is driven by the free-running
         // source every cycle.

@@ -9,6 +9,7 @@
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::input::VerifyInput;
 use crate::lint::Lint;
+use crate::passes::{resolve_parent_chains, ChainEnd};
 
 /// See the module docs.
 pub struct TreeStructureLint;
@@ -149,29 +150,20 @@ impl Lint for TreeStructureLint {
             }
         }
 
-        // Acyclicity: every parent chain must reach the root within n
-        // steps.
+        // Acyclicity: every parent chain must end, at a parentless node
+        // or at an out-of-range parent (reported above).
+        let chains = resolve_parent_chains(tree, |_| None, |end| end);
         for id in tree.ids() {
-            let mut cur = id;
-            let mut steps = 0usize;
-            while let Some(p) = tree.node(cur).parent() {
-                if p.index() >= n {
-                    break; // already reported above
-                }
-                cur = p;
-                steps += 1;
-                if steps > n {
-                    out.push(
-                        Diagnostic::new(
-                            ID,
-                            Severity::Error,
-                            Location::Node(id.index()),
-                            format!("parent chain from {id} cycles without reaching the root"),
-                        )
-                        .with_code("GCR-TS10"),
-                    );
-                    break;
-                }
+            if chains[id.index()] == ChainEnd::Cycle {
+                out.push(
+                    Diagnostic::new(
+                        ID,
+                        Severity::Error,
+                        Location::Node(id.index()),
+                        format!("parent chain from {id} cycles without reaching the root"),
+                    )
+                    .with_code("GCR-TS10"),
+                );
             }
         }
 

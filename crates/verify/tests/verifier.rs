@@ -280,3 +280,107 @@ fn switched_cap_rederivation_agrees_with_evaluate_on_many_masks() {
         );
     }
 }
+
+/// Nodes of the subtree under `top` (inclusive), from the raw child lists.
+fn subtree(nodes: &[gcr_cts::RawTreeNode], top: usize) -> Vec<usize> {
+    let mut out = vec![top];
+    let mut i = 0;
+    while i < out.len() {
+        out.extend(nodes[out[i]].children.iter().copied());
+        i += 1;
+    }
+    out.sort_unstable();
+    out
+}
+
+/// A child `a` of the root together with an internal child `b` of `a`.
+fn root_child_with_internal_child(nodes: &[gcr_cts::RawTreeNode]) -> (usize, usize) {
+    let root = nodes.len() - 1;
+    nodes[root]
+        .children
+        .iter()
+        .find_map(|&a| {
+            let b = nodes[a]
+                .children
+                .iter()
+                .find(|&&g| !nodes[g].children.is_empty())?;
+            Some((a, *b))
+        })
+        .expect("a child of the root has an internal child")
+}
+
+/// Locations of the `code` diagnostics a report carries, sorted.
+fn node_locations(report: &gcr_verify::VerifyReport, code: &str) -> Vec<usize> {
+    let mut at: Vec<usize> = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.code == Some(code))
+        .map(|d| match d.location {
+            gcr_verify::Location::Node(i) => i,
+            ref other => panic!("{code} anchored at {other:?}"),
+        })
+        .collect();
+    at.sort_unstable();
+    at
+}
+
+#[test]
+fn parent_cycle_trips_tree_structure_for_exactly_the_nodes_above_it() {
+    let (tree, tech, ..) = gated_fixture();
+    let (mut nodes, caps) = tree.to_raw_parts();
+    // Two internal nodes name each other as parent: a child `a` of the
+    // root and `a`'s internal child `b`. Every node under `a` now climbs
+    // into the a <-> b loop; the root's own chain is untouched.
+    let (a, b) = root_child_with_internal_child(&nodes);
+    let cyclic = subtree(&nodes, a);
+    nodes[a].parent = Some(b);
+    let bad = ClockTree::from_raw_parts(nodes, caps);
+    let report = Verifier::with_default_lints().run(&VerifyInput::new(&bad, &tech));
+    assert_eq!(
+        node_locations(&report, "GCR-TS10"),
+        cyclic,
+        "{}",
+        report.render_text()
+    );
+    // `a` claims `b`, which lists it as no child of its own.
+    assert_eq!(node_locations(&report, "GCR-TS09"), vec![a]);
+    assert!(
+        !report.passes_run().contains(&"zero-skew")
+            && !report.passes_run().contains(&"switched-cap"),
+        "electrical passes must not traverse a cyclic tree"
+    );
+}
+
+#[test]
+fn descending_parent_indices_trip_only_the_index_order_check() {
+    let (tree, tech, ..) = gated_fixture();
+    let (nodes, caps) = tree.to_raw_parts();
+    // Swap the indices of the root's child `a` and `a`'s internal child
+    // `b`: `a` now sits below its own child in index order, so parent
+    // indices no longer ascend along every chain. The shape is otherwise
+    // intact.
+    let (a, b) = root_child_with_internal_child(&nodes);
+    let relabel = |i: usize| match i {
+        i if i == a => b,
+        i if i == b => a,
+        i => i,
+    };
+    let mut swapped = nodes.clone();
+    for (i, node) in nodes.iter().enumerate() {
+        let mut node = node.clone();
+        node.parent = node.parent.map(relabel);
+        node.children = node.children.iter().map(|&c| relabel(c)).collect();
+        swapped[relabel(i)] = node;
+    }
+    let bad = ClockTree::from_raw_parts(swapped, caps);
+    let report = Verifier::with_default_lints().run(&VerifyInput::new(&bad, &tech));
+    let structure: Vec<_> = report.by_lint("tree-structure").collect();
+    assert!(
+        !structure.is_empty()
+            && structure
+                .iter()
+                .all(|d| d.code == Some("GCR-TS06") && d.location == gcr_verify::Location::Node(b)),
+        "only the index-order check may fire, at the relabeled parent v{b}:\n{}",
+        report.render_text()
+    );
+}

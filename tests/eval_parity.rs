@@ -1,11 +1,15 @@
 //! Parity between the scalar evaluator and the per-depth breakdown:
 //! summing `evaluate_breakdown` rows must reproduce the clock and control
 //! switched capacitance of `evaluate_with_mask` for the **same mask** —
-//! on the Tsay benchmarks r1–r3 and on randomized trees and masks.
+//! on the Tsay benchmarks r1–r3 and on randomized trees and masks. Also
+//! pins `evaluate`'s totals, skew and delay bit for bit on r1–r4.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gcr_activity::{ActivityTables, CpuModel};
-use gcr_core::{evaluate_breakdown, evaluate_with_mask, route_gated, GatedRouting, RouterConfig};
+use gcr_core::{
+    evaluate, evaluate_breakdown, evaluate_with_mask, route_gated, DeviceRole, GatedRouting,
+    RouterConfig,
+};
 use gcr_cts::Sink;
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -121,5 +125,70 @@ proptest! {
             .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == mask_seed % 2)
             .collect();
         assert_breakdown_sums_to_total(&routing, &config, &mask, "random mask");
+    }
+}
+
+/// `evaluate`'s total switched capacitance, skew and delay on the smoke
+/// r1–r4 routings, pinned bit for bit: the Elmore oracle behind skew and
+/// delay, and the Equation-3 sum behind W, must not move by one ulp.
+#[test]
+fn evaluate_is_pinned_bit_for_bit_on_smoke_r1_r4() {
+    const PINS: [(TsayBenchmark, [u64; 3]); 4] = [
+        (
+            TsayBenchmark::R1,
+            [
+                0x4052_af5b_3810_76a4,
+                0x3d78_0000_0000_0000,
+                0x4099_1c37_0952_969f,
+            ],
+        ),
+        (
+            TsayBenchmark::R2,
+            [
+                0x4069_8e80_a9f5_3732,
+                0x3d84_0000_0000_0000,
+                0x40a2_a58e_4580_5f27,
+            ],
+        ),
+        (
+            TsayBenchmark::R3,
+            [
+                0x4074_3042_46c7_a8a8,
+                0x3d84_0000_0000_0000,
+                0x40a2_5678_50af_e85f,
+            ],
+        ),
+        (
+            TsayBenchmark::R4,
+            [
+                0x408f_721e_bd82_c23a,
+                0x3d9c_0000_0000_0000,
+                0x40b1_2e25_83f2_f6ab,
+            ],
+        ),
+    ];
+    let params = WorkloadParams::smoke();
+    for (which, pins) in PINS {
+        let workload = Workload::generate(which, &params).unwrap();
+        let config = RouterConfig::new(Technology::default(), workload.benchmark.die);
+        let routing = route_gated(&workload.benchmark.sinks, &workload.tables, &config).unwrap();
+        let report = evaluate(
+            &routing.tree,
+            &routing.node_stats,
+            config.controller(),
+            config.tech(),
+            DeviceRole::Gate,
+        );
+        let bits: [u64; 3] = [
+            report.total_switched_cap.to_bits(),
+            report.skew.to_bits(),
+            report.delay.to_bits(),
+        ];
+        assert_eq!(
+            bits,
+            pins,
+            "{}: evaluate moved (total W, skew, delay bits)",
+            which.name()
+        );
     }
 }
