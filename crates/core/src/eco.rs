@@ -18,8 +18,8 @@
 
 use gcr_activity::ActivityTables;
 use gcr_cts::{
-    apply_eco, embed_sized, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch,
-    GreedyParams, Sink, SizingLimits,
+    apply_eco, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams,
+    Sink,
 };
 use gcr_geometry::Point;
 use gcr_trace::Tracer;
@@ -124,21 +124,14 @@ pub fn route_gated_eco(
         scratch,
     )?;
     let assignment = DeviceAssignment::everywhere(&outcome.topology, config.tech().and_gate());
-    let tree = embed_sized(
-        &outcome.topology,
-        &sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-    )?;
-    let routing = GatedRouting {
-        topology: outcome.topology.clone(),
+    let routing = GatedRouting::embed(
+        outcome.topology.clone(),
         assignment,
-        tree,
-        node_stats: objective.node_stats(),
-        node_modules: objective.node_modules(),
-    };
+        &sinks,
+        config,
+        objective.node_stats(),
+        objective.node_modules(),
+    )?;
     Ok(GatedEcoResult {
         routing,
         sinks,

@@ -126,20 +126,7 @@ pub fn evaluate_with_mask(
 ) -> PowerReport {
     let tracer = gcr_trace::Tracer::current();
     let _span = tracer.span("evaluate.equation3");
-    let mut clock_cap = 0.0;
-    let mut control_cap = 0.0;
-    let mut control_len = 0.0;
-    for (_, edge) in edge_terms(tree, node_stats, controller, tech, controlled) {
-        clock_cap += edge.clock;
-        if let Some((len, cap)) = edge.control {
-            control_len += len;
-            control_cap += cap;
-        }
-    }
-    // The root's own device input pin is driven by the free-running source.
-    if let Some(d) = tree.node(tree.root()).device() {
-        clock_cap += d.input_cap();
-    }
+    let w = evaluate_switched_cap(tree, node_stats, controller, tech, controlled);
     let mut device_area = 0.0;
     for (_, d) in tree.devices() {
         device_area += d.area();
@@ -147,21 +134,21 @@ pub fn evaluate_with_mask(
 
     let clock_len = tree.total_wire_length();
     let clock_wire_area = tech.wire_area(clock_len);
-    let control_wire_area = tech.control_wire_area(control_len);
+    let control_wire_area = tech.control_wire_area(w.control_wire_length);
     let (rc, sinks) = tree.to_rc_tree(tech);
     let analysis = rc.analyze();
 
-    tracer.counter("evaluate.clock_switched_cap", clock_cap);
-    tracer.counter("evaluate.control_switched_cap", control_cap);
-    tracer.counter("evaluate.total_switched_cap", clock_cap + control_cap);
+    tracer.counter("evaluate.clock_switched_cap", w.clock);
+    tracer.counter("evaluate.control_switched_cap", w.control);
+    tracer.counter("evaluate.total_switched_cap", w.clock + w.control);
     tracer.counter("evaluate.num_devices", tree.device_count() as f64);
 
     PowerReport {
-        clock_switched_cap: clock_cap,
-        control_switched_cap: control_cap,
-        total_switched_cap: clock_cap + control_cap,
+        clock_switched_cap: w.clock,
+        control_switched_cap: w.control,
+        total_switched_cap: w.clock + w.control,
         clock_wire_length: clock_len,
-        control_wire_length: control_len,
+        control_wire_length: w.control_wire_length,
         clock_wire_area,
         control_wire_area,
         device_area,
@@ -170,6 +157,50 @@ pub fn evaluate_with_mask(
         skew: analysis.skew(&sinks),
         delay: analysis.max_arrival(&sinks),
     }
+}
+
+/// The switched-capacitance half of a [`PowerReport`]: the paper's
+/// objective without the area accounting and the Elmore analysis.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SwitchedCap {
+    /// `W(T)`, as [`PowerReport::clock_switched_cap`].
+    pub clock: f64,
+    /// `W(S)`, as [`PowerReport::control_switched_cap`].
+    pub control: f64,
+    /// Total enable star wire length, as
+    /// [`PowerReport::control_wire_length`].
+    pub control_wire_length: f64,
+}
+
+/// `W(T)` and `W(S)` of [`evaluate_with_mask`] alone, bit-identical to
+/// its report's, for callers that need only the objective: it builds no
+/// RC tree and runs no Elmore analysis. [`evaluate_with_mask`] calls it
+/// for its switched-capacitance fields. Untraced.
+///
+/// # Panics
+///
+/// Panics if `node_stats` or `controlled` do not cover every tree node.
+#[must_use]
+pub fn evaluate_switched_cap(
+    tree: &ClockTree,
+    node_stats: &[EnableStats],
+    controller: &ControllerPlan,
+    tech: &Technology,
+    controlled: &[bool],
+) -> SwitchedCap {
+    let mut w = SwitchedCap::default();
+    for (_, edge) in edge_terms(tree, node_stats, controller, tech, controlled) {
+        w.clock += edge.clock;
+        if let Some((len, cap)) = edge.control {
+            w.control_wire_length += len;
+            w.control += cap;
+        }
+    }
+    // The root's own device input pin is driven by the free-running source.
+    if let Some(d) = tree.node(tree.root()).device() {
+        w.clock += d.input_cap();
+    }
+    w
 }
 
 /// Switched capacitance attributed to one tree depth by

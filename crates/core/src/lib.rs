@@ -81,15 +81,15 @@ pub use cost::merge_switched_cap;
 pub use eco::{route_gated_eco, GatedEcoResult};
 pub use error::RouteError;
 pub use evaluate::{
-    evaluate, evaluate_breakdown, evaluate_buffered, evaluate_with_mask, DeviceRole,
-    LevelBreakdown, PowerReport,
+    evaluate, evaluate_breakdown, evaluate_buffered, evaluate_switched_cap, evaluate_with_mask,
+    DeviceRole, LevelBreakdown, PowerReport, SwitchedCap,
 };
 pub use optimal::reduce_gates_optimal;
 pub use reduction::{reduce_gates, reduce_gates_untied, ReductionParams};
 pub use router::{
     gated_region_factory, gated_routing_for_topology, gated_routing_for_topology_mapped,
-    node_activity, route_gated, route_gated_coarsened, route_gated_mapped, GatedObjective,
-    GatedRouting, RouterConfig,
+    node_activity, route_gated, route_gated_coarsened, route_gated_mapped,
+    route_gated_with_scratch, GatedObjective, GatedRouting, RouterConfig,
 };
 pub use simulate::{simulate_stream, SimulationReport, WINDOW};
 pub use tellez::{route_activity_driven, ActivityDrivenObjective};

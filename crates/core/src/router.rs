@@ -2,7 +2,8 @@ use gcr_activity::{set_bits, ActivityTables, EnableStats, ModuleSet, Rtl};
 use gcr_cts::{
     clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
     BoundRows, BoundTerms, ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment,
-    GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink, SizingLimits, Topology,
+    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeArena, MergeObjective, Sink,
+    SizingLimits, Topology,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{Device, Technology};
@@ -434,6 +435,34 @@ pub struct GatedRouting {
 }
 
 impl GatedRouting {
+    /// Embeds `topology` under `assignment` into a sized zero-skew tree
+    /// and packages it with the node statistics: the one tail of every
+    /// router and of [`Self::reembed`].
+    pub(crate) fn embed(
+        topology: Topology,
+        assignment: DeviceAssignment,
+        sinks: &[Sink],
+        config: &RouterConfig,
+        node_stats: Vec<EnableStats>,
+        node_modules: Vec<ModuleSet>,
+    ) -> Result<Self, RouteError> {
+        let tree = embed_sized(
+            &topology,
+            sinks,
+            config.tech(),
+            &assignment,
+            config.source(),
+            SizingLimits::default(),
+        )?;
+        Ok(GatedRouting {
+            topology,
+            assignment,
+            tree,
+            node_stats,
+            node_modules,
+        })
+    }
+
     /// Re-embeds the same topology with a different device assignment
     /// (e.g. after gate reduction), restoring exact zero skew.
     ///
@@ -447,21 +476,14 @@ impl GatedRouting {
         assignment: DeviceAssignment,
         config: &RouterConfig,
     ) -> Result<GatedRouting, RouteError> {
-        let tree = embed_sized(
-            &self.topology,
-            sinks,
-            config.tech(),
-            &assignment,
-            config.source(),
-            SizingLimits::default(),
-        )?;
-        Ok(GatedRouting {
-            topology: self.topology.clone(),
+        Self::embed(
+            self.topology.clone(),
             assignment,
-            tree,
-            node_stats: self.node_stats.clone(),
-            node_modules: self.node_modules.clone(),
-        })
+            sinks,
+            config,
+            self.node_stats.clone(),
+            self.node_modules.clone(),
+        )
     }
 }
 
@@ -482,13 +504,7 @@ pub fn gated_routing_for_topology(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    if sinks.len() != tables.rtl().num_modules() {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
-    let identity: Vec<usize> = (0..sinks.len()).collect();
+    let identity = identity_module_map(sinks, tables)?;
     gated_routing_for_topology_mapped(topology, sinks, &identity, tables, config)
 }
 
@@ -509,21 +525,14 @@ pub fn gated_routing_for_topology_mapped(
     check_module_of(sinks, module_of, tables)?;
     let (node_modules, node_stats) = node_activity(&topology, module_of, tables);
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized(
-        &topology,
-        sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-    )?;
-    Ok(GatedRouting {
+    GatedRouting::embed(
         topology,
         assignment,
-        tree,
+        sinks,
+        config,
         node_stats,
         node_modules,
-    })
+    )
 }
 
 /// Every topology node's module set and enable statistics, indexed by
@@ -574,6 +583,23 @@ pub(crate) fn check_module_of(
     Ok(())
 }
 
+/// The paper's 1:1 sink-to-module map, the identity (sink `i` is gated
+/// by module `i`), or [`RouteError::SinkModuleMismatch`] when the sink
+/// count differs from the activity model's module count.
+pub(crate) fn identity_module_map(
+    sinks: &[Sink],
+    tables: &ActivityTables,
+) -> Result<Vec<usize>, RouteError> {
+    let modules = tables.rtl().num_modules();
+    if sinks.len() != modules {
+        return Err(RouteError::SinkModuleMismatch {
+            sinks: sinks.len(),
+            modules,
+        });
+    }
+    Ok((0..modules).collect())
+}
+
 /// The paper's `GatedClockRouting` procedure (§4.2): greedy bottom-up
 /// merging ordered by the Equation-3 switched capacitance, a masking gate
 /// on every edge, then top-down zero-skew placement.
@@ -598,13 +624,7 @@ pub fn route_gated(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    if sinks.len() != tables.rtl().num_modules() {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
-    let identity: Vec<usize> = (0..sinks.len()).collect();
+    let identity = identity_module_map(sinks, tables)?;
     route_gated_mapped(sinks, &identity, tables, config)
 }
 
@@ -628,20 +648,23 @@ pub fn route_gated_mapped(
     route_with(sinks, module_of, tables, config, |objective| {
         let params = GreedyParams::default();
         run_greedy_with_scratch(sinks.len(), objective, &params, &mut GreedyScratch::new())
-            .map(|(topology, _, _)| topology)
     })
+    .map(|(routing, _)| routing)
 }
 
 /// The body shared by the flat and coarsened routers: validate, build the
-/// objective under `route.objective`, `merge`, embed with sizing, and
-/// collect the node statistics, all in a `route.gated` span.
+/// objective under `route.objective`, `merge`, gate every edge, embed
+/// with sizing, and collect the node statistics, all in a `route.gated`
+/// span. Returns the routing and the merge engine's profile.
 fn route_with(
     sinks: &[Sink],
     module_of: &[usize],
     tables: &ActivityTables,
     config: &RouterConfig,
-    merge: impl FnOnce(&mut GatedObjective<'_>) -> Result<Topology, CtsError>,
-) -> Result<GatedRouting, RouteError> {
+    merge: impl FnOnce(
+        &mut GatedObjective<'_>,
+    ) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError>,
+) -> Result<(GatedRouting, GreedyProfile), RouteError> {
     check_module_of(sinks, module_of, tables)?;
     let tracer = Tracer::current();
     let _route = tracer.span("route.gated");
@@ -650,23 +673,17 @@ fn route_with(
         GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of)
     };
     tracer.counter("route.sinks", sinks.len() as f64);
-    let topology = merge(&mut objective)?;
+    let (topology, _, profile) = merge(&mut objective)?;
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized(
-        &topology,
-        sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-    )?;
-    Ok(GatedRouting {
+    let routing = GatedRouting::embed(
         topology,
         assignment,
-        tree,
-        node_stats: objective.node_stats(),
-        node_modules: objective.node_modules(),
-    })
+        sinks,
+        config,
+        objective.node_stats(),
+        objective.node_modules(),
+    )?;
+    Ok((routing, profile))
 }
 
 /// A region-objective factory over `sinks` for the coarsened greedy
@@ -696,8 +713,9 @@ pub fn gated_region_factory<'a>(
 /// the flat pruned engine with its exact result and decision log, above
 /// it (r6–r8, up to a million sinks) the hierarchical coarsening engine,
 /// where the flat greedy's merge loop is no longer economical. So this
-/// is safe to call at any size; `gcrd` and `gcr-verify audit` route
-/// the same way.
+/// is safe to call at any size. A cold-scratch wrapper of
+/// [`route_gated_with_scratch`], the flow `gcrd` and `gcr-verify audit`
+/// run.
 ///
 /// See the `gcr_cts::coarsen` module docs for the exactness caveat: the
 /// coarsened topology is a deterministic approximation of the flat
@@ -715,12 +733,35 @@ pub fn route_gated_coarsened(
     config: &RouterConfig,
     params: &CoarsenParams,
 ) -> Result<GatedRouting, RouteError> {
+    let mut scratch = CoarsenScratch::new();
+    route_gated_with_scratch(sinks, module_of, tables, config, params, &mut scratch)
+        .map(|(routing, _)| routing)
+}
+
+/// [`route_gated_coarsened`] through the caller's reusable `scratch`:
+/// the whole gated-routing flow at any size, for long-lived callers
+/// that route many designs. Returns the routing and the merge engine's
+/// profile; when `params.greedy.log_decisions` is set, the run's
+/// decision log stays readable from
+/// [`CoarsenScratch::decisions`](gcr_cts::CoarsenScratch::decisions)
+/// until the next run. A warm scratch keeps every merge loop
+/// allocation-free (`loop_allocs == 0`).
+///
+/// # Errors
+///
+/// As [`route_gated_mapped`].
+pub fn route_gated_with_scratch(
+    sinks: &[Sink],
+    module_of: &[usize],
+    tables: &ActivityTables,
+    config: &RouterConfig,
+    params: &CoarsenParams,
+    scratch: &mut CoarsenScratch,
+) -> Result<(GatedRouting, GreedyProfile), RouteError> {
     route_with(sinks, module_of, tables, config, |objective| {
         let factory =
             gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
-        let mut scratch = CoarsenScratch::new();
-        run_greedy_coarsened(sinks.len(), objective, factory, params, &mut scratch)
-            .map(|(topology, _, _)| topology)
+        run_greedy_coarsened(sinks.len(), objective, factory, params, scratch)
     })
 }
 

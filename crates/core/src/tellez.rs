@@ -1,13 +1,12 @@
 use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, embed_sized, run_greedy_with_scratch, BoundRows, BoundTerms,
-    CtsError, DeviceAssignment, GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink,
-    SizingLimits,
+    clone_preserving_capacity, run_greedy_with_scratch, BoundRows, BoundTerms, CtsError,
+    DeviceAssignment, GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::{Device, Technology};
 
-use crate::router::{push_leaf_activation, push_union_row};
+use crate::router::{identity_module_map, push_leaf_activation, push_union_row};
 use crate::{GatedRouting, RouteError, RouterConfig};
 
 /// The activity-driven merge objective in the spirit of Téllez, Farrahi &
@@ -234,12 +233,7 @@ pub fn route_activity_driven(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    if sinks.len() != tables.rtl().num_modules() {
-        return Err(RouteError::SinkModuleMismatch {
-            sinks: sinks.len(),
-            modules: tables.rtl().num_modules(),
-        });
-    }
+    identity_module_map(sinks, tables)?;
     let mut objective =
         ActivityDrivenObjective::new(config.tech(), tables, sinks, config.die().half_perimeter());
     let params = GreedyParams::default();
@@ -250,23 +244,14 @@ pub fn route_activity_driven(
         &mut GreedyScratch::new(),
     )?;
     let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized(
-        &topology,
-        sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-    )?;
-    let node_stats = objective.node_stats();
-    let node_modules = objective.node_modules();
-    Ok(GatedRouting {
+    GatedRouting::embed(
         topology,
         assignment,
-        tree,
-        node_stats,
-        node_modules,
-    })
+        sinks,
+        config,
+        objective.node_stats(),
+        objective.node_modules(),
+    )
 }
 
 #[cfg(test)]

@@ -403,29 +403,28 @@ where
     F: Fn(&[u32]) -> R + Sync,
 {
     let tracer = &Tracer::current();
-    if num_leaves < 2 * params.region_size() {
-        let out = run_greedy_with_scratch(num_leaves, objective, &params.greedy, &mut scratch.top)?;
-        scratch.decisions.clear();
-        scratch.decisions.extend_from_slice(scratch.top.decisions());
-        return Ok(out);
-    }
-
-    let _run = tracer.span("coarsen.run");
-    let threads = resolve_threads(&params.greedy, tracer);
-
-    // Partition over the leaf locations (pure function of the input).
-    let part_start = tracer.now_ns();
-    let t0 = Instant::now();
-    let locations: Vec<Point> = (0..num_leaves).map(|i| objective.location(i)).collect();
-    let regions = partition_regions(&locations, params.region_size());
-    drop(locations);
-    tracer.complete_span("coarsen.partition", part_start, elapsed_ns(t0.elapsed()));
+    // Below the cut-over nothing is partitioned and no `coarsen.*` span
+    // opens; above it, partition over the leaf locations (a pure
+    // function of the input).
+    let coarsen = num_leaves >= 2 * params.region_size();
+    let _run = coarsen.then(|| tracer.span("coarsen.run"));
+    let regions = if coarsen {
+        let part_start = tracer.now_ns();
+        let t0 = Instant::now();
+        let locations: Vec<Point> = (0..num_leaves).map(|i| objective.location(i)).collect();
+        let regions = partition_regions(&locations, params.region_size());
+        tracer.complete_span("coarsen.partition", part_start, elapsed_ns(t0.elapsed()));
+        regions
+    } else {
+        Vec::new()
+    };
     if regions.len() <= 1 {
         let out = run_greedy_with_scratch(num_leaves, objective, &params.greedy, &mut scratch.top)?;
         scratch.decisions.clear();
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
     }
+    let threads = resolve_threads(&params.greedy, tracer);
 
     // Solve every region on the worker pool: each worker pulls the next
     // region from one shared cursor over the schedule and solves it with

@@ -121,7 +121,7 @@ fn check_client(
                     reference.report.total_switched_cap
                 ));
             }
-            if id.contains("-route-") && str_field(resp, "decision_log") != reference.log {
+            if id.contains("-route-") && str_field(resp, "decision_log") != *reference.log {
                 return Err(format!("{id}: decision log differs from reference"));
             }
         }

@@ -10,25 +10,23 @@
 //! touches no engine code at all.
 //!
 //! [`route_design`] routes every design through
-//! [`run_greedy_coarsened`], which alone picks the engine: below twice
+//! [`route_gated_with_scratch`], the library's one gated-routing flow,
+//! with the worker's reusable [`CoarsenScratch`]. Below twice
 //! [`DEFAULT_REGION_SIZE`](gcr_cts::DEFAULT_REGION_SIZE) sinks (r1–r5)
 //! it runs the flat pruned engine with the flat engine's decision log,
 //! above it (r6–r8) the regional decomposition. So a daemon response is
-//! bit-identical to `gcr-verify audit`'s replay of the same key. The
-//! one mechanical difference is that the daemon runs the engine through
-//! a per-worker reusable [`CoarsenScratch`] and *copies* the decision
-//! log out with [`CoarsenScratch::decisions`] instead of stealing the
-//! buffer, which keeps the warm merge loop at `loop_allocs == 0`.
+//! bit-identical to the CLI flow and to `gcr-verify audit`'s replay of
+//! the same key.
 
 use std::sync::Arc;
 
 use gcr_core::{
-    evaluate, gated_region_factory, route_gated_eco, DeviceRole, GatedObjective, GatedRouting,
-    PowerReport, RouterConfig,
+    evaluate, route_gated_eco, route_gated_with_scratch, DeviceRole, GatedRouting, PowerReport,
+    RouterConfig,
 };
 use gcr_cts::{
-    canonical_decision_log, embed_sized, run_greedy_coarsened, CoarsenParams, CoarsenScratch,
-    DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams, MergeDecision, SizingLimits,
+    canonical_decision_log, CoarsenParams, CoarsenScratch, EcoEdit, EcoOutcome, EcoScratch,
+    GreedyParams, MergeDecision,
 };
 use gcr_rctree::Technology;
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
@@ -88,8 +86,9 @@ pub struct RoutingEntry {
     pub routing: GatedRouting,
     /// The committed merge decisions, in order.
     pub decisions: Vec<MergeDecision>,
-    /// `canonical_decision_log(&decisions)`.
-    pub log: String,
+    /// `canonical_decision_log(&decisions)`, shared with every log reply
+    /// rendered from this entry.
+    pub log: Arc<str>,
     /// FNV-1a digest of the canonical log — the wire `log_hash`.
     pub log_hash: u64,
     /// Equation-3 power evaluation of the routing.
@@ -156,16 +155,6 @@ pub fn route_design(
     threads: usize,
     scratch: &mut WorkerScratch,
 ) -> Result<RoutingEntry, String> {
-    let sinks = &design.workload.benchmark.sinks;
-    let tables = &design.workload.tables;
-    let config = &design.config;
-    let mut objective = GatedObjective::new(
-        config.tech(),
-        config.controller(),
-        tables,
-        sinks,
-        &design.module_of,
-    );
     let params = CoarsenParams {
         greedy: GreedyParams {
             threads: Some(threads),
@@ -173,17 +162,11 @@ pub fn route_design(
         },
         target_region_size: 0,
     };
-    let factory = gated_region_factory(
-        config.tech(),
-        config.controller(),
-        tables,
-        sinks,
+    let (routing, profile) = route_gated_with_scratch(
+        &design.workload.benchmark.sinks,
         &design.module_of,
-    );
-    let (topology, _, profile) = run_greedy_coarsened(
-        sinks.len(),
-        &mut objective,
-        factory,
+        &design.workload.tables,
+        &design.config,
         &params,
         &mut scratch.coarsen,
     )
@@ -192,35 +175,17 @@ pub fn route_design(
     // buffer empty and the next warm run would regrow it, breaking the
     // `loop_allocs == 0` steady state.
     let decisions = scratch.coarsen.decisions().to_vec();
-    let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let tree = embed_sized(
-        &topology,
-        sinks,
-        config.tech(),
-        &assignment,
-        config.source(),
-        SizingLimits::default(),
-    )
-    .map_err(|e| format!("embedding failed: {e}"))?;
-    let node_stats = objective.node_stats();
-    let node_modules = objective.node_modules();
     let report = evaluate(
-        &tree,
-        &node_stats,
-        config.controller(),
-        config.tech(),
+        &routing.tree,
+        &routing.node_stats,
+        design.config.controller(),
+        design.config.tech(),
         DeviceRole::Gate,
     );
-    let log = canonical_decision_log(&decisions);
+    let log: Arc<str> = canonical_decision_log(&decisions).into();
     let log_hash = fnv1a(log.as_bytes());
     Ok(RoutingEntry {
-        routing: GatedRouting {
-            topology,
-            assignment,
-            tree,
-            node_stats,
-            node_modules,
-        },
+        routing,
         decisions,
         log,
         log_hash,

@@ -32,6 +32,8 @@
 //! (`decision_log` itself only when the request asked with
 //! `"log": true` — it is O(sinks) text).
 
+use std::sync::Arc;
+
 use gcr_cts::EcoEdit;
 use gcr_cts::Sink;
 use gcr_geometry::Point;
@@ -294,8 +296,9 @@ pub struct Response {
     pub loop_allocs: Option<u64>,
     /// FNV-1a digest of the canonical decision log, rendered in hex.
     pub log_hash: Option<u64>,
-    /// Canonical decision log text (on request only).
-    pub decision_log: Option<String>,
+    /// Canonical decision log text (on request only), shared with the
+    /// routing entry it came from rather than copied out of it.
+    pub decision_log: Option<Arc<str>>,
     /// Equation-3 `W = W(T) + W(S)`.
     pub total_switched_cap: Option<f64>,
     /// Equation-3 `W(T)`.
@@ -540,7 +543,7 @@ mod tests {
         resp.merges = Some(266);
         resp.loop_allocs = Some(0);
         resp.log_hash = Some(0xdead_beef);
-        resp.decision_log = Some("0 1 -> 267\n2 3 -> 268".to_owned());
+        resp.decision_log = Some("0 1 -> 267\n2 3 -> 268".into());
         resp.total_switched_cap = Some(123.456_789_012_345_67);
         let line = resp.render();
         let parsed = json::parse(&line).unwrap();

@@ -622,7 +622,7 @@ fn routing_response(
     resp.loop_allocs = Some(entry.loop_allocs);
     resp.log_hash = Some(entry.log_hash);
     if request.want_log {
-        resp.decision_log = Some(entry.log.clone());
+        resp.decision_log = Some(Arc::clone(&entry.log));
     }
     resp.total_switched_cap = Some(entry.report.total_switched_cap);
     resp.clock_switched_cap = Some(entry.report.clock_switched_cap);

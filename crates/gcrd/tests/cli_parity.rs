@@ -1,0 +1,79 @@
+//! The daemon routes bit-identically to the library's one-shot flow:
+//! `engine::route_design` (warm per-worker scratch, pinned thread count,
+//! decision logging on) produces the same topology, embedded tree,
+//! node statistics and module sets as `gcr_core::route_gated` on the
+//! r1–r3 smoke designs, and as `gcr_core::route_gated_coarsened` on the
+//! coarsened r6 design.
+
+// Test code: unwrap/expect on infallible setup is idiomatic here.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use gcr_activity::EnableStats;
+use gcr_core::{route_gated, route_gated_coarsened, GatedRouting};
+use gcr_cts::CoarsenParams;
+use gcr_workloads::TsayBenchmark;
+use gcrd::engine::{build_design, route_design, WorkerScratch};
+use gcrd::DesignKey;
+
+fn stats_bits(stats: &[EnableStats]) -> Vec<(u64, u64)> {
+    stats
+        .iter()
+        .map(|s| (s.signal.to_bits(), s.transition.to_bits()))
+        .collect()
+}
+
+fn assert_same_routing(daemon: &GatedRouting, cli: &GatedRouting, name: &str) {
+    assert_eq!(daemon.topology, cli.topology, "{name}: topology");
+    assert_eq!(daemon.tree, cli.tree, "{name}: tree");
+    assert_eq!(
+        stats_bits(&daemon.node_stats),
+        stats_bits(&cli.node_stats),
+        "{name}: node_stats"
+    );
+    assert_eq!(
+        daemon.node_modules, cli.node_modules,
+        "{name}: node_modules"
+    );
+}
+
+fn key(benchmark: TsayBenchmark) -> DesignKey {
+    DesignKey {
+        benchmark,
+        stream_len: 500,
+        seed: 1998,
+    }
+}
+
+#[test]
+fn route_design_matches_route_gated_on_r1_to_r3() {
+    // One warm scratch across designs and two threads: the daemon's
+    // steady state, against the CLI's cold single-shot route.
+    let mut scratch = WorkerScratch::new();
+    for benchmark in [TsayBenchmark::R1, TsayBenchmark::R2, TsayBenchmark::R3] {
+        let design = build_design(key(benchmark)).unwrap();
+        let daemon = route_design(&design, 2, &mut scratch).unwrap();
+        let cli = route_gated(
+            &design.workload.benchmark.sinks,
+            &design.workload.tables,
+            &design.config,
+        )
+        .unwrap();
+        assert_same_routing(&daemon.routing, &cli, benchmark.name());
+    }
+}
+
+#[test]
+#[ignore = "release-mode scale check (coarsened path); run with --ignored"]
+fn route_design_matches_route_gated_coarsened_on_r6() {
+    let design = build_design(key(TsayBenchmark::R6)).unwrap();
+    let daemon = route_design(&design, 2, &mut WorkerScratch::new()).unwrap();
+    let cli = route_gated_coarsened(
+        &design.workload.benchmark.sinks,
+        &design.module_of,
+        &design.workload.tables,
+        &design.config,
+        &CoarsenParams::default(),
+    )
+    .unwrap();
+    assert_same_routing(&daemon.routing, &cli, "r6");
+}

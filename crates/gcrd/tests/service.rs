@@ -127,7 +127,7 @@ fn concurrent_clients_get_bit_identical_routings() {
             let reference = &refs[seeds.iter().position(|&s| s == seed).unwrap()];
             assert_eq!(
                 str_field(resp, "decision_log"),
-                reference.log,
+                &*reference.log,
                 "{id}: decision log differs from single-shot reference"
             );
             assert_eq!(

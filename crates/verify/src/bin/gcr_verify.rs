@@ -6,12 +6,14 @@
 //! error-severity diagnostic fires (or a pass was skipped under
 //! `--deny-skipped`), `2` on usage or load failure.
 //!
-//! The `audit` subcommand is the determinism harness: it replays the
-//! r1–r5 reference benchmarks through the Equation-3 greedy router
-//! across thread counts and traced/untraced configurations, records the
+//! The `audit` subcommand is the determinism harness: it routes the
+//! r1–r5 reference benchmarks through the library's gated-routing flow
+//! (`gcr_core::route_gated_with_scratch`, the flow `gcrd` runs) across
+//! thread counts and traced/untraced configurations, records the
 //! decision log of every run, and fails unless all logs are
-//! bit-identical and the routed trees verify clean. The scale
-//! benchmarks (r6–r8) can be requested by name; they route through the
+//! bit-identical and the baseline routing — its tree, node statistics
+//! and decision log — verifies clean. The scale benchmarks (r6–r8) can
+//! be requested by name; the same flow routes them through the
 //! hierarchical coarsening engine, whose decision logs are audited with
 //! exactly the same machinery (they are sequential and canonical, like
 //! the flat engine's).
@@ -19,10 +21,9 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use gcr_core::{gated_region_factory, ControllerPlan, DeviceRole, GatedObjective};
+use gcr_core::{route_gated_with_scratch, ControllerPlan, DeviceRole, RouterConfig};
 use gcr_cts::{
-    canonical_decision_log, embed, embed_sized, load_design, run_greedy_coarsened, CoarsenParams,
-    CoarsenScratch, DeviceAssignment, GreedyParams, MergeObjective, SizingLimits,
+    canonical_decision_log, embed, load_design, CoarsenParams, CoarsenScratch, GreedyParams,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -258,40 +259,7 @@ fn run() -> Result<bool, String> {
     Ok(!report.has_errors() && !denied)
 }
 
-/// Replays one benchmark through the gated greedy router under `params`,
-/// returning the canonical decision log. The run goes through
-/// [`run_greedy_coarsened`], which runs the flat pruned engine below its
-/// cut-over and the regional decomposition (with `region_factory`)
-/// above it, exactly as `gcrd` routes. The run traces to whatever tracer
-/// the caller entered.
-fn replay<'a, F>(
-    base: &GatedObjective<'a>,
-    num_sinks: usize,
-    params: &GreedyParams,
-    region_factory: &F,
-) -> Result<(gcr_cts::Topology, Vec<gcr_cts::MergeDecision>), String>
-where
-    F: Fn(&[u32]) -> GatedObjective<'a> + Sync,
-{
-    let mut objective = base.clone();
-    let mut scratch = CoarsenScratch::new();
-    let coarsen = CoarsenParams {
-        greedy: *params,
-        target_region_size: 0,
-    };
-    let (topology, _, _) = run_greedy_coarsened(
-        num_sinks,
-        &mut objective,
-        region_factory,
-        &coarsen,
-        &mut scratch,
-    )
-    .map_err(|e| format!("greedy route failed: {e}"))?;
-    Ok((topology, scratch.take_decisions()))
-}
-
 fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
-    let tech = Technology::default();
     let params = WorkloadParams::smoke().with_stream_len(opts.stream_len);
     if let Some(dir) = &opts.sarif_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -300,21 +268,34 @@ fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
     for &which in &opts.benchmarks {
         let workload =
             Workload::generate(which, &params).map_err(|e| format!("{}: {e}", which.name()))?;
-        let sinks = &workload.benchmark.sinks;
         let die = workload.benchmark.die;
-        let controller = ControllerPlan::Centralized {
-            location: die.center(),
-        };
+        let config = RouterConfig::new(Technology::default(), die);
         let module_of = workload.module_of();
-        let base = GatedObjective::new(&tech, &controller, &workload.tables, sinks, &module_of);
-        let factory = gated_region_factory(&tech, &controller, &workload.tables, sinks, &module_of);
+        // One cold-scratch run of the gated-routing flow; it traces to
+        // whatever tracer the caller entered.
+        let route = |threads: usize| {
+            let coarsen = CoarsenParams {
+                greedy: GreedyParams {
+                    threads: Some(threads),
+                    log_decisions: true,
+                },
+                target_region_size: 0,
+            };
+            let mut scratch = CoarsenScratch::new();
+            let (routing, _) = route_gated_with_scratch(
+                &workload.benchmark.sinks,
+                &module_of,
+                &workload.tables,
+                &config,
+                &coarsen,
+                &mut scratch,
+            )
+            .map_err(|e| format!("{}: route failed: {e}", which.name()))?;
+            Ok::<_, String>((routing, scratch.take_decisions()))
+        };
 
         // The baseline: single-threaded, untraced.
-        let greedy = |threads: usize| GreedyParams {
-            threads: Some(threads),
-            log_decisions: true,
-        };
-        let (topology, baseline) = replay(&base, sinks.len(), &greedy(opts.threads[0]), &factory)?;
+        let (routing, baseline) = route(opts.threads[0])?;
         let baseline_log = canonical_decision_log(&baseline);
         let mut divergent = 0usize;
         let mut configs = 1usize;
@@ -329,7 +310,7 @@ fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
                     Tracer::disabled()
                 };
                 let _entered = tracer.enter();
-                let (_, log) = replay(&base, sinks.len(), &greedy(threads), &factory)?;
+                let (_, log) = route(threads)?;
                 configs += 1;
                 if canonical_decision_log(&log) != baseline_log {
                     divergent += 1;
@@ -343,29 +324,12 @@ fn run_audit(opts: &AuditOptions) -> Result<bool, String> {
         }
 
         // Verify the baseline routing end to end, decision log included.
-        let assignment = DeviceAssignment::everywhere(&topology, tech.and_gate());
-        let tree = embed_sized(
-            &topology,
-            sinks,
-            &tech,
-            &assignment,
-            die.center(),
-            SizingLimits::default(),
-        )
-        .map_err(|e| format!("{}: embedding failed: {e}", which.name()))?;
-        let mut objective = base.clone();
-        for d in &baseline {
-            objective
-                .merge(d.a as usize, d.b as usize, d.node as usize)
-                .map_err(|e| format!("{}: replaying log failed: {e}", which.name()))?;
-        }
-        let node_stats = objective.node_stats();
         let report = Verifier::with_default_lints().run(
-            &VerifyInput::new(&tree, &tech)
+            &VerifyInput::new(&routing.tree, config.tech())
                 .with_die(die)
-                .with_controller(&controller)
+                .with_controller(config.controller())
                 .with_tables(&workload.tables)
-                .with_node_stats(&node_stats)
+                .with_node_stats(&routing.node_stats)
                 .with_decision_log(&baseline),
         );
         if let Some(dir) = &opts.sarif_dir {

@@ -1,7 +1,8 @@
 //! `switched-cap`: re-derives the paper's objective `W = W(T) + W(S)`
 //! (Equation (3)) from first principles and cross-checks
-//! [`gcr_core::evaluate_with_mask`] — and, when one is supplied, a stored
-//! [`PowerReport`] — against it.
+//! [`gcr_core::evaluate_switched_cap`] (the switched-capacitance half of
+//! [`gcr_core::evaluate_with_mask`]) — and, when one is supplied, a
+//! stored [`PowerReport`] — against it.
 //!
 //! The derivation here deliberately takes another route: for every edge
 //! it follows parent links *up* the tree to the nearest controlled gate
@@ -20,7 +21,7 @@ use crate::input::VerifyInput;
 use crate::lint::Lint;
 use crate::passes::{resolve_parent_chains, ChainEnd};
 use gcr_activity::EnableStats;
-use gcr_core::{evaluate_with_mask, ControllerPlan};
+use gcr_core::{evaluate_switched_cap, ControllerPlan};
 
 /// See the module docs.
 pub struct SwitchedCapLint;
@@ -131,11 +132,11 @@ impl Lint for SwitchedCapLint {
         let total = clock_cap + control_cap;
 
         // Cross-check the production evaluator.
-        let reference = evaluate_with_mask(tree, stats, controller, tech, &controlled);
+        let reference = evaluate_switched_cap(tree, stats, controller, tech, &controlled);
         for (name, ours, theirs) in [
-            ("W(T)", clock_cap, reference.clock_switched_cap),
-            ("W(S)", control_cap, reference.control_switched_cap),
-            ("W", total, reference.total_switched_cap),
+            ("W(T)", clock_cap, reference.clock),
+            ("W(S)", control_cap, reference.control),
+            ("W", total, reference.clock + reference.control),
         ] {
             if (ours - theirs).abs() > CAP_TOL {
                 out.push(Diagnostic::new(

@@ -10,10 +10,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gcr_activity::{ActivityTables, CpuModel};
-use gcr_core::{gated_region_factory, GatedObjective, RouterConfig};
+use gcr_core::{route_gated_with_scratch, GatedRouting, RouterConfig};
 use gcr_cts::{
-    canonical_decision_log, partition_regions, run_greedy_coarsened, CoarsenParams, CoarsenScratch,
-    GreedyParams, MergeDecision, Sink, Topology,
+    canonical_decision_log, partition_regions, CoarsenParams, CoarsenScratch, GreedyParams,
+    MergeDecision, Sink,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
@@ -42,22 +42,17 @@ fn tables_for(num_sinks: usize, seed: u64) -> ActivityTables {
     ActivityTables::scan(model.rtl(), &stream)
 }
 
-/// Runs the coarsened engine at `threads` workers over the Equation-3
-/// objective with `scratch`, returning the topology, the decision log,
-/// and the fully merged objective for downstream verification.
-fn coarsened_route<'a>(
-    sinks: &'a [Sink],
-    module_of: &'a [usize],
-    tables: &'a ActivityTables,
-    config: &'a RouterConfig,
+/// Routes through the gated-routing flow at `threads` workers with
+/// `scratch`, returning the routing and the decision log.
+fn coarsened_route(
+    sinks: &[Sink],
+    module_of: &[usize],
+    tables: &ActivityTables,
+    config: &RouterConfig,
     target_region_size: usize,
     threads: usize,
     scratch: &mut CoarsenScratch,
-) -> (Topology, Vec<MergeDecision>, GatedObjective<'a>) {
-    let mut objective =
-        GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of);
-    let factory =
-        gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
+) -> (GatedRouting, Vec<MergeDecision>) {
     let params = CoarsenParams {
         greedy: GreedyParams {
             threads: Some(threads),
@@ -65,9 +60,9 @@ fn coarsened_route<'a>(
         },
         target_region_size,
     };
-    let (topology, _, _) =
-        run_greedy_coarsened(sinks.len(), &mut objective, factory, &params, scratch).unwrap();
-    (topology, scratch.take_decisions(), objective)
+    let (routing, _) =
+        route_gated_with_scratch(sinks, module_of, tables, config, &params, scratch).unwrap();
+    (routing, scratch.take_decisions())
 }
 
 proptest! {
@@ -113,16 +108,16 @@ proptest! {
         let tables = tables_for(sinks.len(), seed);
         let module_of: Vec<usize> = (0..sinks.len()).collect();
         // target 16 forces multiple regions even at 40 sinks.
-        let (topology, log, _) =
+        let (routing, log) =
             coarsened_route(&sinks, &module_of, &tables, &config, 16, 1, &mut CoarsenScratch::new());
         prop_assert_eq!(log.len(), sinks.len() - 1);
         let baseline = canonical_decision_log(&log);
         for threads in [2usize, 4, 8] {
-            let (topo_t, log_t, _) =
+            let (routing_t, log_t) =
                 coarsened_route(
                     &sinks, &module_of, &tables, &config, 16, threads, &mut CoarsenScratch::new(),
                 );
-            prop_assert_eq!(&topo_t, &topology, "topology diverged at {} threads", threads);
+            prop_assert_eq!(&routing_t.topology, &routing.topology, "topology diverged at {} threads", threads);
             prop_assert_eq!(
                 canonical_decision_log(&log_t),
                 baseline.clone(),
@@ -145,25 +140,13 @@ proptest! {
         let config = RouterConfig::new(tech.clone(), die);
         let tables = tables_for(sinks.len(), seed);
         let module_of: Vec<usize> = (0..sinks.len()).collect();
-        let (topology, log, objective) =
+        let (routing, log) =
             coarsened_route(&sinks, &module_of, &tables, &config, 16, 4, &mut CoarsenScratch::new());
-        let assignment =
-            gcr_cts::DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-        let tree = gcr_cts::embed_sized(
-            &topology,
-            &sinks,
-            config.tech(),
-            &assignment,
-            config.source(),
-            gcr_cts::SizingLimits::default(),
-        )
-        .unwrap();
-        let node_stats = objective.node_stats();
         let report = Verifier::with_default_lints().run(
-            &VerifyInput::new(&tree, &tech)
+            &VerifyInput::new(&routing.tree, &tech)
                 .with_die(die)
                 .with_tables(&tables)
-                .with_node_stats(&node_stats)
+                .with_node_stats(&routing.node_stats)
                 .with_controller(config.controller())
                 .with_decision_log(&log),
         );
@@ -216,10 +199,10 @@ fn coarsened_route_is_schedule_invariant_on_uneven_regions() {
     let tables = tables_for(modules, 7);
     let module_of: Vec<usize> = (0..sinks.len()).map(|i| i % modules).collect();
     let route = |threads: usize, scratch: &mut CoarsenScratch| {
-        let (topology, log, _) = coarsened_route(
+        let (routing, log) = coarsened_route(
             &sinks, &module_of, &tables, &config, target, threads, scratch,
         );
-        (topology, canonical_decision_log(&log))
+        (routing.topology, canonical_decision_log(&log))
     };
     let (topology, log) = route(1, &mut CoarsenScratch::new());
     assert_eq!(topology.num_leaves(), sinks.len());

@@ -1,14 +1,16 @@
 //! Parity between the scalar evaluator and the per-depth breakdown:
 //! summing `evaluate_breakdown` rows must reproduce the clock and control
 //! switched capacitance of `evaluate_with_mask` for the **same mask** —
-//! on the Tsay benchmarks r1–r3 and on randomized trees and masks. Also
-//! pins `evaluate`'s totals, skew and delay bit for bit on r1–r4.
+//! on the Tsay benchmarks r1–r3 and on randomized trees and masks, where
+//! the W-only `evaluate_switched_cap` must also reproduce the report's
+//! switched capacitance bit for bit. Also pins `evaluate`'s totals, skew
+//! and delay bit for bit on r1–r4.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{
-    evaluate, evaluate_breakdown, evaluate_with_mask, route_gated, DeviceRole, GatedRouting,
-    RouterConfig,
+    evaluate, evaluate_breakdown, evaluate_switched_cap, evaluate_with_mask, route_gated,
+    DeviceRole, GatedRouting, RouterConfig,
 };
 use gcr_cts::Sink;
 use gcr_geometry::{BBox, Point};
@@ -33,6 +35,23 @@ fn assert_breakdown_sums_to_total(
         config.controller(),
         config.tech(),
         controlled,
+    );
+    let w = evaluate_switched_cap(
+        &routing.tree,
+        &routing.node_stats,
+        config.controller(),
+        config.tech(),
+        controlled,
+    );
+    let bits = |v: [f64; 3]| v.map(f64::to_bits);
+    assert_eq!(
+        bits([w.clock, w.control, w.control_wire_length]),
+        bits([
+            report.clock_switched_cap,
+            report.control_switched_cap,
+            report.control_wire_length
+        ]),
+        "{label}: the W-only path differs from the report"
     );
     let breakdown = evaluate_breakdown(
         &routing.tree,
