@@ -31,17 +31,13 @@
 //!   reads the next chunk counts the spanning pair.
 //! * **Bounded memory.** Peak usage is O(threads · chunk) buffer space
 //!   (none for borrowed traces) plus the per-worker count tables: dense
-//!   K×K `u64` below [`ScanParams::dense_limit`] instructions, a sparse
-//!   hash map above it — O(observed pairs), not O(K²), per worker.
+//!   K×K `u64` up to 1 024 instructions, a sparse hash map above —
+//!   O(observed pairs), not O(K²), per worker. The layout follows from K
+//!   alone.
 //! * **Warm-rescan reuse.** A [`ScanScratch`] keeps buffers and count
 //!   tables across scans; a warm single-threaded rescan performs zero
 //!   heap allocations in the chunk loop (enforced by the allocation-probe
 //!   test, reported in [`ScanProfile`]).
-//!
-//! For push-style integration (the trace arrives from a simulator
-//! callback rather than a pullable source), feed chunks into a
-//! [`TableBuilder`] and [`TableBuilder::merge`] independently built
-//! shards.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,11 +53,10 @@ use crate::{ActivityError, ActivityTables, Ift, InstructionId, Itmatt, Rtl, Trac
 /// the source is uncontended.
 pub const DEFAULT_CHUNK_CYCLES: usize = 64 * 1024;
 
-/// Default instruction-count threshold below which per-worker counts use
-/// a dense K×K array (8 MiB of `u64` at the limit); above it they fall
-/// back to sparse accumulation so per-worker memory tracks the observed
-/// pairs instead of K².
-pub const DEFAULT_DENSE_LIMIT: usize = 1024;
+/// Largest K whose per-worker counts use a dense K×K array (8 MiB of
+/// `u64` at the limit); above it they fall back to sparse accumulation so
+/// per-worker memory tracks the observed pairs instead of K².
+const DENSE_LIMIT: usize = 1024;
 
 /// Largest K whose dense table counts through [`LANES`] lanes: 64 KiB of
 /// lanes at the limit, so a flush costs at most a quarter of an add per
@@ -84,9 +79,6 @@ pub struct ScanParams {
     /// Cycles per chunk read or borrowed block (min 1; default
     /// [`DEFAULT_CHUNK_CYCLES`]).
     pub chunk_cycles: usize,
-    /// Dense/sparse threshold for per-worker count tables (default
-    /// [`DEFAULT_DENSE_LIMIT`]); 0 forces sparse accumulation.
-    pub dense_limit: usize,
 }
 
 impl Default for ScanParams {
@@ -94,7 +86,6 @@ impl Default for ScanParams {
         Self {
             threads: None,
             chunk_cycles: DEFAULT_CHUNK_CYCLES,
-            dense_limit: DEFAULT_DENSE_LIMIT,
         }
     }
 }
@@ -157,8 +148,8 @@ fn resolve_threads(explicit: Option<usize>, tracer: &Tracer) -> usize {
 
 /// One worker's exact `u64` pair counts (the ITMATT numerators, from
 /// which the merge window also derives the IFT numerators). Dense K×K
-/// storage below the dense limit — through lane tables when K is small —
-/// and sparse hash accumulation (key `a·K + b`) above it.
+/// storage up to [`DENSE_LIMIT`] instructions — through lane tables when
+/// K is small — and sparse hash accumulation (key `a·K + b`) above it.
 #[derive(Clone, Debug, Default)]
 struct PartialCounts {
     k: usize,
@@ -178,8 +169,8 @@ impl PartialCounts {
     /// (Re)shapes for `k` instructions and zeroes all counts. Keeps
     /// existing capacity when the shape is unchanged, so warm rescans do
     /// not allocate here.
-    fn reset(&mut self, k: usize, dense_limit: usize) {
-        let dense_mode = k <= dense_limit;
+    fn reset(&mut self, k: usize) {
+        let dense_mode = k <= DENSE_LIMIT;
         if self.k != k || self.dense_mode != dense_mode {
             self.k = k;
             self.dense_mode = dense_mode;
@@ -337,153 +328,6 @@ fn too_short(cycles: u64) -> ActivityError {
     }
 }
 
-/// Incremental push-based table construction: feed trace chunks as they
-/// arrive, merge independently built shards, normalize once at the end.
-///
-/// The counts are exact integers, so `feed`ing a trace in any chunking
-/// and `merge`ing shards in stream order produces tables bit-identical
-/// to [`ActivityTables::scan`] over the concatenated trace.
-///
-/// ```
-/// use gcr_activity::{paper_example_rtl, ActivityTables, InstructionStream, TableBuilder};
-///
-/// let rtl = paper_example_rtl();
-/// let stream = InstructionStream::from_indices(&rtl, [0, 1, 3, 0, 2, 1])?;
-/// let mut builder = TableBuilder::new(&rtl)?;
-/// for chunk in stream.instructions().chunks(2) {
-///     builder.feed(chunk);
-/// }
-/// let tables = builder.finish(&rtl)?;
-/// let oracle = ActivityTables::scan(&rtl, &stream);
-/// assert_eq!(tables.itmatt(), oracle.itmatt());
-/// # Ok::<(), gcr_activity::ActivityError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct TableBuilder {
-    counts: PartialCounts,
-    first: Option<InstructionId>,
-    last: Option<InstructionId>,
-    cycles: u64,
-}
-
-impl TableBuilder {
-    /// A builder for `rtl`'s instruction universe, using the default
-    /// dense/sparse threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError::CapacityExceeded`] when `rtl` exceeds
-    /// [`Itmatt::MAX_INSTRUCTIONS`] — checked before any K-sized
-    /// allocation.
-    pub fn new(rtl: &Rtl) -> Result<Self, ActivityError> {
-        Self::with_dense_limit(rtl, DEFAULT_DENSE_LIMIT)
-    }
-
-    /// As [`Self::new`] with an explicit dense/sparse threshold
-    /// (`dense_limit == 0` forces sparse accumulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError::CapacityExceeded`] when `rtl` exceeds
-    /// [`Itmatt::MAX_INSTRUCTIONS`].
-    pub fn with_dense_limit(rtl: &Rtl, dense_limit: usize) -> Result<Self, ActivityError> {
-        let k = rtl.num_instructions();
-        Itmatt::check_capacity(k)?;
-        let mut counts = PartialCounts::default();
-        counts.reset(k, dense_limit);
-        Ok(Self {
-            counts,
-            first: None,
-            last: None,
-            cycles: 0,
-        })
-    }
-
-    /// Feeds the next cycles of the trace, in stream order. Pairs inside
-    /// `chunk` and the pair spanning the previous `feed` call are both
-    /// counted, so any chunking of a trace yields the same counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` contains an id outside the builder's RTL
-    /// (sources constructed through this crate only yield validated ids).
-    pub fn feed(&mut self, chunk: &[InstructionId]) {
-        let Some(&chunk_first) = chunk.first() else {
-            return;
-        };
-        if let Some(prev) = self.last {
-            self.counts.count_pair(prev, chunk_first);
-        }
-        if self.first.is_none() {
-            self.first = Some(chunk_first);
-        }
-        self.counts.count_pairs(chunk);
-        self.last = chunk.last().copied();
-        self.cycles += chunk.len() as u64;
-    }
-
-    /// Cycles fed so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Appends `other`'s counts, stitching the pair spanning the shard
-    /// boundary — `other` must have observed the cycles *immediately
-    /// following* this builder's, and both must share an RTL universe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError::InvalidStream`] when instruction
-    /// universes differ.
-    pub fn merge(&mut self, other: &Self) -> Result<(), ActivityError> {
-        if self.counts.k != other.counts.k {
-            return Err(ActivityError::InvalidStream {
-                reason: format!(
-                    "cannot merge builders over {} and {} instructions",
-                    self.counts.k, other.counts.k
-                ),
-            });
-        }
-        if let (Some(prev), Some(next)) = (self.last, other.first) {
-            self.counts.count_pair(prev, next);
-        }
-        if self.first.is_none() {
-            self.first = other.first;
-        }
-        if other.last.is_some() {
-            self.last = other.last;
-        }
-        self.counts.absorb(&other.counts);
-        self.cycles += other.cycles;
-        Ok(())
-    }
-
-    /// The single final normalization: builds [`ActivityTables`] from the
-    /// accumulated integer counts, bit-identical to the two-pass
-    /// reference over the same trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivityError::InvalidStream`] when fewer than two
-    /// cycles were fed or `rtl` does not match the builder's universe.
-    pub fn finish(&self, rtl: &Rtl) -> Result<ActivityTables, ActivityError> {
-        if rtl.num_instructions() != self.counts.k {
-            return Err(ActivityError::InvalidStream {
-                reason: format!(
-                    "RTL defines {} instructions but the builder counted {}",
-                    rtl.num_instructions(),
-                    self.counts.k
-                ),
-            });
-        }
-        match self.last {
-            Some(last) if self.cycles >= 2 => self.counts.to_tables(rtl, last, self.cycles),
-            _ => Err(too_short(self.cycles)),
-        }
-    }
-}
-
 /// One worker's reusable state: a chunk buffer (pulled sources only)
 /// plus its partial counts.
 #[derive(Clone, Debug, Default)]
@@ -509,7 +353,7 @@ impl ScanScratch {
 
     /// Shapes `threads` worker slots for `k` instructions and `buf`-cycle
     /// chunk buffers, zeroing counts but keeping capacity.
-    fn ensure(&mut self, k: usize, buf: usize, threads: usize, dense_limit: usize) {
+    fn ensure(&mut self, k: usize, buf: usize, threads: usize) {
         if self.workers.len() < threads {
             self.workers.resize_with(threads, WorkerSlot::default);
         }
@@ -518,7 +362,7 @@ impl ScanScratch {
                 slot.buf.clear();
                 slot.buf.resize(buf, InstructionId::default());
             }
-            slot.counts.reset(k, dense_limit);
+            slot.counts.reset(k);
         }
     }
 }
@@ -678,7 +522,7 @@ pub fn scan_source(
     let threads = resolve_threads(params.threads, tracer);
     let borrowed = source.take_slice();
     let buf = if borrowed.is_some() { 0 } else { chunk };
-    scratch.ensure(k, buf, threads, params.dense_limit);
+    scratch.ensure(k, buf, threads);
     let workers = &mut scratch.workers[..threads];
 
     let chunks_start_ns = tracer.now_ns();
@@ -768,6 +612,16 @@ mod tests {
         assert_eq!(tables.itmatt(), &itmatt);
     }
 
+    /// One past the dense limit: `DENSE_LIMIT + 1` instructions over one
+    /// module, so every scan of it counts sparsely.
+    fn sparse_rtl() -> Rtl {
+        let mut builder = Rtl::builder(1);
+        for i in 0..=DENSE_LIMIT {
+            builder = builder.instruction(&format!("I{i}"), [0]).unwrap();
+        }
+        builder.build().unwrap()
+    }
+
     #[test]
     fn scan_source_matches_sequential_scan_exactly() {
         let rtl = paper_example_rtl();
@@ -777,7 +631,6 @@ mod tests {
                 let params = ScanParams {
                     threads: Some(threads),
                     chunk_cycles,
-                    ..ScanParams::default()
                 };
                 let mut scratch = ScanScratch::new();
                 let mut source = SliceSource::new(&stream);
@@ -793,16 +646,17 @@ mod tests {
 
     #[test]
     fn sparse_accumulation_matches_dense() {
-        let rtl = paper_example_rtl();
-        let stream = paper_stream(&rtl);
+        let rtl = sparse_rtl();
+        let stream =
+            InstructionStream::from_indices(&rtl, (0..400).map(|i| (i * 37) % 1_025)).unwrap();
         let params = ScanParams {
             threads: Some(2),
             chunk_cycles: 3,
-            dense_limit: 0, // force the sparse per-worker path
         };
         let mut scratch = ScanScratch::new();
         let mut source = SliceSource::new(&stream);
         let (tables, _) = scan_source(&rtl, &mut source, &params, &mut scratch).unwrap();
+        assert!(scratch.workers.iter().all(|w| !w.counts.dense_mode));
         assert_matches_reference(&tables, &stream);
     }
 
@@ -813,7 +667,6 @@ mod tests {
         let params = ScanParams {
             threads: Some(1),
             chunk_cycles: 4,
-            ..ScanParams::default()
         };
         let mut scratch = ScanScratch::new();
         for _ in 0..3 {
@@ -836,7 +689,7 @@ mod tests {
         let b = 3 * LANE_FLUSH_PAIRS + 7;
         let stream = InstructionStream::from_indices(&rtl, std::iter::repeat_n(0, b)).unwrap();
         let mut counts = PartialCounts::default();
-        counts.reset(1, DEFAULT_DENSE_LIMIT);
+        counts.reset(1);
         assert!(!counts.lanes.is_empty(), "K = 1 must take the lane path");
         counts.count_pairs(stream.instructions());
         let mut total = 0;
@@ -849,7 +702,6 @@ mod tests {
             let params = ScanParams {
                 threads: Some(1),
                 chunk_cycles,
-                ..ScanParams::default()
             };
             let mut source = SliceSource::new(&stream);
             let (tables, _) =
@@ -860,87 +712,28 @@ mod tests {
 
     /// The last instruction occurs nowhere else, so its ITMATT row is
     /// empty: its IFT count comes only from the "+1 for the last cycle"
-    /// term of the row-sum identity.
+    /// term of the row-sum identity. Checked for the dense (paper RTL)
+    /// and sparse (K past the dense limit) layouts.
     #[test]
     fn last_instruction_opening_no_pair_keeps_its_ift_count() {
-        let rtl = paper_example_rtl();
-        let stream = InstructionStream::from_indices(&rtl, [0, 1, 0, 0, 2, 1, 3]).unwrap();
-        let i4 = rtl.instruction(3).unwrap();
-        for dense_limit in [DEFAULT_DENSE_LIMIT, 0] {
+        for (rtl, last) in [(paper_example_rtl(), 3), (sparse_rtl(), DENSE_LIMIT)] {
+            let stream = InstructionStream::from_indices(&rtl, [0, 1, 0, 0, 2, 1, last]).unwrap();
+            let i_last = rtl.instruction(last).unwrap();
             for threads in [1, 2] {
                 let params = ScanParams {
                     threads: Some(threads),
                     chunk_cycles: 2,
-                    dense_limit,
                 };
                 let mut source = SliceSource::new(&stream);
                 let (tables, _) =
                     scan_source(&rtl, &mut source, &params, &mut ScanScratch::new()).unwrap();
                 assert_matches_reference(&tables, &stream);
-                assert_eq!(tables.ift().probability(i4), 1.0 / 7.0);
+                assert_eq!(tables.ift().probability(i_last), 1.0 / 7.0);
                 assert!(rtl
                     .instruction_ids()
-                    .all(|b| tables.itmatt().pair_probability(i4, b) == 0.0));
+                    .all(|b| tables.itmatt().pair_probability(i_last, b) == 0.0));
             }
         }
-    }
-
-    #[test]
-    fn table_builder_feed_and_merge_stitch_boundaries() {
-        let rtl = paper_example_rtl();
-        let stream = paper_stream(&rtl);
-        let ids = stream.instructions();
-
-        // Arbitrary chunking through one builder.
-        let mut builder = TableBuilder::new(&rtl).unwrap();
-        for chunk in ids.chunks(3) {
-            builder.feed(chunk);
-        }
-        builder.feed(&[]); // empty feeds are no-ops
-        assert_eq!(builder.cycles(), 20);
-        assert_matches_reference(&builder.finish(&rtl).unwrap(), &stream);
-
-        // Three shards merged in stream order.
-        let mut left = TableBuilder::new(&rtl).unwrap();
-        left.feed(&ids[..7]);
-        let mut mid = TableBuilder::new(&rtl).unwrap();
-        mid.feed(&ids[7..13]);
-        let mut right = TableBuilder::with_dense_limit(&rtl, 0).unwrap();
-        right.feed(&ids[13..]);
-        left.merge(&mid).unwrap();
-        left.merge(&right).unwrap();
-        assert_matches_reference(&left.finish(&rtl).unwrap(), &stream);
-
-        // Merging an empty shard is a no-op.
-        let empty = TableBuilder::new(&rtl).unwrap();
-        left.merge(&empty).unwrap();
-        assert_matches_reference(&left.finish(&rtl).unwrap(), &stream);
-    }
-
-    #[test]
-    fn builder_errors_are_structured() {
-        let rtl = paper_example_rtl();
-        // Too few cycles.
-        let mut builder = TableBuilder::new(&rtl).unwrap();
-        assert!(matches!(
-            builder.finish(&rtl).unwrap_err(),
-            ActivityError::InvalidStream { .. }
-        ));
-        builder.feed(&[InstructionId(0)]);
-        assert!(builder.finish(&rtl).is_err());
-        // Universe mismatch on merge.
-        let other_rtl = Rtl::builder(1)
-            .instruction("X", [0])
-            .unwrap()
-            .build()
-            .unwrap();
-        let mut a = TableBuilder::new(&rtl).unwrap();
-        let b = TableBuilder::new(&other_rtl).unwrap();
-        assert!(a.merge(&b).is_err());
-        // Universe mismatch on finish.
-        let mut c = TableBuilder::new(&other_rtl).unwrap();
-        c.feed(&[InstructionId(0), InstructionId(0)]);
-        assert!(c.finish(&rtl).is_err());
     }
 
     #[test]
@@ -968,7 +761,6 @@ mod tests {
         let params = ScanParams {
             threads: Some(2),
             chunk_cycles: 5,
-            ..ScanParams::default()
         };
         let mut scratch = ScanScratch::new();
         let mut source = SliceSource::new(&stream);

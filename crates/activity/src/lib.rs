@@ -34,11 +34,11 @@
 //! pipeline whose result is **bit-identical** to the two-pass reference
 //! ([`Ift::scan`] + [`Itmatt::scan`]) at every thread count and chunk
 //! size (integer counts merge exactly; the f64 normalization happens
-//! once). [`ActivityTables::scan`] is the same pipeline over an
-//! in-memory stream at one thread, counted in place without a copy.
-//! Push-style integration goes through [`TableBuilder`]. See
-//! `docs/algorithms.md` for the row-sum, chunk-stitch and exact-merge
-//! argument.
+//! once). It is the only scan front end: [`ActivityTables::scan`] is
+//! the same pipeline over an in-memory stream at one thread, counted in
+//! place without a copy, and the two-pass reference survives only as the
+//! test oracle. See `docs/algorithms.md` for the row-sum, chunk-stitch
+//! and exact-merge argument.
 //!
 //! # Example
 //!
@@ -81,10 +81,7 @@ mod stats;
 mod stream;
 mod tables;
 
-pub use builder::{
-    scan_source, ScanParams, ScanProfile, ScanScratch, TableBuilder, DEFAULT_CHUNK_CYCLES,
-    DEFAULT_DENSE_LIMIT,
-};
+pub use builder::{scan_source, ScanParams, ScanProfile, ScanScratch, DEFAULT_CHUNK_CYCLES};
 pub use error::ActivityError;
 /// Re-export of the workspace's one allocation probe, so binaries that
 /// install it through this crate keep working.

@@ -159,7 +159,6 @@ impl CpuModel {
             current: InstructionId(0),
             started: false,
             remaining: len,
-            len,
         }
     }
 
@@ -195,14 +194,9 @@ pub struct ModelTraceSource<'m> {
     current: InstructionId,
     started: bool,
     remaining: u64,
-    len: u64,
 }
 
 impl TraceSource for ModelTraceSource<'_> {
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.len)
-    }
-
     fn next_chunk(&mut self, buf: &mut [InstructionId]) -> Result<usize, ActivityError> {
         let mut written = 0usize;
         let model = self.model;
@@ -583,7 +577,6 @@ mod tests {
                 .unwrap();
             let oracle = m.generate_stream(2_000);
             let mut source = m.trace_source(2_000);
-            assert_eq!(source.len_hint(), Some(2_000));
             let mut got = Vec::new();
             let mut buf = vec![InstructionId(0); 1];
             let mut chunk = 1usize;

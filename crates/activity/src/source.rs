@@ -24,13 +24,6 @@ use crate::{ActivityError, InstructionId, InstructionStream};
 /// return short chunks. Implementations must be `Send` so the parallel
 /// scan can hand the source to a worker pool behind a mutex.
 pub trait TraceSource: Send {
-    /// Total cycles this source will produce, when known up front. Purely
-    /// advisory (progress reporting, preallocation); the scan never trusts
-    /// it for correctness.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Fills a prefix of `buf` with the next cycles of the trace and
     /// returns the count written; 0 signals end of trace.
     ///
@@ -58,7 +51,6 @@ pub trait TraceSource: Send {
 /// let rtl = paper_example_rtl();
 /// let stream = InstructionStream::from_indices(&rtl, [0, 1, 0, 2])?;
 /// let mut source = SliceSource::new(&stream);
-/// assert_eq!(source.len_hint(), Some(4));
 /// let mut buf = [gcr_activity::InstructionId::default(); 3];
 /// assert_eq!(source.next_chunk(&mut buf)?, 3);
 /// assert_eq!(source.next_chunk(&mut buf)?, 1);
@@ -86,10 +78,6 @@ impl<'a> SliceSource<'a> {
 }
 
 impl TraceSource for SliceSource<'_> {
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.ids.len() as u64)
-    }
-
     fn next_chunk(&mut self, buf: &mut [InstructionId]) -> Result<usize, ActivityError> {
         let n = buf.len().min(self.ids.len() - self.pos);
         buf[..n].copy_from_slice(&self.ids[self.pos..self.pos + n]);

@@ -5,22 +5,22 @@
 //! boundaries that split consecutive pairs and lane-flush boundaries —
 //! produces `ActivityTables` **bit-identical** (f64 `==`, not epsilon) to
 //! the independent two-pass reference, [`Ift::scan`] + [`Itmatt::scan`].
-//! Same for the push-based [`TableBuilder`] under arbitrary feed chunkings
-//! and shard merges, for [`ActivityTables::scan`], and for the text
-//! round-trip through [`TextTraceSource`].
+//! Same for [`ActivityTables::scan`] and for the text round-trip through
+//! [`TextTraceSource`].
 // Test code: unwrap on infallible setup is idiomatic here.
 #![allow(clippy::unwrap_used)]
 
 use gcr_activity::io::{format_trace, TextTraceSource};
 use gcr_activity::{
     scan_source, ActivityTables, CpuModel, Ift, InstructionStream, Itmatt, ScanParams, ScanScratch,
-    SliceSource, TableBuilder, DEFAULT_DENSE_LIMIT,
+    SliceSource,
 };
 use proptest::prelude::*;
 
 /// Instruction counts: the lane path (1, 2, 32), the single dense table
-/// (65) and the sparse table (one past the dense limit).
-const KS: [usize; 5] = [1, 2, 32, 65, DEFAULT_DENSE_LIMIT + 1];
+/// (65) and the sparse table (1 025, one past the 1 024-instruction dense
+/// limit).
+const KS: [usize; 5] = [1, 2, 32, 65, 1_025];
 
 /// Chunk sizes around the 64 Ki default and the 64 Ki-pair lane flush.
 const CHUNKS: [usize; 5] = [1, 2, 3, 65_535, 65_537];
@@ -56,8 +56,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The counting kernel against the two-pass reference, through every
-    /// entry point: the borrowed slice path, the copying generator path,
-    /// TableBuilder feed/merge and `ActivityTables::scan`.
+    /// entry point: the borrowed slice path, the copying generator path
+    /// and `ActivityTables::scan`.
     #[test]
     fn scan_source_bit_identical_across_threads_and_chunks(
         seed in 0u64..1_000,
@@ -66,7 +66,6 @@ proptest! {
         threads_idx in 0usize..4,
         persistence in prop_oneof![Just(0.99), 0.0..0.95f64],
         len in prop_oneof![Just(2usize), 2usize..3_000, 65_000usize..140_000],
-        force_sparse in any::<bool>(),
     ) {
         let (k, chunk_cycles, threads) = (KS[k_idx], CHUNKS[chunk_idx], THREADS[threads_idx]);
         let model = model(48, k, persistence, seed);
@@ -75,7 +74,6 @@ proptest! {
         let params = ScanParams {
             threads: Some(threads),
             chunk_cycles,
-            dense_limit: if force_sparse { 0 } else { DEFAULT_DENSE_LIMIT },
         };
         let mut scratch = ScanScratch::new();
         // Borrowed path: counted in place.
@@ -92,68 +90,8 @@ proptest! {
         let (gen_tables, _) =
             scan_source(model.rtl(), &mut gen_source, &params, &mut scratch).unwrap();
         assert_bit_identical(&gen_tables, &oracle)?;
-        // Push path: fed in chunk_cycles pieces, then split in three
-        // shards merged in stream order.
-        let ids = stream.instructions();
-        let dense_limit = params.dense_limit;
-        let mut builder = TableBuilder::with_dense_limit(model.rtl(), dense_limit).unwrap();
-        for chunk in ids.chunks(chunk_cycles) {
-            builder.feed(chunk);
-        }
-        assert_bit_identical(&builder.finish(model.rtl()).unwrap(), &oracle)?;
-        let (lo, hi) = (len / 3, len - len / 5);
-        let mut left = TableBuilder::with_dense_limit(model.rtl(), dense_limit).unwrap();
-        left.feed(&ids[..lo]);
-        for shard in [&ids[lo..hi], &ids[hi..]] {
-            let mut next = TableBuilder::new(model.rtl()).unwrap();
-            next.feed(shard);
-            left.merge(&next).unwrap();
-        }
-        assert_bit_identical(&left.finish(model.rtl()).unwrap(), &oracle)?;
         // The public one-call scan is the same pipeline at one thread.
         assert_bit_identical(&ActivityTables::scan(model.rtl(), &stream), &oracle)?;
-    }
-
-    /// Push-based TableBuilder: arbitrary feed chunkings and shard splits
-    /// (boundaries landing anywhere, including inside pairs) all stitch
-    /// back to the reference tables.
-    #[test]
-    fn table_builder_bit_identical_under_arbitrary_chunking(
-        seed in 0u64..1_000,
-        modules in 4usize..32,
-        instructions in 1usize..10,
-        len in 2usize..600,
-        feed_chunk in 1usize..97,
-        split_a in 0usize..600,
-        split_b in 0usize..600,
-    ) {
-        let model = model(modules, instructions, 0.75, seed);
-        let stream = model.generate_stream(len);
-        let ids = stream.instructions();
-        let oracle = reference(&model, &stream);
-
-        // One builder, ragged chunking.
-        let mut builder = TableBuilder::new(model.rtl()).unwrap();
-        for chunk in ids.chunks(feed_chunk) {
-            builder.feed(chunk);
-        }
-        assert_bit_identical(&builder.finish(model.rtl()).unwrap(), &oracle)?;
-
-        // Three shards split at arbitrary (possibly degenerate) points,
-        // merged in stream order.
-        let (mut lo, mut hi) = (split_a % ids.len(), split_b % ids.len());
-        if lo > hi {
-            std::mem::swap(&mut lo, &mut hi);
-        }
-        let mut left = TableBuilder::new(model.rtl()).unwrap();
-        left.feed(&ids[..lo]);
-        let mut mid = TableBuilder::new(model.rtl()).unwrap();
-        mid.feed(&ids[lo..hi]);
-        let mut right = TableBuilder::new(model.rtl()).unwrap();
-        right.feed(&ids[hi..]);
-        left.merge(&mid).unwrap();
-        left.merge(&right).unwrap();
-        assert_bit_identical(&left.finish(model.rtl()).unwrap(), &oracle)?;
     }
 
     /// Text traces: format → stream through TextTraceSource → scan must
@@ -172,7 +110,6 @@ proptest! {
         let params = ScanParams {
             threads: Some(2),
             chunk_cycles,
-            ..ScanParams::default()
         };
         let mut scratch = ScanScratch::new();
         let (tables, _) = scan_source(model.rtl(), &mut source, &params, &mut scratch).unwrap();

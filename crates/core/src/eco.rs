@@ -54,10 +54,9 @@ pub struct GatedEcoResult {
 /// topology bit-identically; geometric edits re-search only the dirty
 /// frontier (see the `gcr_cts::eco` module docs for the contract).
 ///
-/// `params` configures the splice search; long-lived services pin the
-/// worker-thread count resolved once at startup
-/// ([`gcr_trace::threads::resolve`]) instead of re-reading `GCR_THREADS`
-/// on every request, which [`GreedyParams::default`] does.
+/// `params` is handed to the splice search, which runs the pruned
+/// engine: that engine prices on the calling thread and reads neither
+/// `params.threads` nor `GCR_THREADS`.
 ///
 /// Emits through [`Tracer::current`] the `eco.apply > eco.frontier /
 /// eco.splice / eco.search` span family inside a `route.gated_eco` span,

@@ -1,9 +1,9 @@
-use gcr_activity::{set_bits, ActivityTables, EnableStats, ModuleSet, Rtl};
+use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
 use gcr_cts::{
     clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
     BoundRows, BoundTerms, ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment,
-    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeArena, MergeObjective, Sink,
-    SizingLimits, Topology,
+    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeArena, MergeObjective,
+    MergeOutcome, Sink, SizingLimits, Topology,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{Device, Technology};
@@ -85,23 +85,222 @@ impl RouterConfig {
     }
 }
 
-/// Appends the activation row of a leaf gating module `m` to a flat
-/// bitset matrix: bit `i` is set when instruction `i` uses `m`.
-pub(crate) fn push_leaf_activation(active: &mut Vec<u64>, words: usize, rtl: &Rtl, m: usize) {
-    let row = active.len();
-    active.resize(row + words, 0);
-    for id in rtl.instruction_ids().filter(|&id| rtl.uses(id, m)) {
-        active[row + id.index() / 64] |= 1 << (id.index() % 64);
+/// The per-node state both activity objectives keep — the Equation-3
+/// [`GatedObjective`] and the activity-driven
+/// [`ActivityDrivenObjective`](crate::ActivityDrivenObjective): geometry
+/// and Elmore coefficients in a [`MergeArena`], `P(EN)`/`P_tr(EN)` per
+/// node, and the activation and module bitsets as fixed-width rows of
+/// flat matrices. Every column is reserved for the full `2n − 1` node
+/// count, so the greedy loop appends without reallocating. The
+/// objectives hold it by value, so their hot reads index its columns
+/// directly.
+pub(crate) struct GatedNodes<'a> {
+    tech: &'a Technology,
+    gate: Device,
+    tables: &'a ActivityTables,
+    num_modules: usize,
+    /// Width (in `u64` words) of one row of `modules`.
+    module_words: usize,
+    /// Width (in `u64` words) of one row of `active`: `⌈K/64⌉`.
+    active_words: usize,
+    /// Merging segments and Elmore coefficients, indexed by node.
+    arena: MergeArena,
+    /// `P(EN_i)` per node.
+    signal: Vec<f64>,
+    /// `P_tr(EN_i)` per node.
+    transition: Vec<f64>,
+    /// Row-major `len × active_words` bitset matrix: which instructions
+    /// activate node i.
+    active: Vec<u64>,
+    /// Row-major `len × module_words` bitset matrix: modules under node i.
+    modules: Vec<u64>,
+}
+
+impl Clone for GatedNodes<'_> {
+    // Manual so the pre-reserved columns keep their spare capacity; a
+    // derived clone would shrink them to `len` and the first merges after
+    // the clone would reallocate every column.
+    fn clone(&self) -> Self {
+        Self {
+            tech: self.tech,
+            gate: self.gate,
+            tables: self.tables,
+            num_modules: self.num_modules,
+            module_words: self.module_words,
+            active_words: self.active_words,
+            arena: self.arena.clone(),
+            signal: clone_preserving_capacity(&self.signal),
+            transition: clone_preserving_capacity(&self.transition),
+            active: clone_preserving_capacity(&self.active),
+            modules: clone_preserving_capacity(&self.modules),
+        }
     }
 }
 
-/// Appends the OR of rows `a` and `b` of a flat `words`-wide bitset
-/// matrix as its next row — a merged node's module or activation set.
-pub(crate) fn push_union_row(rows: &mut Vec<u64>, words: usize, a: usize, b: usize) {
-    for w in 0..words {
-        let v = rows[a * words + w] | rows[b * words + w];
-        rows.push(v);
+impl<'a> GatedNodes<'a> {
+    /// The gated leaves of `sinks`, sink `i` gated by module
+    /// `module_of(i)`, with room for every merge above them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `module_of` names a module outside the activity model.
+    pub(crate) fn new(
+        tech: &'a Technology,
+        tables: &'a ActivityTables,
+        sinks: &[Sink],
+        module_of: impl Fn(usize) -> usize,
+    ) -> Self {
+        let gate = tech.and_gate();
+        let num_modules = tables.rtl().num_modules();
+        let module_words = num_modules.div_ceil(64);
+        let active_words = tables.activation_words();
+        let capacity = node_capacity(sinks.len());
+        let mut this = Self {
+            tech,
+            gate,
+            tables,
+            num_modules,
+            module_words,
+            active_words,
+            arena: MergeArena::new(tech, capacity),
+            signal: Vec::with_capacity(capacity),
+            transition: Vec::with_capacity(capacity),
+            active: Vec::with_capacity(capacity * active_words),
+            modules: Vec::with_capacity(capacity * module_words),
+        };
+        // Each leaf's activation row and module bit are written straight
+        // into the columns: no per-leaf allocation. A leaf's row and
+        // enable stats depend only on its module, so the first sink of
+        // each module prices them and later sinks copy that leaf's.
+        let mut first_leaf = vec![u32::MAX; num_modules];
+        for (i, s) in sinks.iter().enumerate() {
+            let m = module_of(i);
+            assert!(m < num_modules, "module {m} outside universe {num_modules}");
+            let j = first_leaf[m] as usize;
+            let stats = if j < i {
+                this.active
+                    .extend_from_within(j * active_words..(j + 1) * active_words);
+                EnableStats {
+                    signal: this.signal[j],
+                    transition: this.transition[j],
+                }
+            } else {
+                first_leaf[m] = i as u32;
+                let row = this.active.len();
+                this.push_leaf_activation(m);
+                tables.enable_stats_for_bits(&this.active[row..])
+            };
+            this.arena.push_leaf(s, Some(gate));
+            let row = this.modules.len();
+            this.modules.resize(row + module_words, 0);
+            this.modules[row + m / 64] |= 1u64 << (m % 64);
+            this.signal.push(stats.signal);
+            this.transition.push(stats.transition);
+        }
+        this
     }
+
+    /// Appends the activation row of a leaf gating module `m`: bit `i`
+    /// is set when instruction `i` uses `m`.
+    fn push_leaf_activation(&mut self, m: usize) {
+        let rtl = self.tables.rtl();
+        let row = self.active.len();
+        self.active.resize(row + self.active_words, 0);
+        for id in rtl.instruction_ids().filter(|&id| rtl.uses(id, m)) {
+            self.active[row + id.index() / 64] |= 1 << (id.index() % 64);
+        }
+    }
+
+    /// Appends the OR of rows `a` and `b` of a flat `words`-wide bitset
+    /// matrix as its next row — a merged node's module or activation set.
+    fn push_union_row(rows: &mut Vec<u64>, words: usize, a: usize, b: usize) {
+        for w in 0..words {
+            let v = rows[a * words + w] | rows[b * words + w];
+            rows.push(v);
+        }
+    }
+
+    /// Merges nodes `a` and `b` into the next node under a gate: the
+    /// arena's zero-skew merge, the OR'd activation and module rows, and
+    /// the enable stats priced from the new activation row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the arena's [`CtsError::MergeRegionDisjoint`].
+    pub(crate) fn merge_push(&mut self, a: usize, b: usize) -> Result<MergeOutcome, CtsError> {
+        let outcome = self.arena.merge_push(a, b, Some(self.gate))?;
+        let row = self.active.len();
+        Self::push_union_row(&mut self.active, self.active_words, a, b);
+        let stats = self.tables.enable_stats_for_bits(&self.active[row..]);
+        Self::push_union_row(&mut self.modules, self.module_words, a, b);
+        self.signal.push(stats.signal);
+        self.transition.push(stats.transition);
+        Ok(outcome)
+    }
+
+    /// Geometry and Elmore coefficients of every node.
+    #[inline]
+    pub(crate) fn arena(&self) -> &MergeArena {
+        &self.arena
+    }
+
+    /// `P(EN_i)` of every node.
+    #[inline]
+    pub(crate) fn signal(&self) -> &[f64] {
+        &self.signal
+    }
+
+    /// `P(EN)` of the union of nodes `a` and `b`: the set bits of their
+    /// OR'd activation rows, ascending, mapped to `P(I)` and summed — the
+    /// operands and order of pricing the merged node.
+    pub(crate) fn union_signal(&self, a: usize, b: usize) -> f64 {
+        let words = self.active_words;
+        let mut buf = [0u64; Itmatt::MAX_INSTRUCTIONS / 64];
+        let union = &mut buf[..words];
+        let rows = self.active[a * words..(a + 1) * words]
+            .iter()
+            .zip(&self.active[b * words..(b + 1) * words]);
+        for (u, (&x, &y)) in union.iter_mut().zip(rows) {
+            *u = x | y;
+        }
+        let probs = self.tables.ift().probabilities();
+        set_bits(union).map(|i| probs[i]).sum()
+    }
+
+    /// Rewinds to the first `len` nodes, keeping every column's spare
+    /// capacity; a no-op at or above the current node count.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.arena.truncate(len);
+        self.signal.truncate(len);
+        self.transition.truncate(len);
+        self.active.truncate(len * self.active_words);
+        self.modules.truncate(len * self.module_words);
+    }
+
+    /// Signal/transition probability of `EN_i` for every node, in node
+    /// order (leaves first, then merges as committed).
+    pub(crate) fn node_stats(&self) -> Vec<EnableStats> {
+        self.signal
+            .iter()
+            .zip(&self.transition)
+            .map(|(&signal, &transition)| EnableStats { signal, transition })
+            .collect()
+    }
+
+    /// Module set under every node, in node order.
+    pub(crate) fn node_modules(&self) -> Vec<ModuleSet> {
+        (0..self.signal.len())
+            .map(|i| {
+                let row = &self.modules[i * self.module_words..(i + 1) * self.module_words];
+                ModuleSet::with_modules(self.num_modules, set_bits(row))
+            })
+            .collect()
+    }
+}
+
+/// Nodes of a merge tree over `sinks` leaves: `2n − 1`.
+fn node_capacity(sinks: usize) -> usize {
+    sinks.saturating_mul(2).saturating_sub(1)
 }
 
 /// Factor every Equation-3 lower bound is scaled by. The bound and the
@@ -118,13 +317,12 @@ const BOUND_MARGIN: f64 = 1.0 - 16.0 * f64::EPSILON;
 /// one whose new edges and enable wires add the least switched
 /// capacitance.
 ///
-/// Node state lives in struct-of-arrays form: geometry and Elmore
-/// coefficients in a [`MergeArena`], Equation-3 aggregates (`P(EN)`,
-/// `P_tr(EN)`, the merge-independent static term, node capacitance,
-/// controller distance) in flat per-node vectors, and the activation /
-/// module bitsets as fixed-width rows of flat matrices. Every buffer is
-/// reserved for the full `2n − 1` node count up front, so the greedy loop
-/// appends without reallocating.
+/// Node state lives in struct-of-arrays form: the geometry, `P(EN)`,
+/// `P_tr(EN)` and activation/module rows it shares with the
+/// activity-driven objective, plus three Equation-3 columns of its own
+/// (the merge-independent static term, node capacitance, controller
+/// distance). Every buffer is reserved for the full `2n − 1` node count
+/// up front, so the greedy loop appends without reallocating.
 ///
 /// Public so benchmarks and cross-validation can drive it through any of
 /// the greedy engines (`run_greedy_with_scratch`,
@@ -132,22 +330,9 @@ const BOUND_MARGIN: f64 = 1.0 - 16.0 * f64::EPSILON;
 /// [`route_gated`] remains the intended high-level
 /// entry point.
 pub struct GatedObjective<'a> {
-    tech: &'a Technology,
-    gate: Device,
+    nodes: GatedNodes<'a>,
     controller: &'a ControllerPlan,
-    tables: &'a ActivityTables,
     unit_cap: f64,
-    num_modules: usize,
-    /// Width (in `u64` words) of one row of `modules`.
-    module_words: usize,
-    /// Width (in `u64` words) of one row of `active`: `⌈K/64⌉`.
-    active_words: usize,
-    /// Merging segments and Elmore coefficients, indexed by node.
-    arena: MergeArena,
-    /// `P(EN_i)` per node.
-    signal: Vec<f64>,
-    /// `P_tr(EN_i)` per node.
-    transition: Vec<f64>,
     /// Cached merge-independent Equation-3 term per node.
     static_term: Vec<f64>,
     /// `C_i`: sink load for leaves, children's gate input caps otherwise.
@@ -155,35 +340,19 @@ pub struct GatedObjective<'a> {
     /// Star-wire distance from the serving controller to the gate on this
     /// node's parent edge (gate location ≈ mid of ms).
     cp_dist: Vec<f64>,
-    /// Row-major `len × active_words` bitset matrix: which instructions
-    /// activate node i.
-    active: Vec<u64>,
-    /// Row-major `len × module_words` bitset matrix: modules under node i.
-    modules: Vec<u64>,
 }
 
 impl Clone for GatedObjective<'_> {
-    // Manual so the pre-reserved columns keep their spare capacity; a
-    // derived clone would shrink them to `len` and the first merges after
-    // the clone would reallocate every column.
+    // Manual so the pre-reserved columns keep their spare capacity (see
+    // `GatedNodes`'s clone).
     fn clone(&self) -> Self {
         Self {
-            tech: self.tech,
-            gate: self.gate,
+            nodes: self.nodes.clone(),
             controller: self.controller,
-            tables: self.tables,
             unit_cap: self.unit_cap,
-            num_modules: self.num_modules,
-            module_words: self.module_words,
-            active_words: self.active_words,
-            arena: self.arena.clone(),
-            signal: clone_preserving_capacity(&self.signal),
-            transition: clone_preserving_capacity(&self.transition),
             static_term: clone_preserving_capacity(&self.static_term),
             node_cap: clone_preserving_capacity(&self.node_cap),
             cp_dist: clone_preserving_capacity(&self.cp_dist),
-            active: clone_preserving_capacity(&self.active),
-            modules: clone_preserving_capacity(&self.modules),
         }
     }
 }
@@ -205,74 +374,33 @@ impl<'a> GatedObjective<'a> {
         sinks: &[Sink],
         module_of: &[usize],
     ) -> Self {
-        let gate = tech.and_gate();
-        let num_modules = tables.rtl().num_modules();
-        let module_words = num_modules.div_ceil(64);
-        let active_words = tables.activation_words();
-        let capacity = sinks.len().saturating_mul(2).saturating_sub(1);
+        let capacity = node_capacity(sinks.len());
         let mut this = Self {
-            tech,
-            gate,
+            nodes: GatedNodes::new(tech, tables, sinks, |i| module_of[i]),
             controller,
-            tables,
             unit_cap: tech.unit_cap(),
-            num_modules,
-            module_words,
-            active_words,
-            arena: MergeArena::new(tech, capacity),
-            signal: Vec::with_capacity(capacity),
-            transition: Vec::with_capacity(capacity),
             static_term: Vec::with_capacity(capacity),
             node_cap: Vec::with_capacity(capacity),
             cp_dist: Vec::with_capacity(capacity),
-            active: Vec::with_capacity(capacity * active_words),
-            modules: Vec::with_capacity(capacity * module_words),
         };
-        // Each leaf's activation row and module bit are written straight
-        // into the columns: no per-leaf allocation. A leaf's row and
-        // enable stats depend only on its module, so the first sink of
-        // each module prices them and later sinks copy that leaf's.
-        let rtl = tables.rtl();
-        let mut first_leaf = vec![u32::MAX; num_modules];
-        for (i, s) in sinks.iter().enumerate() {
-            let m = module_of[i];
-            assert!(m < num_modules, "module {m} outside universe {num_modules}");
-            let j = first_leaf[m] as usize;
-            let stats = if j < i {
-                this.active
-                    .extend_from_within(j * active_words..(j + 1) * active_words);
-                EnableStats {
-                    signal: this.signal[j],
-                    transition: this.transition[j],
-                }
-            } else {
-                first_leaf[m] = i as u32;
-                let row = this.active.len();
-                push_leaf_activation(&mut this.active, active_words, rtl, m);
-                tables.enable_stats_for_bits(&this.active[row..])
-            };
-            this.arena.push_leaf(s, Some(gate));
-            let row = this.modules.len();
-            this.modules.resize(row + module_words, 0);
-            this.modules[row + m / 64] |= 1u64 << (m % 64);
-            this.push_stats(stats, s.cap(), controller.enable_wire_length(s.location()));
+        for (leaf, s) in sinks.iter().enumerate() {
+            this.push_terms(leaf, s.cap(), controller.enable_wire_length(s.location()));
         }
         this
     }
 
-    /// Appends the scalar aggregates for a new node, caching its
-    /// merge-independent Equation-3 term:
+    /// Appends the Equation-3 columns of `node`, the first store node
+    /// they lack, caching its merge-independent term:
     /// `C_i · P(EN_i) + (c_ctl · cp_i + C_g) · P_tr(EN_i)`. Only the wire
     /// term `c · e_i · P(EN_i)` depends on the merge partner.
-    fn push_stats(&mut self, stats: EnableStats, node_cap: f64, cp_dist: f64) {
-        self.signal.push(stats.signal);
-        self.transition.push(stats.transition);
+    fn push_terms(&mut self, node: usize, node_cap: f64, cp_dist: f64) {
+        let (signal, transition) = (self.nodes.signal[node], self.nodes.transition[node]);
         self.node_cap.push(node_cap);
         self.cp_dist.push(cp_dist);
         self.static_term.push(
-            node_cap * stats.signal
-                + (self.tech.control_unit_cap() * cp_dist + self.gate.input_cap())
-                    * stats.transition,
+            node_cap * signal
+                + (self.nodes.tech.control_unit_cap() * cp_dist + self.nodes.gate.input_cap())
+                    * transition,
         );
     }
 
@@ -287,36 +415,23 @@ impl<'a> GatedObjective<'a> {
     ///
     /// Truncating at or above the current node count is a no-op.
     pub fn truncate(&mut self, len: usize) {
-        self.arena.truncate(len);
-        self.signal.truncate(len);
-        self.transition.truncate(len);
+        self.nodes.truncate(len);
         self.static_term.truncate(len);
         self.node_cap.truncate(len);
         self.cp_dist.truncate(len);
-        self.active.truncate(len * self.active_words);
-        self.modules.truncate(len * self.module_words);
     }
 
     /// Signal/transition probability of `EN_i` for every node, in node
     /// order (leaves first, then merges as committed).
     #[must_use]
     pub fn node_stats(&self) -> Vec<EnableStats> {
-        self.signal
-            .iter()
-            .zip(&self.transition)
-            .map(|(&signal, &transition)| EnableStats { signal, transition })
-            .collect()
+        self.nodes.node_stats()
     }
 
     /// Module set under every node, in node order.
     #[must_use]
     pub fn node_modules(&self) -> Vec<ModuleSet> {
-        (0..self.signal.len())
-            .map(|i| {
-                let row = &self.modules[i * self.module_words..(i + 1) * self.module_words];
-                ModuleSet::with_modules(self.num_modules, set_bits(row))
-            })
-            .collect()
+        self.nodes.node_modules()
     }
 }
 
@@ -324,22 +439,23 @@ impl MergeObjective for GatedObjective<'_> {
     /// Exact Equation-3 cost; an impossible merge (non-finite state) is
     /// priced at `+∞` so the greedy never selects it.
     fn cost(&self, a: usize, b: usize) -> f64 {
-        let Ok(outcome) = self.arena.try_merge(a, b) else {
+        let nodes = &self.nodes;
+        let Ok(outcome) = nodes.arena.try_merge(a, b) else {
             return f64::INFINITY;
         };
         merge_switched_cap(
-            self.tech,
+            nodes.tech,
             outcome.ea,
             outcome.eb,
             self.node_cap[a],
             self.node_cap[b],
             EnableStats {
-                signal: self.signal[a],
-                transition: self.transition[a],
+                signal: nodes.signal[a],
+                transition: nodes.transition[a],
             },
             EnableStats {
-                signal: self.signal[b],
-                transition: self.transition[b],
+                signal: nodes.signal[b],
+                transition: nodes.transition[b],
             },
             self.cp_dist[a],
             self.cp_dist[b],
@@ -357,18 +473,17 @@ impl MergeObjective for GatedObjective<'_> {
     // no snaking the two can round a few ULPs apart; `BOUND_MARGIN`
     // keeps the computed bound below the computed cost.
     fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-        let d = self.arena.distance(a, b);
-        (self.static_term[a]
-            + self.static_term[b]
-            + self.unit_cap * d * self.signal[a].min(self.signal[b]))
+        let signal = &self.nodes.signal;
+        let d = self.nodes.arena.distance(a, b);
+        (self.static_term[a] + self.static_term[b] + self.unit_cap * d * signal[a].min(signal[b]))
             * BOUND_MARGIN
     }
 
     #[inline]
     fn bound_terms(&self, node: usize) -> BoundTerms {
         BoundTerms {
-            region: self.arena.region(node),
-            scalars: [self.static_term[node], self.signal[node]],
+            region: self.nodes.arena.region(node),
+            scalars: [self.static_term[node], self.nodes.signal[node]],
         }
     }
 
@@ -389,30 +504,27 @@ impl MergeObjective for GatedObjective<'_> {
     // that is no larger, so by monotone rounding every ring candidate's
     // pairwise bound is at least this key.
     fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, floor: [f64; 2]) -> f64 {
-        (self.static_term[node] + floor[0] + self.unit_cap * dist * self.signal[node].min(floor[1]))
+        let signal = self.nodes.signal[node];
+        (self.static_term[node] + floor[0] + self.unit_cap * dist * signal.min(floor[1]))
             * BOUND_MARGIN
     }
 
     fn leaf_floor(&self, leaf: usize) -> [f64; 2] {
-        [self.static_term[leaf], self.signal[leaf]]
+        [self.static_term[leaf], self.nodes.signal[leaf]]
     }
 
     fn location(&self, node: usize) -> Point {
-        self.arena.center(node)
+        self.nodes.arena.center(node)
     }
 
     fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-        debug_assert_eq!(k, self.arena.len());
-        let outcome = self.arena.merge_push(a, b, Some(self.gate))?;
-        let row = self.active.len();
-        push_union_row(&mut self.active, self.active_words, a, b);
-        let stats = self.tables.enable_stats_for_bits(&self.active[row..]);
-        push_union_row(&mut self.modules, self.module_words, a, b);
+        debug_assert_eq!(k, self.nodes.arena.len());
+        let outcome = self.nodes.merge_push(a, b)?;
         // Both child edges are gated during construction, so the new node
         // feeds exactly two gate input capacitances.
-        let node_cap = 2.0 * self.gate.input_cap();
+        let node_cap = 2.0 * self.nodes.gate.input_cap();
         let cp_dist = self.controller.enable_wire_length(outcome.ms.center());
-        self.push_stats(stats, node_cap, cp_dist);
+        self.push_terms(k, node_cap, cp_dist);
         Ok(())
     }
 }
@@ -890,25 +1002,29 @@ mod tests {
         let rtl = tables.rtl();
         let mut oracle = objective.clone();
         oracle.truncate(0);
-        for (s, &module) in sinks.iter().zip(&module_of) {
+        for (leaf, (s, &module)) in sinks.iter().zip(&module_of).enumerate() {
             let row: Vec<bool> = rtl
                 .instruction_ids()
                 .map(|id| rtl.uses(id, module))
                 .collect();
-            let at = oracle.active.len();
-            oracle.active.resize(at + oracle.active_words, 0);
+            let nodes = &mut oracle.nodes;
+            let at = nodes.active.len();
+            nodes.active.resize(at + nodes.active_words, 0);
             for i in (0..row.len()).filter(|&i| row[i]) {
-                oracle.active[at + i / 64] |= 1 << (i % 64);
+                nodes.active[at + i / 64] |= 1 << (i % 64);
             }
-            oracle.arena.push_leaf(s, Some(oracle.gate));
-            let at = oracle.modules.len();
-            oracle.modules.resize(at + oracle.module_words, 0);
-            oracle.modules[at + module / 64] |= 1 << (module % 64);
+            nodes.arena.push_leaf(s, Some(nodes.gate));
+            let at = nodes.modules.len();
+            nodes.modules.resize(at + nodes.module_words, 0);
+            nodes.modules[at + module / 64] |= 1 << (module % 64);
+            let stats = oracle_stats(&tables, &row);
+            nodes.signal.push(stats.signal);
+            nodes.transition.push(stats.transition);
             let cp_dist = config.controller().enable_wire_length(s.location());
-            oracle.push_stats(oracle_stats(&tables, &row), s.cap(), cp_dist);
+            oracle.push_terms(leaf, s.cap(), cp_dist);
         }
 
-        assert_eq!(objective.active, oracle.active);
+        assert_eq!(objective.nodes.active, oracle.nodes.active);
         assert_eq!(
             stats_bits(&objective.node_stats()),
             stats_bits(&oracle.node_stats())
@@ -989,7 +1105,7 @@ mod tests {
                     .map(|(&x, &y)| x || y)
                     .collect();
                 let signal = oracle_stats(&tables, &union).signal;
-                assert_eq!(driven.union_signal(a, b).to_bits(), signal.to_bits());
+                assert_eq!(gated.nodes.union_signal(a, b).to_bits(), signal.to_bits());
                 gated.merge(a, b, node).unwrap();
                 driven.merge(a, b, node).unwrap();
                 rows.push(union);

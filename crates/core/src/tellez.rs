@@ -1,12 +1,12 @@
-use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
+use gcr_activity::{ActivityTables, EnableStats, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, run_greedy_with_scratch, BoundRows, BoundTerms, CtsError,
-    DeviceAssignment, GreedyParams, GreedyScratch, MergeArena, MergeObjective, Sink,
+    run_greedy_with_scratch, BoundRows, BoundTerms, CtsError, DeviceAssignment, GreedyParams,
+    GreedyScratch, MergeObjective, Sink,
 };
 use gcr_geometry::Point;
-use gcr_rctree::{Device, Technology};
+use gcr_rctree::Technology;
 
-use crate::router::{identity_module_map, push_leaf_activation, push_union_row};
+use crate::router::{identity_module_map, GatedNodes};
 use crate::{GatedRouting, RouteError, RouterConfig};
 
 /// The activity-driven merge objective in the spirit of Téllez, Farrahi &
@@ -21,51 +21,16 @@ use crate::{GatedRouting, RouteError, RouterConfig};
 /// distances during ordering — exactly the information the paper's
 /// Equation-3 objective adds.
 ///
-/// Storage mirrors [`GatedObjective`](crate::GatedObjective): geometry in
-/// a [`MergeArena`], enable statistics and activation/module bitsets as
-/// flat per-node rows, all reserved for the full `2n − 1` node count so
-/// the greedy loop appends without reallocating.
+/// Node state is the store [`GatedObjective`](crate::GatedObjective)
+/// keeps — geometry in a `MergeArena`, enable statistics and
+/// activation/module bitsets as flat per-node rows, all reserved for the
+/// full `2n − 1` node count so the greedy loop appends without
+/// reallocating — with no Equation-3 columns on top.
+#[derive(Clone)]
 pub struct ActivityDrivenObjective<'a> {
-    gate: Device,
-    tables: &'a ActivityTables,
+    nodes: GatedNodes<'a>,
     /// Normalization for the geometric tie-break (die half-perimeter).
     dist_scale: f64,
-    num_modules: usize,
-    /// Width (in `u64` words) of one row of `modules`.
-    module_words: usize,
-    /// Width (in `u64` words) of one row of `active`: `⌈K/64⌉`.
-    active_words: usize,
-    arena: MergeArena,
-    /// `P(EN_i)` per node.
-    signal: Vec<f64>,
-    /// `P_tr(EN_i)` per node.
-    transition: Vec<f64>,
-    /// Row-major `len × active_words` bitset matrix: which instructions
-    /// activate node i.
-    active: Vec<u64>,
-    /// Row-major `len × module_words` bitset matrix: modules under node i.
-    modules: Vec<u64>,
-}
-
-impl Clone for ActivityDrivenObjective<'_> {
-    // Manual so the pre-reserved columns keep their spare capacity; a
-    // derived clone would shrink them to `len` and the first merges after
-    // the clone would reallocate every column.
-    fn clone(&self) -> Self {
-        Self {
-            gate: self.gate,
-            tables: self.tables,
-            dist_scale: self.dist_scale,
-            num_modules: self.num_modules,
-            module_words: self.module_words,
-            active_words: self.active_words,
-            arena: self.arena.clone(),
-            signal: clone_preserving_capacity(&self.signal),
-            transition: clone_preserving_capacity(&self.transition),
-            active: clone_preserving_capacity(&self.active),
-            modules: clone_preserving_capacity(&self.modules),
-        }
-    }
 }
 
 impl<'a> ActivityDrivenObjective<'a> {
@@ -83,76 +48,23 @@ impl<'a> ActivityDrivenObjective<'a> {
         sinks: &[Sink],
         dist_scale: f64,
     ) -> Self {
-        let gate = tech.and_gate();
-        let num_modules = tables.rtl().num_modules();
-        let module_words = num_modules.div_ceil(64);
-        let active_words = tables.activation_words();
-        let capacity = sinks.len().saturating_mul(2).saturating_sub(1);
-        let mut this = Self {
-            gate,
-            tables,
+        Self {
+            nodes: GatedNodes::new(tech, tables, sinks, |i| i),
             dist_scale: dist_scale.max(1.0),
-            num_modules,
-            module_words,
-            active_words,
-            arena: MergeArena::new(tech, capacity),
-            signal: Vec::with_capacity(capacity),
-            transition: Vec::with_capacity(capacity),
-            active: Vec::with_capacity(capacity * active_words),
-            modules: Vec::with_capacity(capacity * module_words),
-        };
-        for (i, s) in sinks.iter().enumerate() {
-            assert!(i < num_modules, "module {i} outside universe {num_modules}");
-            let row = this.active.len();
-            push_leaf_activation(&mut this.active, active_words, tables.rtl(), i);
-            let stats = tables.enable_stats_for_bits(&this.active[row..]);
-            this.arena.push_leaf(s, Some(gate));
-            let row = this.modules.len();
-            this.modules.resize(row + module_words, 0);
-            this.modules[row + i / 64] |= 1u64 << (i % 64);
-            this.signal.push(stats.signal);
-            this.transition.push(stats.transition);
         }
-        this
-    }
-
-    /// `P(EN)` of the union of nodes `a` and `b`: the set bits of their
-    /// OR'd activation rows, ascending, mapped to `P(I)` and summed — the
-    /// operands and order of pricing the merged node.
-    pub(crate) fn union_signal(&self, a: usize, b: usize) -> f64 {
-        let words = self.active_words;
-        let mut buf = [0u64; Itmatt::MAX_INSTRUCTIONS / 64];
-        let union = &mut buf[..words];
-        let rows = self.active[a * words..(a + 1) * words]
-            .iter()
-            .zip(&self.active[b * words..(b + 1) * words]);
-        for (u, (&x, &y)) in union.iter_mut().zip(rows) {
-            *u = x | y;
-        }
-        let probs = self.tables.ift().probabilities();
-        set_bits(union).map(|i| probs[i]).sum()
     }
 
     /// Signal/transition probability of `EN_i` for every node, in node
     /// order (leaves first, then merges as committed).
     #[must_use]
     pub fn node_stats(&self) -> Vec<EnableStats> {
-        self.signal
-            .iter()
-            .zip(&self.transition)
-            .map(|(&signal, &transition)| EnableStats { signal, transition })
-            .collect()
+        self.nodes.node_stats()
     }
 
     /// Module set under every node, in node order.
     #[must_use]
     pub fn node_modules(&self) -> Vec<ModuleSet> {
-        (0..self.signal.len())
-            .map(|i| {
-                let row = &self.modules[i * self.module_words..(i + 1) * self.module_words];
-                ModuleSet::with_modules(self.num_modules, set_bits(row))
-            })
-            .collect()
+        self.nodes.node_modules()
     }
 }
 
@@ -160,8 +72,8 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
     fn cost(&self, a: usize, b: usize) -> f64 {
         // Primary key: the merged node's activity; secondary: distance,
         // scaled well below one activity quantum so it only breaks ties.
-        let activity = self.union_signal(a, b);
-        let dist = self.arena.distance(a, b);
+        let activity = self.nodes.union_signal(a, b);
+        let dist = self.nodes.arena().distance(a, b);
         activity + 1e-3 * dist / self.dist_scale
     }
 
@@ -169,16 +81,17 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
     // union signal is at least the larger individual signal, and the
     // tie-break term is monotone in the true distance.
     fn cost_lower_bound(&self, a: usize, b: usize) -> f64 {
-        let activity = self.signal[a].max(self.signal[b]);
-        let dist = self.arena.distance(a, b);
+        let signal = self.nodes.signal();
+        let activity = signal[a].max(signal[b]);
+        let dist = self.nodes.arena().distance(a, b);
         activity + 1e-3 * dist / self.dist_scale
     }
 
     #[inline]
     fn bound_terms(&self, node: usize) -> BoundTerms {
         BoundTerms {
-            region: self.arena.region(node),
-            scalars: [self.signal[node], 0.0],
+            region: self.nodes.arena().region(node),
+            scalars: [self.nodes.signal()[node], 0.0],
         }
     }
 
@@ -198,22 +111,16 @@ impl MergeObjective for ActivityDrivenObjective<'_> {
     // by monotone rounding it is at least either node's computed signal,
     // and the distance term is the same expression as `cost`'s.
     fn cost_lower_bound_at_distance(&self, node: usize, dist: f64, _floor: [f64; 2]) -> f64 {
-        self.signal[node] + 1e-3 * dist / self.dist_scale
+        self.nodes.signal()[node] + 1e-3 * dist / self.dist_scale
     }
 
     fn location(&self, node: usize) -> Point {
-        self.arena.center(node)
+        self.nodes.arena().center(node)
     }
 
     fn merge(&mut self, a: usize, b: usize, k: usize) -> Result<(), CtsError> {
-        debug_assert_eq!(k, self.arena.len());
-        self.arena.merge_push(a, b, Some(self.gate))?;
-        let row = self.active.len();
-        push_union_row(&mut self.active, self.active_words, a, b);
-        let stats = self.tables.enable_stats_for_bits(&self.active[row..]);
-        push_union_row(&mut self.modules, self.module_words, a, b);
-        self.signal.push(stats.signal);
-        self.transition.push(stats.transition);
+        debug_assert_eq!(k, self.nodes.arena().len());
+        self.nodes.merge_push(a, b)?;
         Ok(())
     }
 }

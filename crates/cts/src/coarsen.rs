@@ -60,7 +60,8 @@ use crate::{BoundRows, BoundTerms, CtsError, Topology};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoarsenParams {
     /// Worker threads and decision logging, shared with the constituent
-    /// engine runs. Threads resolve exactly as in the flat engine
+    /// engine runs. Threads size the region pool and the exhaustive
+    /// root-level merge, resolved as [`GreedyParams::threads`] describes
     /// (explicit, then `GCR_THREADS`, then available parallelism).
     pub greedy: GreedyParams,
     /// Aimed-for sinks per region; `0` picks [`DEFAULT_REGION_SIZE`].
@@ -70,10 +71,9 @@ pub struct CoarsenParams {
 }
 
 /// Default [`CoarsenParams::target_region_size`]: large enough that a
-/// region amortizes its seed phase, small enough that every in-region
-/// candidate batch stays below the engine's parallel-fan-out threshold —
-/// region-level parallelism comes from solving regions concurrently, not
-/// from sharding inside one region.
+/// region amortizes its seed phase. Parallelism comes from solving
+/// regions concurrently; the pruned engine prices each region on its
+/// worker's own thread.
 pub const DEFAULT_REGION_SIZE: usize = 2_048;
 
 impl CoarsenParams {
@@ -430,10 +430,9 @@ where
     // region from one shared cursor over the schedule and solves it with
     // its own scratch and a fresh local objective. Greedy time grows
     // about quadratically with region size, so the schedule runs the
-    // largest regions first and the small ones fill the tail. Regions
-    // run single-threaded (their batches are too small to fan out
-    // profitably) and always log decisions — the log *is* the replay
-    // script. The schedule decides only which worker computes a region,
+    // largest regions first and the small ones fill the tail. Each
+    // region runs on its worker's thread and always logs decisions —
+    // the log *is* the replay script. The schedule decides only which worker computes a region,
     // never its result.
     let regions_start = tracer.now_ns();
     let t0 = Instant::now();

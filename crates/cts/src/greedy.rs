@@ -21,8 +21,8 @@ use crate::{BoundColumns, BoundRows, BoundTerms, CtsError, Topology};
 ///   paper's contribution).
 ///
 /// `cost` and the bound methods take `&self` (and the trait requires
-/// [`Sync`]) so the engine can evaluate candidate batches on multiple
-/// threads; all mutation happens in `merge`.
+/// [`Sync`]) so the exhaustive engine can evaluate exact-cost batches on
+/// multiple threads; all mutation happens in `merge`.
 ///
 /// # Exactness contract
 ///
@@ -154,8 +154,11 @@ pub struct GreedyStats {
 /// behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GreedyParams {
-    /// Worker threads for large candidate batches. Resolution order:
-    /// this field, then the `GCR_THREADS` environment variable, then
+    /// Worker threads of the engines that fan out: the exhaustive
+    /// engine's exact-cost batches of at least 4 096 pairs and the
+    /// coarsened engine's region pool. The pruned engine prices on the
+    /// calling thread and never reads it. Resolution order: this field,
+    /// then the `GCR_THREADS` environment variable, then
     /// `std::thread::available_parallelism()`; the result is clamped to
     /// `1..=16`. Pin it (or set `GCR_THREADS=1`) for reproducible timings
     /// on shared CI runners — the committed merges are identical at any
@@ -429,7 +432,8 @@ impl MinHeap {
     }
 }
 
-/// Candidate batches below this size are evaluated on the calling thread.
+/// Exact-cost batches of the exhaustive engine below this size are
+/// evaluated on the calling thread.
 const PARALLEL_THRESHOLD: usize = 4_096;
 
 /// Worker-thread count for this run: explicit [`GreedyParams::threads`],
@@ -849,33 +853,6 @@ fn out_column(bounds: &mut Vec<f64>, n: usize) -> &mut [f64] {
     &mut bounds[..n]
 }
 
-/// Prices `center` against every row of `rows` through
-/// [`MergeObjective::bound_kernel`], splitting the columns into
-/// contiguous slices across `threads` workers when the batch is at least
-/// [`PARALLEL_THRESHOLD`] long. Each worker writes a disjoint `out`
-/// sub-slice, so the output is independent of the split (and of
-/// `threads`).
-fn price_rows<O: MergeObjective>(
-    objective: &O,
-    center: &BoundTerms,
-    rows: BoundRows<'_>,
-    out: &mut [f64],
-    threads: usize,
-) {
-    if rows.len() < PARALLEL_THRESHOLD || threads == 1 {
-        objective.bound_kernel(center, rows, out);
-        return;
-    }
-    let chunk = rows.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (i, part) in out.chunks_mut(chunk).enumerate() {
-            let start = i * chunk;
-            let slice = rows.slice(start..start + part.len());
-            scope.spawn(move || objective.bound_kernel(center, slice, part));
-        }
-    });
-}
-
 /// Routes one priced batch of `center` — a ring batch, a post-merge
 /// flood or a re-flood (`ids[i]` priced at `bounds[i]`). The cheapest
 /// candidate goes straight to the heap (it is the candidate a greedy
@@ -1180,9 +1157,10 @@ fn expansion_key<O: MergeObjective>(
 /// [`MergeObjective`]'s exactness contract), while evaluating a small
 /// fraction of the exact costs.
 ///
-/// `params` fixes the worker threads and whether the decision log is
-/// kept; `scratch` is caller-owned, and on a warm scratch (second run of
-/// the same size) the merge loop performs no heap allocations.
+/// `params` fixes whether the decision log is kept (every batch is
+/// priced on the calling thread, so `params.threads` goes unread);
+/// `scratch` is caller-owned, and on a warm scratch (second run of the
+/// same size) the merge loop performs no heap allocations.
 ///
 /// Reports phase spans, per-kind loop sub-phases (`greedy.ring` /
 /// `greedy.defer` / `greedy.bound` / `greedy.merge`) and the
@@ -1230,7 +1208,6 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
     let seed_span_start = tracer.now_ns();
     let seed_start = Instant::now();
     let seed_allocs0 = alloc_count();
-    let threads = resolve_threads(params, tracer);
     // Checked before any storage is sized: past this limit the packed
     // heap tags and the u32 arena/tree columns would silently truncate
     // node indices, so the only safe answer is an error up front.
@@ -1381,7 +1358,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                     }
                     let out = out_column(bounds, cand.len());
                     let center = objective.bound_terms(x);
-                    price_rows(&*objective, &center, cand_terms.rows(), out, threads);
+                    objective.bound_kernel(&center, cand_terms.rows(), out);
                     shadow::expansion_covers(entry.key, x, cand, out);
                     stats.bound_batches += 1;
                     stats.bound_evals += cand.len() as u64;
@@ -1449,7 +1426,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                         shadow::live_mirror(&*objective, live, live_pos, live_terms);
                         let out = out_column(bounds, live.len());
                         let center_terms = live_terms.rows().row(live_pos[center] as usize);
-                        price_rows(&*objective, &center_terms, live_terms.rows(), out, threads);
+                        objective.bound_kernel(&center_terms, live_terms.rows(), out);
                         stats.bound_batches += 1;
                         stats.bound_evals += live.len() as u64 - 1;
                         defer_flood(heap, slab, selbuf, &mut stats, a, live, out, Some(cutoff));
@@ -1513,7 +1490,7 @@ pub fn run_greedy_with_scratch<O: MergeObjective>(
                 if !live.is_empty() {
                     shadow::live_mirror(&*objective, live, live_pos, live_terms);
                     let out = out_column(bounds, live.len());
-                    price_rows(&*objective, &next_terms, live_terms.rows(), out, threads);
+                    objective.bound_kernel(&next_terms, live_terms.rows(), out);
                     stats.bound_batches += 1;
                     stats.bound_evals += live.len() as u64;
                     defer_flood(heap, slab, selbuf, &mut stats, next as u32, live, out, None);

@@ -5,7 +5,9 @@
 //! to drift. Both now delegate to the shared resolver; this test drives
 //! an unparsable `GCR_THREADS` through **both engines end to end** and
 //! asserts they emit the same warn event (same message, their own
-//! category names) and both pin to a single worker.
+//! category names) and both pin to a single worker. The greedy side runs
+//! the exhaustive engine: the pruned engine never reads its thread
+//! setting.
 //!
 //! One `#[test]` only: the test mutates the process environment, which
 //! must not race another test in this binary.
@@ -17,7 +19,7 @@ use std::sync::Arc;
 
 use gcr_activity::{scan_source, CpuModel, ScanParams, ScanScratch, SliceSource};
 use gcr_cts::{
-    run_greedy_with_scratch, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink,
+    run_greedy_exhaustive_with_scratch, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -44,7 +46,7 @@ fn greedy_and_activity_emit_identical_threads_warning() {
         log_decisions: false,
     };
     let mut scratch = GreedyScratch::new();
-    run_greedy_with_scratch(sinks.len(), &mut objective, &params, &mut scratch).unwrap();
+    run_greedy_exhaustive_with_scratch(sinks.len(), &mut objective, &params, &mut scratch).unwrap();
     drop(entered);
 
     // Activity scanner path: same env, same `threads: None`.

@@ -95,7 +95,7 @@ impl std::fmt::Display for ActivityScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcr_activity::{ActivityTables, ModuleSet, ScanParams, ScanScratch, TraceSource};
+    use gcr_activity::{ActivityTables, ModuleSet, ScanParams, ScanScratch};
 
     #[test]
     fn names_round_trip() {
@@ -142,12 +142,10 @@ mod tests {
         let len = 30_000usize;
         let oracle = ActivityTables::scan(model.rtl(), &model.generate_stream(len));
         let mut source = model.trace_source(len as u64);
-        assert_eq!(source.len_hint(), Some(len as u64));
         let mut scratch = ScanScratch::new();
         let params = ScanParams {
             threads: Some(2),
             chunk_cycles: 4_096,
-            ..ScanParams::default()
         };
         let (tables, profile) =
             gcr_activity::scan_source(model.rtl(), &mut source, &params, &mut scratch).unwrap();

@@ -4,15 +4,16 @@
 //! on the Tsay benchmarks r1–r3 and on randomized trees and masks, where
 //! the W-only `evaluate_switched_cap` must also reproduce the report's
 //! switched capacitance bit for bit. Also pins `evaluate`'s totals, skew
-//! and delay bit for bit on r1–r4.
+//! and delay bit for bit on r1–r4, and `route_activity_driven`'s total W
+//! and merge order on r1–r3.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gcr_activity::{ActivityTables, CpuModel};
 use gcr_core::{
-    evaluate, evaluate_breakdown, evaluate_switched_cap, evaluate_with_mask, route_gated,
-    DeviceRole, GatedRouting, RouterConfig,
+    evaluate, evaluate_breakdown, evaluate_switched_cap, evaluate_with_mask, route_activity_driven,
+    route_gated, DeviceRole, GatedRouting, RouterConfig,
 };
-use gcr_cts::Sink;
+use gcr_cts::{Sink, TopoNode, Topology};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 use gcr_workloads::{TsayBenchmark, Workload, WorkloadParams};
@@ -207,6 +208,71 @@ fn evaluate_is_pinned_bit_for_bit_on_smoke_r1_r4() {
             bits,
             pins,
             "{}: evaluate moved (total W, skew, delay bits)",
+            which.name()
+        );
+    }
+}
+
+/// 64-bit FNV-1a of a topology's merges in node order, each child index
+/// as four little-endian bytes: any change to one merge moves it.
+fn merge_digest(topology: &Topology) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (_, node) in topology.bottom_up() {
+        if let TopoNode::Internal { left, right } = node {
+            for child in [left, right] {
+                for byte in (child as u32).to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// `route_activity_driven` on the smoke r1–r3 designs, pinned bit for
+/// bit: its total W bits and the FNV-1a digest of its merge order must
+/// not move.
+#[test]
+fn activity_driven_routing_is_pinned_bit_for_bit_on_smoke_r1_r3() {
+    const PINS: [(TsayBenchmark, u64, u64); 3] = [
+        (
+            TsayBenchmark::R1,
+            0x4057_4e79_99a2_3749,
+            0xc363_34df_fd77_62c9,
+        ),
+        (
+            TsayBenchmark::R2,
+            0x406f_b5b0_1d21_d780,
+            0xc164_7507_7002_0860,
+        ),
+        (
+            TsayBenchmark::R3,
+            0x407c_c5a4_6d10_c1a9,
+            0xbbfa_4f98_4ec9_956c,
+        ),
+    ];
+    let params = WorkloadParams::smoke();
+    for (which, w_bits, digest) in PINS {
+        let workload = Workload::generate(which, &params).unwrap();
+        let config = RouterConfig::new(Technology::default(), workload.benchmark.die);
+        let routing =
+            route_activity_driven(&workload.benchmark.sinks, &workload.tables, &config).unwrap();
+        let report = evaluate(
+            &routing.tree,
+            &routing.node_stats,
+            config.controller(),
+            config.tech(),
+            DeviceRole::Gate,
+        );
+        let got = (
+            report.total_switched_cap.to_bits(),
+            merge_digest(&routing.topology),
+        );
+        assert_eq!(
+            got,
+            (w_bits, digest),
+            "{}: activity-driven routing moved (total W bits, merge digest)",
             which.name()
         );
     }

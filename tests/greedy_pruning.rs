@@ -68,9 +68,10 @@ fn verify_routed(topology: Topology, sinks: &[Sink], tables: &ActivityTables) {
     assert!(!report.has_errors(), "{}", report.render_text());
 }
 
-/// Above 4 096 live nodes the pruned engine splits each flood's pricing
-/// across workers (docs/performance.md §4); on a flat instance that
-/// large, the decision log must not depend on the split.
+/// The pruned engine prices every flood on the calling thread, whatever
+/// `GreedyParams::threads` says (docs/performance.md §4): on a flat
+/// instance past 4 096 live nodes, the decision log must not depend on
+/// the thread setting.
 #[test]
 fn pruned_floods_split_across_threads_log_identically() {
     let n = 4_500;

@@ -86,19 +86,19 @@ fn warm_greedy_loop_performs_zero_allocations() {
     // per-worker table. (The merge window builds the returned tables and
     // is expected to allocate; only the chunk window is gated.) Checked
     // for both an in-memory source and the incremental model generator,
-    // and for the dense and sparse per-worker count layouts.
-    let scan_model = CpuModel::builder(64)
-        .instructions(16)
-        .persistence(0.8)
-        .seed(42)
-        .build()
-        .unwrap();
-    let scan_stream = scan_model.generate_stream(50_000);
-    for dense_limit in [gcr_activity::DEFAULT_DENSE_LIMIT, 0] {
+    // and for the dense and sparse per-worker count layouts: the scan
+    // picks the layout from K, sparse past 1 024 instructions.
+    for instructions in [16, 1_025] {
+        let scan_model = CpuModel::builder(64)
+            .instructions(instructions)
+            .persistence(0.8)
+            .seed(42)
+            .build()
+            .unwrap();
+        let scan_stream = scan_model.generate_stream(50_000);
         let scan_params = ScanParams {
             threads: Some(1),
             chunk_cycles: 4_096,
-            dense_limit,
         };
         let mut scan_scratch = ScanScratch::new();
         let mut cold_source = SliceSource::new(&scan_stream);
@@ -119,7 +119,7 @@ fn warm_greedy_loop_performs_zero_allocations() {
         .unwrap();
         assert_eq!(
             profile.chunk_allocs, 0,
-            "warm slice-source chunk loop allocated {} times (dense_limit {dense_limit})",
+            "warm slice-source chunk loop allocated {} times (K = {instructions})",
             profile.chunk_allocs
         );
         let mut model_source = scan_model.trace_source(50_000);
@@ -132,7 +132,7 @@ fn warm_greedy_loop_performs_zero_allocations() {
         .unwrap();
         assert_eq!(
             profile.chunk_allocs, 0,
-            "warm generator chunk loop allocated {} times (dense_limit {dense_limit})",
+            "warm generator chunk loop allocated {} times (K = {instructions})",
             profile.chunk_allocs
         );
     }
