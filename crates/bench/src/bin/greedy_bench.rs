@@ -335,7 +335,6 @@ fn measure_eco(workload: &gcr_workloads::Workload, config: &RouterConfig) -> Eco
         &old_locations,
         &edits,
         &mut eco_obj,
-        &params,
         &mut eco_scratch,
     )
     .expect("incremental ECO failed on the edited workload");
@@ -351,7 +350,6 @@ fn measure_eco(workload: &gcr_workloads::Workload, config: &RouterConfig) -> Eco
             &old_locations,
             &edits,
             &mut eco_obj,
-            &params,
             &mut eco_scratch,
         )
         .expect("incremental ECO failed on the edited workload");

@@ -18,8 +18,7 @@
 
 use gcr_activity::ActivityTables;
 use gcr_cts::{
-    apply_eco, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, GreedyParams,
-    Sink,
+    apply_eco, plan_eco_leaves, DeviceAssignment, EcoEdit, EcoOutcome, EcoScratch, Sink,
 };
 use gcr_geometry::Point;
 use gcr_trace::Tracer;
@@ -54,9 +53,7 @@ pub struct GatedEcoResult {
 /// topology bit-identically; geometric edits re-search only the dirty
 /// frontier (see the `gcr_cts::eco` module docs for the contract).
 ///
-/// `params` is handed to the splice search, which runs the pruned
-/// engine: that engine prices on the calling thread and reads neither
-/// `params.threads` nor `GCR_THREADS`.
+/// The splice search runs the pruned engine on the calling thread.
 ///
 /// Emits through [`Tracer::current`] the `eco.apply > eco.frontier /
 /// eco.splice / eco.search` span family inside a `route.gated_eco` span,
@@ -68,10 +65,6 @@ pub struct GatedEcoResult {
 /// not match the routing or a module reference is outside the activity
 /// model, and [`RouteError::Cts`] for an invalid edit batch or an
 /// embedding failure.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the design lists, the edits and the engine state are all distinct inputs"
-)]
 pub fn route_gated_eco(
     old: &GatedRouting,
     old_sinks: &[Sink],
@@ -79,7 +72,6 @@ pub fn route_gated_eco(
     edits: &[EcoEdit],
     tables: &ActivityTables,
     config: &RouterConfig,
-    params: &GreedyParams,
     scratch: &mut EcoScratch,
 ) -> Result<GatedEcoResult, RouteError> {
     let num_modules = tables.rtl().num_modules();
@@ -119,7 +111,6 @@ pub fn route_gated_eco(
         &old_locations,
         edits,
         &mut objective,
-        params,
         scratch,
     )?;
     let assignment = DeviceAssignment::everywhere(&outcome.topology, config.tech().and_gate());
@@ -170,7 +161,7 @@ mod tests {
         (sinks, module_of, tables, config)
     }
 
-    /// A cold [`route_gated_eco`] call with default search parameters.
+    /// A cold [`route_gated_eco`] call.
     fn cold_eco(
         old: &GatedRouting,
         sinks: &[Sink],
@@ -179,18 +170,8 @@ mod tests {
         tables: &ActivityTables,
         config: &RouterConfig,
     ) -> Result<GatedEcoResult, RouteError> {
-        let params = GreedyParams::default();
         let mut scratch = EcoScratch::new();
-        route_gated_eco(
-            old,
-            sinks,
-            module_of,
-            edits,
-            tables,
-            config,
-            &params,
-            &mut scratch,
-        )
+        route_gated_eco(old, sinks, module_of, edits, tables, config, &mut scratch)
     }
 
     /// An activity-only ECO (new tables, `SwapActivity` edits) is a pure
@@ -429,13 +410,11 @@ mod tests {
             &new_modules,
         );
         let mut scratch = EcoScratch::new();
-        let params = GreedyParams::default();
         let cold = gcr_cts::apply_eco(
             &old.topology,
             &old_locations,
             &edits,
             &mut objective,
-            &params,
             &mut scratch,
         )
         .unwrap();
@@ -445,7 +424,6 @@ mod tests {
             &old_locations,
             &edits,
             &mut objective,
-            &params,
             &mut scratch,
         )
         .unwrap();

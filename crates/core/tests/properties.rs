@@ -10,7 +10,7 @@ use gcr_core::{
     evaluate, evaluate_with_mask, reduce_gates, reduce_gates_optimal, route_gated, route_gated_eco,
     simulate_stream, ControllerPlan, DeviceRole, ReductionParams, RouterConfig,
 };
-use gcr_cts::{EcoEdit, EcoScratch, GreedyParams, Sink};
+use gcr_cts::{EcoEdit, EcoScratch, Sink};
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
 use proptest::prelude::*;
@@ -204,14 +204,13 @@ proptest! {
         let routing = route_gated(&sinks, &tables, &config).unwrap();
         let tech = config.tech();
         let module_of: Vec<usize> = (0..sinks.len()).collect();
-        let params = GreedyParams::default();
         let mut scratch = EcoScratch::new();
         let add = EcoEdit::AddSink {
             sink: Sink::new(Point::new(SIDE * 0.31, SIDE * 0.47), 0.05),
             module: insert_at % sinks.len(),
         };
         let grown = route_gated_eco(
-            &routing, &sinks, &module_of, &[add], &tables, &config, &params, &mut scratch,
+            &routing, &sinks, &module_of, &[add], &tables, &config, &mut scratch,
         )
         .unwrap();
         prop_assert_eq!(grown.sinks.len(), sinks.len() + 1);
@@ -221,7 +220,7 @@ proptest! {
 
         let remove = EcoEdit::RemoveSink { index: remove_at % grown.sinks.len() };
         let shrunk = route_gated_eco(
-            &grown.routing, &grown.sinks, &grown.module_of, &[remove], &tables, &config, &params,
+            &grown.routing, &grown.sinks, &grown.module_of, &[remove], &tables, &config,
             &mut scratch,
         )
         .unwrap();

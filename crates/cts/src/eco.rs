@@ -411,7 +411,6 @@ pub fn apply_eco<O: MergeObjective>(
     old_locations: &[Point],
     edits: &[EcoEdit],
     objective: &mut O,
-    params: &GreedyParams,
     scratch: &mut EcoScratch,
 ) -> Result<EcoOutcome, CtsError> {
     let tracer = &Tracer::current();
@@ -620,8 +619,8 @@ pub fn apply_eco<O: MergeObjective>(
             next_global,
         };
         let inner_params = GreedyParams {
-            threads: params.threads,
             log_decisions: true,
+            ..GreedyParams::default()
         };
         search_span_start = tracer.now_ns();
         let search_t0 = Instant::now();
@@ -773,7 +772,6 @@ mod tests {
             &points,
             &[EcoEdit::SwapActivity { module: 7 }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -808,7 +806,6 @@ mod tests {
                 to: new_points[100],
             }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -844,7 +841,6 @@ mod tests {
             &points,
             &[EcoEdit::RemoveSink { index: 17 }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -879,7 +875,6 @@ mod tests {
                 module: 0,
             }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -905,15 +900,7 @@ mod tests {
         let mut scratch = EcoScratch::new();
         let run = |scratch: &mut EcoScratch| {
             let mut obj = PointObjective::over(&new_points);
-            let out = apply_eco(
-                &old,
-                &points,
-                &edits,
-                &mut obj,
-                &GreedyParams::default(),
-                scratch,
-            )
-            .unwrap();
+            let out = apply_eco(&old, &points, &edits, &mut obj, scratch).unwrap();
             (out.topology, scratch.decisions().to_vec())
         };
         let (cold_topo, cold_log) = run(&mut scratch);
@@ -936,7 +923,6 @@ mod tests {
             &points,
             &[EcoEdit::RemoveSink { index: 1 }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -952,7 +938,6 @@ mod tests {
                 module: 0,
             }],
             &mut obj,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -979,27 +964,11 @@ mod tests {
         }];
         let mut scratch = EcoScratch::new();
         let mut obj = PointObjective::over(&new_points);
-        let plain = apply_eco(
-            &old,
-            &points,
-            &edits,
-            &mut obj,
-            &GreedyParams::default(),
-            &mut scratch,
-        )
-        .unwrap();
+        let plain = apply_eco(&old, &points, &edits, &mut obj, &mut scratch).unwrap();
         let sink = Arc::new(MemorySink::new());
         let _entered = Tracer::new(sink.clone()).enter();
         let mut obj2 = PointObjective::over(&new_points);
-        let traced = apply_eco(
-            &old,
-            &points,
-            &edits,
-            &mut obj2,
-            &GreedyParams::default(),
-            &mut scratch,
-        )
-        .unwrap();
+        let traced = apply_eco(&old, &points, &edits, &mut obj2, &mut scratch).unwrap();
         assert_eq!(plain.topology, traced.topology);
         let names: Vec<&str> = sink
             .events()

@@ -204,8 +204,7 @@ pub struct EcoAnswer {
 }
 
 /// Incrementally re-routes a cached routing under `edits` via the
-/// dirty-frontier engine — the 21–39× path for small edits — with the
-/// daemon's pinned thread count threaded through to the splice search.
+/// dirty-frontier engine — the 21–39× path for small edits.
 ///
 /// # Errors
 ///
@@ -215,13 +214,8 @@ pub fn eco_design(
     design: &DesignEntry,
     routing: &RoutingEntry,
     edits: &[EcoEdit],
-    threads: usize,
     scratch: &mut WorkerScratch,
 ) -> Result<EcoAnswer, String> {
-    let params = GreedyParams {
-        threads: Some(threads),
-        log_decisions: false,
-    };
     let result = route_gated_eco(
         &routing.routing,
         &design.workload.benchmark.sinks,
@@ -229,7 +223,6 @@ pub fn eco_design(
         edits,
         &design.workload.tables,
         &design.config,
-        &params,
         &mut scratch.eco,
     )
     .map_err(|e| format!("eco failed: {e}"))?;
@@ -322,7 +315,6 @@ mod tests {
             &design,
             &warm,
             &[EcoEdit::SwapActivity { module: 0 }],
-            1,
             &mut scratch,
         )
         .unwrap();

@@ -10,15 +10,17 @@
 //! - **Keyed caches** ([`cache`]): parsed designs (generated benchmark
 //!   and scanned activity tables) and completed routings are cached
 //!   under the FNV-1a hash of their canonical key. A routing-cache hit is a
-//!   pure replay — the response (decision-log digest included) is
-//!   byte-identical to the miss that populated it, and bit-identical to
-//!   a single-shot CLI run of the same design.
+//!   pure replay, answered on the connection thread without a worker —
+//!   the response (decision-log digest included) is byte-identical to
+//!   the miss that populated it, and bit-identical to a single-shot CLI
+//!   run of the same design.
 //! - **Per-worker reusable scratch** ([`engine::WorkerScratch`]): each
 //!   worker owns the engine arenas, so a warm worker's flat merge loop
 //!   performs zero heap allocations, daemon or no daemon.
-//! - **Bounded queue with backpressure** ([`service`]): a full queue
-//!   answers `rejected` with a `retry_after_ms` hint instead of
-//!   blocking; requests may carry a queue deadline.
+//! - **Bounded queue with backpressure** ([`service`]): only engine
+//!   work (misses, forced routes, ECOs) is queued; a full queue answers
+//!   it `rejected` with a `retry_after_ms` hint instead of blocking;
+//!   requests may carry a queue deadline.
 //! - **Incremental ECO**: `eco` requests against a cached design take
 //!   the dirty-frontier path ([`gcr_core::route_gated_eco`])
 //!   — the 21–39× shortcut over re-routing from scratch.

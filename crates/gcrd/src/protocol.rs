@@ -90,9 +90,12 @@ impl Command {
         }
     }
 
-    /// Whether this command runs on the worker pool (and is therefore
-    /// subject to queueing, backpressure, and deadlines) as opposed to
-    /// being answered inline on the connection thread.
+    /// Whether this command is work (counted in `completed`, rejected
+    /// while draining) as opposed to a control command answered inline
+    /// on the connection thread. Work runs on the worker pool, subject to
+    /// queueing, backpressure and deadlines, except a non-forced `route`
+    /// / `evaluate` / `verify` cache hit, which the connection thread
+    /// answers without queueing.
     #[must_use]
     pub fn is_work(self) -> bool {
         !matches!(self, Command::Ping | Command::Stats | Command::Shutdown)
@@ -120,6 +123,7 @@ pub struct Request {
     pub want_log: bool,
     /// Per-request deadline in milliseconds, measured from enqueue; an
     /// expired request is answered with an error, not silently dropped.
+    /// A cache hit is never queued, so its deadline cannot expire.
     pub deadline_ms: Option<u64>,
     /// Debug `sleep` duration.
     pub sleep_ms: u64,
@@ -264,7 +268,8 @@ pub struct StatsSnapshot {
     pub completed: u64,
     /// Work requests accepted but not yet answered.
     pub inflight: u64,
-    /// Worker panics caught and converted to error responses.
+    /// Panics caught, on a worker or an inline reply, and converted to
+    /// error responses.
     pub panics: u64,
     /// Current queue depth.
     pub queue_depth: u64,

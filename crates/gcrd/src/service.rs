@@ -4,40 +4,47 @@
 //! ## Concurrency model
 //!
 //! One nonblocking acceptor loop (the thread that called
-//! [`Service::run`]) spawns a thread per connection; connection threads
-//! parse request lines and either answer inline (`ping` / `stats` /
-//! `shutdown`) or enqueue a `Job` on the bounded queue. `workers`
+//! [`Service::run`]) spawns a thread per connection. A connection thread
+//! parses each request line and answers it inline when no engine work is
+//! needed: `ping` / `stats` / `shutdown`, and every non-forced `route` /
+//! `evaluate` / `verify` whose routing (and, for `verify`, design) is
+//! already cached — a replay plus, for `verify`, the linear-time lint
+//! suite. Everything else (misses, forced routes, `eco`, the debug
+//! commands) is enqueued as a `Job` on the bounded queue. `workers`
 //! threads pop jobs and compute through per-worker reusable engine
 //! scratch ([`WorkerScratch`]) — so a warm worker's flat-engine merge
-//! loop allocates nothing. Responses go back through a per-connection
-//! writer mutex, so concurrent workers never interleave bytes on one
-//! socket.
+//! loop allocates nothing. A connection thread never builds a design or
+//! routes, and it handles one request at a time. Responses go back
+//! through a per-connection writer mutex, so a worker and the connection
+//! thread never interleave bytes on one socket.
 //!
 //! ## Backpressure and deadlines
 //!
 //! A full queue answers immediately with `status: "rejected"` and a
 //! `retry_after_ms` hint — the daemon never blocks an enqueue on a slow
-//! pool (the NDJSON analogue of HTTP 429 + Retry-After). A request may
+//! pool (the NDJSON analogue of HTTP 429 + Retry-After). Only engine
+//! work is shed this way: a cache hit takes no queue slot. A request may
 //! carry `deadline_ms`; if it spends longer than that *queued*, the
-//! worker answers with an error instead of doing stale work.
+//! worker answers with an error instead of doing stale work. A hit never
+//! queues, so its deadline cannot expire.
 //!
-//! ## Worker panics
+//! ## Panics
 //!
-//! A panicking request is caught with [`std::panic::catch_unwind`]; the
-//! worker answers that request with an error, discards its (possibly
-//! inconsistent) scratch for a fresh one, bumps the `gcrd.panics`
-//! counter, and keeps serving. A bug in one request's input never
-//! wedges the daemon. The shared caches are never locked across engine
-//! calls, and every shared lock is poison-tolerant
-//! ([`PoisonError::into_inner`]), so even a panic at an unlucky point
-//! cannot poison another worker's path.
+//! A panicking request is caught with [`std::panic::catch_unwind`], on a
+//! worker or on a connection thread alike; the request is answered with
+//! an error, the `gcrd.panics` counter is bumped, and serving continues
+//! (a worker also discards its possibly inconsistent scratch for a fresh
+//! one). A bug in one request's input never wedges the daemon. The
+//! shared caches are never locked across engine calls, and every shared
+//! lock is poison-tolerant ([`PoisonError::into_inner`]), so even a
+//! panic at an unlucky point cannot poison another thread's path.
 //!
 //! ## Graceful shutdown
 //!
-//! `shutdown` flips the service into draining: new work is rejected
-//! (`"draining"`), queued and in-flight requests finish and are
-//! answered, then the shutdown request itself is answered with the
-//! lifetime `drained` count and the acceptor and workers exit.
+//! `shutdown` flips the service into draining: new work, hits included,
+//! is rejected (`"draining"`), queued, in-flight and inline requests
+//! finish and are answered, then the shutdown request itself is answered
+//! with the lifetime `drained` count and the acceptor and workers exit.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -209,9 +216,9 @@ struct Shared {
     queue: Queue,
     designs: Mutex<LruCache<Arc<DesignEntry>>>,
     routings: Mutex<LruCache<Arc<RoutingEntry>>>,
-    /// Work requests accepted (enqueued) but not yet answered. Bumped
-    /// *before* the queue push, so `draining && outstanding == 0` means
-    /// truly idle.
+    /// Work requests accepted (enqueued or being answered inline) but
+    /// not yet answered. Bumped *before* the queue push or the inline
+    /// lookup, so `draining && outstanding == 0` means truly idle.
     outstanding: AtomicU64,
     draining: AtomicBool,
     stopped: AtomicBool,
@@ -351,6 +358,9 @@ fn skip_to_newline(reader: &mut impl BufRead) -> bool {
 }
 
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
+    // Inline replies (the verifier among them) trace to the daemon's
+    // tracer, as a worker's engine calls do.
+    let _entered = shared.tracer.enter();
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -425,8 +435,89 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
             shared.stopped.store(true, Ordering::SeqCst);
             shared.queue.close();
         }
+        Command::Route | Command::Evaluate | Command::Verify if !request.force => {
+            if !answer_hit(shared, &request, writer) {
+                enqueue_work(shared, request, writer);
+            }
+        }
         _ => enqueue_work(shared, request, writer),
     }
+}
+
+/// Answers `request` on the connection thread if it is a cache hit:
+/// its routing, and for `verify` its design, are already cached.
+/// Returns `false`, having sent nothing, when the service is draining
+/// or an entry is missing; the caller then enqueues the request, and
+/// the worker's lookup counts the hit or miss.
+fn answer_hit(shared: &Shared, request: &Request, writer: &ConnWriter) -> bool {
+    // Bumped before the draining check, so a `shutdown` that saw
+    // `outstanding == 0` is seen here as draining.
+    shared.outstanding.fetch_add(1, Ordering::SeqCst);
+    if shared.draining.load(Ordering::SeqCst) {
+        shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+        return false;
+    }
+    let start = shared.tracer.now_ns();
+    let response = match catch_unwind(AssertUnwindSafe(|| cached_reply(shared, request))) {
+        Ok(Some(resp)) => resp,
+        Ok(None) => {
+            shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        Err(_) => panicked(shared, &request.id),
+    };
+    finish(shared, writer, start, response);
+    true
+}
+
+/// The reply to a non-forced `route` / `evaluate` / `verify` built from
+/// the caches alone, or `None` if an entry it needs is not cached.
+fn cached_reply(shared: &Shared, request: &Request) -> Option<Response> {
+    let key = design_key(shared, request).ok()?;
+    let canonical = key.canonical();
+    let hash = key.hash();
+    let cache_start = shared.tracer.now_ns();
+    let entry = lock_tolerant(&shared.routings).get(hash, &canonical)?;
+    let design = match request.cmd {
+        Command::Verify => Some(lock_tolerant(&shared.designs).get(hash, &canonical)?),
+        _ => None,
+    };
+    count_hit(shared, cache_start);
+    Some(routing_reply(request, key, &entry, true, design.as_deref()))
+}
+
+/// Counts a panic while answering request `id` and returns its reply.
+fn panicked(shared: &Shared, id: &str) -> Response {
+    shared.panics.fetch_add(1, Ordering::Relaxed);
+    shared
+        .tracer
+        .counter("gcrd.panics", shared.panics.load(Ordering::Relaxed) as f64);
+    Response::error(id, "worker panicked while handling request")
+}
+
+/// Sends the reply to an accepted request whose handling began at
+/// `start`, records its `gcrd.respond` and `gcrd.request` spans, and
+/// retires it from `outstanding` into `completed`.
+fn finish(shared: &Shared, writer: &ConnWriter, start: u64, response: Response) {
+    let respond_start = shared.tracer.now_ns();
+    writer.send(response.render());
+    let end = shared.tracer.now_ns();
+    shared
+        .tracer
+        .complete_span("gcrd.respond", respond_start, end - respond_start);
+    shared
+        .tracer
+        .complete_span("gcrd.request", start, end - start);
+    shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    shared.tracer.counter(
+        "gcrd.completed",
+        shared.completed.load(Ordering::Relaxed) as f64,
+    );
+    shared.tracer.counter(
+        "gcrd.inflight",
+        shared.outstanding.load(Ordering::Relaxed) as f64,
+    );
 }
 
 fn enqueue_work(shared: &Arc<Shared>, request: Request, writer: &Arc<ConnWriter>) {
@@ -483,43 +574,17 @@ fn worker_loop(shared: &Arc<Shared>) {
     let _entered = shared.tracer.enter();
     let mut scratch = WorkerScratch::new();
     while let Some(job) = shared.queue.pop() {
-        let id = job.request.id.clone();
         let start = shared.tracer.now_ns();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             handle_job(shared, &job.request, job.enqueued, &mut scratch)
         }));
-        let response = match outcome {
-            Ok(resp) => resp,
-            Err(_) => {
-                // The scratch may be mid-mutation; replace it rather
-                // than risk a poisoned arena on the next request.
-                scratch = WorkerScratch::new();
-                shared.panics.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .tracer
-                    .counter("gcrd.panics", shared.panics.load(Ordering::Relaxed) as f64);
-                Response::error(&id, "worker panicked while handling request")
-            }
-        };
-        let respond_start = shared.tracer.now_ns();
-        job.writer.send(response.render());
-        let end = shared.tracer.now_ns();
-        shared
-            .tracer
-            .complete_span("gcrd.respond", respond_start, end - respond_start);
-        shared
-            .tracer
-            .complete_span("gcrd.request", start, end - start);
-        shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        shared.tracer.counter(
-            "gcrd.completed",
-            shared.completed.load(Ordering::Relaxed) as f64,
-        );
-        shared.tracer.counter(
-            "gcrd.inflight",
-            shared.outstanding.load(Ordering::Relaxed) as f64,
-        );
+        let response = outcome.unwrap_or_else(|_| {
+            // The scratch may be mid-mutation; replace it rather than
+            // risk a poisoned arena on the next request.
+            scratch = WorkerScratch::new();
+            panicked(shared, &job.request.id)
+        });
+        finish(shared, &job.writer, start, response);
     }
 }
 
@@ -574,15 +639,7 @@ fn routing_for(
     let cache_start = shared.tracer.now_ns();
     if !force {
         if let Some(entry) = lock_tolerant(&shared.routings).get(hash, &canonical) {
-            shared.hits.fetch_add(1, Ordering::Relaxed);
-            shared
-                .tracer
-                .counter("gcrd.hits", shared.hits.load(Ordering::Relaxed) as f64);
-            shared.tracer.complete_span(
-                "gcrd.cache",
-                cache_start,
-                shared.tracer.now_ns() - cache_start,
-            );
+            count_hit(shared, cache_start);
             return Ok((entry, true));
         }
     }
@@ -607,11 +664,29 @@ fn routing_for(
     Ok((entry, false))
 }
 
-fn routing_response(
+/// Counts a routing-cache hit and records its `gcrd.cache` span, begun
+/// at `cache_start`.
+fn count_hit(shared: &Shared, cache_start: u64) {
+    shared.hits.fetch_add(1, Ordering::Relaxed);
+    shared
+        .tracer
+        .counter("gcrd.hits", shared.hits.load(Ordering::Relaxed) as f64);
+    shared.tracer.complete_span(
+        "gcrd.cache",
+        cache_start,
+        shared.tracer.now_ns() - cache_start,
+    );
+}
+
+/// The reply to a `route` / `evaluate` / `verify` request answered from
+/// the routing `entry`, on a worker or inline alike. `design` is given
+/// exactly for `verify`, whose reply runs the lint suite over `entry`.
+fn routing_reply(
     request: &Request,
     key: DesignKey,
     entry: &RoutingEntry,
     hit: bool,
+    design: Option<&DesignEntry>,
 ) -> Response {
     let mut resp = Response::ok(&request.id);
     resp.cmd = Some(request.cmd.name());
@@ -627,6 +702,15 @@ fn routing_response(
     resp.total_switched_cap = Some(entry.report.total_switched_cap);
     resp.clock_switched_cap = Some(entry.report.clock_switched_cap);
     resp.control_switched_cap = Some(entry.report.control_switched_cap);
+    if request.cmd == Command::Evaluate {
+        resp.total_area = Some(entry.report.total_area);
+        resp.num_devices = Some(entry.report.num_devices as u64);
+    }
+    if let Some(design) = design {
+        let (errors, warns) = verify_routing(design, entry);
+        resp.verify_errors = Some(errors);
+        resp.verify_warnings = Some(warns);
+    }
     resp
 }
 
@@ -661,21 +745,14 @@ fn handle_job(
                 Ok(pair) => pair,
                 Err(msg) => return Response::error(&request.id, msg),
             };
-            let mut resp = routing_response(request, key, &entry, hit);
-            if request.cmd == Command::Evaluate {
-                resp.total_area = Some(entry.report.total_area);
-                resp.num_devices = Some(entry.report.num_devices as u64);
-            }
-            if request.cmd == Command::Verify {
-                let design = match design_for(shared, key) {
-                    Ok(d) => d,
+            let design = match request.cmd {
+                Command::Verify => match design_for(shared, key) {
+                    Ok(d) => Some(d),
                     Err(msg) => return Response::error(&request.id, msg),
-                };
-                let (errors, warns) = verify_routing(&design, &entry);
-                resp.verify_errors = Some(errors);
-                resp.verify_warnings = Some(warns);
-            }
-            resp
+                },
+                _ => None,
+            };
+            routing_reply(request, key, &entry, hit, design.as_deref())
         }
         Command::Eco => {
             let key = match design_key(shared, request) {
@@ -690,7 +767,7 @@ fn handle_job(
                 Ok(d) => d,
                 Err(msg) => return Response::error(&request.id, msg),
             };
-            match eco_design(&design, &entry, &request.edits, shared.threads, scratch) {
+            match eco_design(&design, &entry, &request.edits, scratch) {
                 Ok(answer) => {
                     let mut resp = Response::ok(&request.id);
                     resp.cmd = Some("eco");

@@ -1,7 +1,8 @@
 //! Integration tests of the `gcrd` daemon over real TCP: concurrent
 //! clients with bit-identity against single-shot CLI-equivalent runs,
 //! malformed/oversized request survival, backpressure rejection, queue
-//! deadlines, worker-panic isolation, and graceful-shutdown draining.
+//! deadlines, worker-panic isolation, graceful-shutdown draining, and
+//! cache hits answered on the connection thread.
 //!
 //! Each test binds its own in-process service on an ephemeral port.
 //! Designs stay small (r1 at short streams) — these run in debug mode
@@ -13,11 +14,12 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcr_trace::json::{self, Json};
-use gcr_trace::Tracer;
+use gcr_trace::{MemorySink, TraceEvent, Tracer};
 use gcr_workloads::TsayBenchmark;
 use gcrd::engine::single_shot_reference;
 use gcrd::{DesignKey, Service, ServiceConfig};
@@ -25,7 +27,11 @@ use gcrd::{DesignKey, Service, ServiceConfig};
 const STREAM_LEN: usize = 400;
 
 fn start(config: ServiceConfig) -> (String, JoinHandle<()>) {
-    let service = Service::bind("127.0.0.1:0", config, Tracer::disabled()).unwrap();
+    start_traced(config, Tracer::disabled())
+}
+
+fn start_traced(config: ServiceConfig, tracer: Tracer) -> (String, JoinHandle<()>) {
+    let service = Service::bind("127.0.0.1:0", config, tracer).unwrap();
     let addr = service.local_addr().unwrap().to_string();
     let handle = thread::spawn(move || service.run());
     (addr, handle)
@@ -62,10 +68,47 @@ fn str_field<'a>(j: &'a Json, key: &str) -> &'a str {
 
 /// The `panics` counter of a `stats` response.
 fn panics(stats: &Json) -> Option<f64> {
+    stat(stats, "panics")
+}
+
+/// Field `key` of a `stats` response's `stats` object.
+fn stat(stats: &Json, key: &str) -> Option<f64> {
     stats
         .get("stats")
-        .and_then(|s| s.get("panics"))
+        .and_then(|s| s.get(key))
         .and_then(Json::as_f64)
+}
+
+/// Polls `stats` until `ready` holds for the reply, so a test waits for
+/// a daemon state rather than for a guessed time.
+fn wait_for_stats(addr: &str, ready: impl Fn(&Json) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = send_batch(addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+        if ready(&stats[0]) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon never reached the awaited state: {:?}",
+            stats[0]
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A `route` / `evaluate` / `verify` request for r1 at `STREAM_LEN`.
+fn r1_request(id: &str, cmd: &str, seed: u64) -> String {
+    format!(
+        "{{\"id\":\"{id}\",\"cmd\":\"{cmd}\",\"benchmark\":\"r1\",\
+         \"stream_len\":{STREAM_LEN},\"seed\":{seed}}}"
+    )
+}
+
+/// Sends `line` on `stream` without reading the reply.
+fn send_line(stream: &mut TcpStream, line: &str) {
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    stream.flush().unwrap();
 }
 
 fn shutdown(addr: &str) {
@@ -410,4 +453,211 @@ fn graceful_shutdown_drains_inflight_work() {
         assert_eq!(status(&parsed), "ok");
     }
     daemon.join().unwrap();
+}
+
+/// With the one worker asleep and the one queue slot taken, a second
+/// connection's `route` and `verify` of an already-routed design are
+/// still answered `ok` as hits while both sleeps are outstanding: a hit
+/// is served on the connection thread and takes no queue slot.
+#[test]
+fn cache_hits_bypass_a_full_queue() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 1,
+        debug_commands: true,
+        ..ServiceConfig::default()
+    });
+    let warm = send_batch(&addr, &[r1_request("warm", "route", 1_998)]);
+    assert_eq!(status(&warm[0]), "ok");
+    let mut busy = TcpStream::connect(&addr).unwrap();
+    send_line(&mut busy, r#"{"id":"z0","cmd":"sleep","sleep_ms":300}"#);
+    wait_for_stats(&addr, |s| {
+        stat(s, "inflight") == Some(1.0) && stat(s, "queue_depth") == Some(0.0)
+    });
+    send_line(&mut busy, r#"{"id":"z1","cmd":"sleep","sleep_ms":0}"#);
+    wait_for_stats(&addr, |s| stat(s, "queue_depth") == Some(1.0));
+    let hits = send_batch(
+        &addr,
+        &[
+            r1_request("h1", "route", 1_998),
+            r1_request("h2", "verify", 1_998),
+        ],
+    );
+    let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+    for resp in &hits {
+        assert_eq!(status(resp), "ok", "{resp:?}");
+        assert_eq!(str_field(resp, "cache"), "hit", "{resp:?}");
+    }
+    let verify = hits.iter().find(|r| str_field(r, "id") == "h2").unwrap();
+    assert_eq!(
+        verify.get("verify_errors").and_then(Json::as_f64),
+        Some(0.0)
+    );
+    assert_eq!(
+        stat(&stats[0], "inflight"),
+        Some(2.0),
+        "both sleeps must still be outstanding when the hits are answered"
+    );
+    let mut reader = BufReader::new(busy);
+    for _ in 0..2 {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0);
+        assert_eq!(status(&json::parse(line.trim()).unwrap()), "ok");
+    }
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// Once `shutdown` is draining, a request that would be a cache hit is
+/// rejected as `"draining"` like any other work.
+#[test]
+fn draining_rejects_cache_hits() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        debug_commands: true,
+        ..ServiceConfig::default()
+    });
+    let warm = send_batch(&addr, &[r1_request("warm", "route", 1_998)]);
+    assert_eq!(status(&warm[0]), "ok");
+    let mut busy = TcpStream::connect(&addr).unwrap();
+    send_line(&mut busy, r#"{"id":"z0","cmd":"sleep","sleep_ms":300}"#);
+    wait_for_stats(&addr, |s| stat(s, "inflight") == Some(1.0));
+    // The probe connection is open before draining starts; it answers
+    // hits until `shutdown` flips the service, and its first non-`ok`
+    // reply must be the draining rejection.
+    let mut probe = TcpStream::connect(&addr).unwrap();
+    let mut replies = BufReader::new(probe.try_clone().unwrap());
+    let closer = thread::spawn({
+        let addr = addr.clone();
+        move || shutdown(&addr)
+    });
+    let late = loop {
+        send_line(&mut probe, &r1_request("late", "route", 1_998));
+        let mut line = String::new();
+        assert!(replies.read_line(&mut line).unwrap() > 0);
+        let reply = json::parse(line.trim()).unwrap();
+        if status(&reply) != "ok" {
+            break reply;
+        }
+        assert_eq!(str_field(&reply, "cache"), "hit");
+        thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(status(&late), "rejected", "{late:?}");
+    assert_eq!(str_field(&late, "error"), "draining");
+    closer.join().unwrap();
+    daemon.join().unwrap();
+}
+
+/// Inline hits are counted in `hits` and `completed` like worker
+/// replies: with the worker still asleep, four hits after one miss read
+/// back as 4 hits, 1 miss and 5 completed, the sleep still in flight.
+#[test]
+fn inline_hits_are_counted() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        debug_commands: true,
+        ..ServiceConfig::default()
+    });
+    let warm = send_batch(&addr, &[r1_request("warm", "route", 1_998)]);
+    assert_eq!(str_field(&warm[0], "cache"), "miss");
+    let mut busy = TcpStream::connect(&addr).unwrap();
+    send_line(&mut busy, r#"{"id":"z0","cmd":"sleep","sleep_ms":300}"#);
+    wait_for_stats(&addr, |s| stat(s, "inflight") == Some(1.0));
+    let hits = send_batch(
+        &addr,
+        &[
+            r1_request("h1", "route", 1_998),
+            r1_request("h2", "route", 1_998),
+            r1_request("h3", "evaluate", 1_998),
+            r1_request("h4", "verify", 1_998),
+        ],
+    );
+    assert!(hits.iter().all(|r| str_field(r, "cache") == "hit"));
+    let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+    assert_eq!(stat(&stats[0], "hits"), Some(4.0));
+    assert_eq!(stat(&stats[0], "misses"), Some(1.0));
+    assert_eq!(stat(&stats[0], "completed"), Some(5.0));
+    assert_eq!(stat(&stats[0], "inflight"), Some(1.0));
+    let mut line = String::new();
+    assert!(BufReader::new(busy).read_line(&mut line).unwrap() > 0);
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// A `verify` whose routing is cached but whose design was evicted
+/// goes to a worker, which rebuilds the design: the reply is still an
+/// `ok` hit with no verifier errors, and the hit is counted once.
+#[test]
+fn verify_with_evicted_design_is_served_by_a_worker() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        design_cache: 1,
+        ..ServiceConfig::default()
+    });
+    let routed = send_batch(
+        &addr,
+        &[r1_request("a", "route", 1_998), r1_request("b", "route", 7)],
+    );
+    assert!(routed.iter().all(|r| str_field(r, "cache") == "miss"));
+    let verify = send_batch(&addr, &[r1_request("v", "verify", 1_998)]);
+    assert_eq!(status(&verify[0]), "ok", "{:?}", verify[0]);
+    assert_eq!(str_field(&verify[0], "cache"), "hit");
+    assert_eq!(
+        verify[0].get("verify_errors").and_then(Json::as_f64),
+        Some(0.0)
+    );
+    let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+    assert_eq!(stat(&stats[0], "hits"), Some(1.0));
+    assert_eq!(stat(&stats[0], "misses"), Some(2.0));
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// An inline `verify` hit traces like a worker reply: a `gcrd.request`
+/// span whose interval holds its `gcrd.cache` and `gcrd.respond` spans
+/// and the verifier's `verify.run`.
+#[test]
+fn inline_verify_hit_is_traced() {
+    let sink = Arc::new(MemorySink::new());
+    let (addr, daemon) = start_traced(
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+        Tracer::new(sink.clone()),
+    );
+    let warm = send_batch(&addr, &[r1_request("warm", "route", 1_998)]);
+    assert_eq!(str_field(&warm[0], "cache"), "miss");
+    let hit = send_batch(&addr, &[r1_request("v", "verify", 1_998)]);
+    assert_eq!(str_field(&hit[0], "cache"), "hit");
+    shutdown(&addr);
+    daemon.join().unwrap();
+    // `shutdown` records no `gcrd.request`, so the last one is the
+    // verify's.
+    let events = sink.events();
+    let (start, end) = events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            TraceEvent::Complete {
+                name: "gcrd.request",
+                start_ns,
+                dur_ns,
+                ..
+            } => Some((*start_ns, start_ns + dur_ns)),
+            _ => None,
+        })
+        .expect("gcrd.request span");
+    let inside = |name: &str| {
+        events.iter().any(|e| match e {
+            TraceEvent::Complete {
+                name: n, start_ns, ..
+            } => *n == name && (start..=end).contains(start_ns),
+            TraceEvent::Begin { name: n, ts_ns } => *n == name && (start..=end).contains(ts_ns),
+            _ => false,
+        })
+    };
+    for name in ["gcrd.cache", "gcrd.respond", "verify.run"] {
+        assert!(inside(name), "no {name} inside the verify's gcrd.request");
+    }
 }

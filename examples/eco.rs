@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use gcr_core::{route_gated_eco, route_gated_mapped, GatedObjective, RouterConfig};
-use gcr_cts::{apply_eco, plan_eco_leaves, EcoEdit, EcoScratch, GreedyParams, Sink};
+use gcr_cts::{apply_eco, plan_eco_leaves, EcoEdit, EcoScratch, Sink};
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
 use gcr_verify::{check_eco, DEFAULT_QUALITY_EPS};
@@ -70,7 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batch,
             tables,
             &config,
-            &GreedyParams::default(),
             &mut scratch,
         )?;
         let ms = t.elapsed().as_secs_f64() * 1e3;
@@ -133,13 +132,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &new_sinks,
         &new_modules,
     );
-    let params = GreedyParams::default();
     apply_eco(
         &routing.topology,
         &old_locations,
         &edits,
         &mut objective,
-        &params,
         &mut scratch,
     )?;
     let t = Instant::now();
@@ -150,7 +147,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &old_locations,
             &edits,
             &mut objective,
-            &params,
             &mut scratch,
         )?;
     }

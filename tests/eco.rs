@@ -17,7 +17,7 @@
 use gcr_core::{route_gated_eco, route_gated_mapped, GatedObjective, GatedRouting, RouterConfig};
 use gcr_cts::{
     apply_eco, plan_eco_leaves, run_greedy_checked, BoundRows, BoundTerms, BucketGrid, EcoEdit,
-    EcoScratch, GreedyParams, MergeObjective, NearestNeighborObjective, Sink,
+    EcoScratch, MergeObjective, NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -82,7 +82,6 @@ proptest! {
                 batch,
                 &workload.tables,
                 &config,
-                &GreedyParams::default(),
                 &mut scratch,
             )
             .unwrap();
@@ -132,7 +131,6 @@ proptest! {
                 batch,
                 &workload.tables,
                 &config,
-                &GreedyParams::default(),
                 &mut scratch,
             )
             .unwrap();
@@ -165,7 +163,6 @@ fn long_mixed_stream_on_r1_stays_verified() {
             batch,
             &workload.tables,
             &config,
-            &GreedyParams::default(),
             &mut scratch,
         )
         .unwrap();
@@ -213,7 +210,6 @@ fn splice_floor_bounds_every_super_leaf_pair() {
         &old_locations,
         &edits,
         &mut objective,
-        &GreedyParams::default(),
         &mut EcoScratch::new(),
     )
     .unwrap();

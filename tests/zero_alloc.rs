@@ -256,7 +256,6 @@ fn warm_greedy_loop_performs_zero_allocations() {
         &old_locations,
         &edits,
         &mut eco_obj,
-        &params,
         &mut eco_scratch,
     )
     .unwrap();
@@ -268,7 +267,6 @@ fn warm_greedy_loop_performs_zero_allocations() {
             &old_locations,
             &edits,
             &mut eco_obj,
-            &params,
             &mut eco_scratch,
         )
         .unwrap();
