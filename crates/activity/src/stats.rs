@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{ActivityTables, InstructionStream, ModuleSet, Rtl};
+use crate::{InstructionStream, Rtl};
 
 /// Summary statistics of an instruction stream against an RTL description —
 /// the quantities reported in Table 4 of the paper.
@@ -73,32 +73,6 @@ impl StreamStats {
                 .collect(),
         }
     }
-
-    /// Collects the same statistics from pre-built tables (no stream scan):
-    /// `P(M_j)` is the table-driven signal probability of the singleton set
-    /// and the average activity is the IFT-weighted usage fraction.
-    ///
-    /// As with [`Self::collect`], a zero-module universe yields an
-    /// average activity of 0, not NaN.
-    #[must_use]
-    pub fn from_tables(tables: &ActivityTables) -> Self {
-        let rtl = tables.rtl();
-        let n = rtl.num_modules();
-        let module_activity: Vec<f64> = (0..n)
-            .map(|m| tables.enable_stats(&ModuleSet::with_modules(n, [m])).signal)
-            .collect();
-        let weighted: f64 = rtl
-            .instruction_ids()
-            .map(|i| tables.ift().probability(i) * rtl.modules_used(i).len() as f64)
-            .sum();
-        Self {
-            num_cycles: 0, // unknown without the stream
-            num_instructions: rtl.num_instructions(),
-            num_modules: n,
-            avg_module_activity: ratio_or_zero(weighted, n as f64),
-            module_activity,
-        }
-    }
 }
 
 impl fmt::Display for StreamStats {
@@ -117,7 +91,7 @@ impl fmt::Display for StreamStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{paper_example_rtl, CpuModel};
+    use crate::{paper_example_rtl, ActivityTables, CpuModel, ModuleSet};
 
     #[test]
     fn per_module_activity_matches_brute_force() {
@@ -139,10 +113,11 @@ mod tests {
             .unwrap();
         let stream = model.generate_stream(5_000);
         let scanned = StreamStats::collect(model.rtl(), &stream);
-        let tabled = StreamStats::from_tables(&ActivityTables::scan(model.rtl(), &stream));
-        assert!((scanned.avg_module_activity - tabled.avg_module_activity).abs() < 1e-9);
-        for (a, b) in scanned.module_activity.iter().zip(&tabled.module_activity) {
-            assert!((a - b).abs() < 1e-9);
+        let tables = ActivityTables::scan(model.rtl(), &stream);
+        let n = scanned.num_modules;
+        for (m, a) in scanned.module_activity.iter().enumerate() {
+            let tabled = tables.enable_stats(&ModuleSet::with_modules(n, [m])).signal;
+            assert!((a - tabled).abs() < 1e-9);
         }
     }
 
@@ -179,10 +154,6 @@ mod tests {
         assert!(stats.avg_module_activity.is_finite());
         assert!(stats.module_activity.iter().all(|p| p.is_finite()));
         assert_eq!(stats.module_activity[1], 0.0);
-
-        let tabled = StreamStats::from_tables(&ActivityTables::scan(&rtl, &s));
-        assert!(tabled.avg_module_activity.is_finite());
-        assert_eq!(tabled.module_activity[1], 0.0);
     }
 
     #[test]

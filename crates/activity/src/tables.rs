@@ -383,41 +383,6 @@ impl ActivityTables {
         self.enable_stats_for_bits(row)
     }
 
-    /// Probability that the modules of `a` and of `b` are active in the
-    /// *same* cycle — the co-activity the gated router exploits when it
-    /// groups modules under one enable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either set is over a different module universe.
-    #[must_use]
-    pub fn joint_signal(&self, a: &ModuleSet, b: &ModuleSet) -> f64 {
-        self.rtl
-            .instruction_ids()
-            .filter(|&i| self.rtl.activates(i, a) && self.rtl.activates(i, b))
-            .map(|i| self.ift.probability(i))
-            .sum()
-    }
-
-    /// The lift of two module sets' activities:
-    /// `P(A ∧ B) / (P(A) · P(B))` — 1 for independent activity, > 1 for
-    /// co-active groups (a functional cluster), < 1 for mutually exclusive
-    /// ones (e.g. integer vs FP pipelines). Returns `f64::NAN` when either
-    /// marginal is zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either set is over a different module universe.
-    #[must_use]
-    pub fn activity_lift(&self, a: &ModuleSet, b: &ModuleSet) -> f64 {
-        let pa = self.enable_stats(a).signal;
-        let pb = self.enable_stats(b).signal;
-        if pa <= 0.0 || pb <= 0.0 {
-            return f64::NAN;
-        }
-        self.joint_signal(a, b) / (pa * pb)
-    }
-
     /// As [`Self::enable_stats`], for a precomputed activation row of
     /// [`Self::activation_words`] words: bit `i` is set when instruction
     /// `i` activates the node, and bits at or above K are clear.
@@ -570,29 +535,6 @@ mod tests {
         );
         assert!(su.signal >= sa.signal.max(sb.signal) - 1e-12);
         assert!(su.signal <= sa.signal + sb.signal + 1e-12);
-    }
-
-    #[test]
-    fn joint_signal_and_lift() {
-        let rtl = paper_example_rtl();
-        let s = paper_stream(&rtl);
-        let tables = ActivityTables::scan(&rtl, &s);
-        // M1 is used by I1 and I2; M4 by I2 and I4. Joint = P(I2).
-        let m1 = ModuleSet::with_modules(6, [0]);
-        let m4 = ModuleSet::with_modules(6, [3]);
-        let i2 = rtl.instruction(1).unwrap();
-        assert!((tables.joint_signal(&m1, &m4) - tables.ift().probability(i2)).abs() < 1e-12);
-        // Joint probability is bounded by each marginal.
-        let j = tables.joint_signal(&m1, &m4);
-        assert!(j <= tables.enable_stats(&m1).signal + 1e-12);
-        assert!(j <= tables.enable_stats(&m4).signal + 1e-12);
-        // A set is perfectly co-active with itself: lift = 1/P.
-        let lift_self = tables.activity_lift(&m1, &m1);
-        assert!((lift_self - 1.0 / tables.enable_stats(&m1).signal).abs() < 1e-9);
-        // Lift vs a never-active... there is none here; check NaN guard via
-        // an empty set instead.
-        let empty = ModuleSet::new(6);
-        assert!(tables.activity_lift(&m1, &empty).is_nan());
     }
 
     #[test]

@@ -295,14 +295,6 @@ pub struct EcoProfile {
     pub loop_allocs: u64,
 }
 
-impl EcoProfile {
-    /// Total re-route wall time (ms): frontier + replay + search.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.frontier_ms + self.replay_ms + self.search_ms
-    }
-}
-
 /// The result of one incremental re-route.
 #[derive(Clone, Debug)]
 pub struct EcoOutcome {

@@ -67,14 +67,6 @@ impl DeviceAssignment {
     pub fn device_count(&self) -> usize {
         self.devices.iter().filter(|d| d.is_some()).count()
     }
-
-    /// Indices of nodes whose feeding edge carries a device.
-    pub fn device_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.map(|_| i))
-    }
 }
 
 /// Deferred-merge embedding of a fixed topology: the bottom-up pass
@@ -386,10 +378,6 @@ mod tests {
         let topo = balanced_topology();
         let mut a = DeviceAssignment::everywhere(&topo, Technology::default().and_gate());
         assert_eq!(a.device_count(), 7);
-        assert_eq!(
-            a.device_nodes().collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5, 6]
-        );
         a.set(4, None);
         assert_eq!(a.device_count(), 6);
         assert!(!a.is_empty());

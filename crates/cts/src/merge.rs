@@ -115,13 +115,6 @@ pub struct MergeOutcome {
 }
 
 impl MergeOutcome {
-    /// The state of the merged node when its own (future) parent edge is
-    /// not gated.
-    #[must_use]
-    pub fn unbuffered_state(&self) -> SubtreeState {
-        self.gated_state(None)
-    }
-
     /// The state of the merged node when `device` will sit at the top of
     /// its parent edge.
     #[must_use]
@@ -518,8 +511,6 @@ mod tests {
         assert_eq!(s.edge_device, Some(gate));
         assert_eq!(s.cap, m.cap);
         assert_eq!(s.delay, m.delay);
-        let u = m.unbuffered_state();
-        assert_eq!(u.edge_device, None);
     }
 
     #[test]

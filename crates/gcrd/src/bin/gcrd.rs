@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! gcrd [--addr 127.0.0.1:4517] [--workers N] [--queue N]
-//!      [--threads N] [--design-cache N] [--routing-cache N]
-//!      [--stream-len N] [--seed N] [--retry-after-ms N]
-//!      [--trace PATH] [--debug-commands]
+//!      [--threads N] [--cache N] [--stream-len N] [--seed N]
+//!      [--retry-after-ms N] [--trace PATH] [--debug-commands]
 //! ```
 //!
 //! Binds the address, prints `listening on <addr>` to stdout (so a
@@ -46,8 +45,7 @@ fn parse_args() -> Result<Cli, String> {
             "--workers" => cli.config.workers = parse_num(&value("--workers")?)?,
             "--queue" => cli.config.queue_capacity = parse_num(&value("--queue")?)?,
             "--threads" => cli.config.threads = Some(parse_num(&value("--threads")?)?),
-            "--design-cache" => cli.config.design_cache = parse_num(&value("--design-cache")?)?,
-            "--routing-cache" => cli.config.routing_cache = parse_num(&value("--routing-cache")?)?,
+            "--cache" => cli.config.cache = parse_num(&value("--cache")?)?,
             "--stream-len" => cli.config.default_stream_len = parse_num(&value("--stream-len")?)?,
             "--seed" => cli.config.default_seed = parse_num::<u64>(&value("--seed")?)?,
             "--retry-after-ms" => {

@@ -8,7 +8,8 @@
 //!    `verify`) from 10 concurrent client connections.
 //! 3. Asserts every response is `ok`, every decision log and
 //!    Equation-3 total is **bit-identical** to the reference, every
-//!    ECO replay is pure, and the cache actually served hits.
+//!    ECO replay is pure, the cache actually served hits, and each
+//!    design was routed exactly once.
 //! 4. Runs a second tiny daemon (one worker, queue of one) and asserts
 //!    backpressure rejects with a `retry_after_ms` hint, then that
 //!    `shutdown` drains in-flight work before answering.
@@ -283,8 +284,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Phase 3: the cache must have served real hits, then a clean
-    // shutdown must drain and stop the daemon.
+    // Phase 3: the cache must have served real hits and routed each
+    // design once, then a clean shutdown must drain and stop the daemon.
     let control = send_batch(
         &addr,
         &[
@@ -305,9 +306,9 @@ fn main() -> ExitCode {
                 .and_then(|s| s.get("misses"))
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0);
-            if misses < 5.0 {
+            if misses != 5.0 {
                 return fail(&format!(
-                    "expected ≥5 cache misses (one per design), saw {misses}"
+                    "expected 5 cache misses (one per design), saw {misses}"
                 ));
             }
             if hits < 10.0 {

@@ -1,12 +1,12 @@
 //! Dependency-free keyed LRU cache and the FNV-1a hash that keys it.
 //!
-//! The daemon keys parsed designs and completed routings by the 64-bit
-//! FNV-1a hash of a canonical description string (benchmark name,
-//! stream length, seed — everything that determines the input bit for
-//! bit). Hash collisions are a theoretical concern at daemon cache
-//! sizes (tens of entries); the canonical string itself is stored with
-//! the entry and compared on lookup, so a collision degrades to a miss,
-//! never to a wrong answer.
+//! The daemon keys each design's cache slot (its parsed design and
+//! completed routing) by the 64-bit FNV-1a hash of a canonical
+//! description string (benchmark name, stream length, seed — everything
+//! that determines the input bit for bit). Hash collisions are a
+//! theoretical concern at daemon cache sizes (tens of entries); the
+//! canonical string itself is stored with the entry and compared on
+//! lookup, so a collision degrades to a miss, never to a wrong answer.
 
 use std::collections::HashMap;
 

@@ -119,7 +119,7 @@ impl WorkerScratch {
 }
 
 /// Generates and scans the design for `key`. This is the expensive,
-/// once-per-design path a design-cache hit skips.
+/// once-per-design path a cache hit skips.
 ///
 /// # Errors
 ///

@@ -7,9 +7,11 @@
 //! concurrently over a newline-delimited JSON protocol
 //! ([`protocol`]), with:
 //!
-//! - **Keyed caches** ([`cache`]): parsed designs (generated benchmark
-//!   and scanned activity tables) and completed routings are cached
-//!   under the FNV-1a hash of their canonical key. A routing-cache hit is a
+//! - **One keyed cache** ([`cache`]): one entry per design key, under
+//!   the FNV-1a hash of its canonical key, holds the parsed design
+//!   (generated benchmark and scanned activity tables) together with
+//!   its completed routing. Each key is routed once: concurrent
+//!   requests for it wait for the one fill and are hits. A hit is a
 //!   pure replay, answered on the connection thread without a worker —
 //!   the response (decision-log digest included) is byte-identical to
 //!   the miss that populated it, and bit-identical to a single-shot CLI

@@ -89,17 +89,6 @@ impl Command {
             Command::Panic => "panic",
         }
     }
-
-    /// Whether this command is work (counted in `completed`, rejected
-    /// while draining) as opposed to a control command answered inline
-    /// on the connection thread. Work runs on the worker pool, subject to
-    /// queueing, backpressure and deadlines, except a non-forced `route`
-    /// / `evaluate` / `verify` cache hit, which the connection thread
-    /// answers without queueing.
-    #[must_use]
-    pub fn is_work(self) -> bool {
-        !matches!(self, Command::Ping | Command::Stats | Command::Shutdown)
-    }
 }
 
 /// A parsed request line.
@@ -115,7 +104,7 @@ pub struct Request {
     pub stream_len: Option<usize>,
     /// Workload seed override (`None` = service default).
     pub seed: Option<u64>,
-    /// Bypass the routing-cache *read* (still populates it): forces a
+    /// Bypass the cache *read* (still stores the new routing): forces a
     /// recompute, which is how the warm-scratch zero-allocation path is
     /// exercised.
     pub force: bool,
@@ -123,7 +112,8 @@ pub struct Request {
     pub want_log: bool,
     /// Per-request deadline in milliseconds, measured from enqueue; an
     /// expired request is answered with an error, not silently dropped.
-    /// A cache hit is never queued, so its deadline cannot expire.
+    /// A hit answered on the connection thread is never queued, so its
+    /// deadline cannot expire.
     pub deadline_ms: Option<u64>,
     /// Debug `sleep` duration.
     pub sleep_ms: u64,
@@ -258,9 +248,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// A snapshot of the service counters for a `stats` response.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StatsSnapshot {
-    /// Routing-cache hits served.
+    /// Cache hits served, including requests that waited for another
+    /// worker to fill their key's slot.
     pub hits: u64,
-    /// Routing-cache misses (full routes computed).
+    /// Engine runs: cache misses and forced routes.
     pub misses: u64,
     /// Requests rejected by backpressure or drain.
     pub rejected: u64,
@@ -469,7 +460,6 @@ mod tests {
         assert_eq!(r.seed, Some(7));
         assert!(r.want_log);
         assert!(!r.force);
-        assert!(r.cmd.is_work());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The daemon itself: TCP acceptor, bounded work queue, blocking worker
-//! pool, caches, counters, and graceful shutdown.
+//! pool, the per-key cache, counters, and graceful shutdown.
 //!
 //! ## Concurrency model
 //!
@@ -7,16 +7,24 @@
 //! [`Service::run`]) spawns a thread per connection. A connection thread
 //! parses each request line and answers it inline when no engine work is
 //! needed: `ping` / `stats` / `shutdown`, and every non-forced `route` /
-//! `evaluate` / `verify` whose routing (and, for `verify`, design) is
-//! already cached — a replay plus, for `verify`, the linear-time lint
-//! suite. Everything else (misses, forced routes, `eco`, the debug
-//! commands) is enqueued as a `Job` on the bounded queue. `workers`
-//! threads pop jobs and compute through per-worker reusable engine
-//! scratch ([`WorkerScratch`]) — so a warm worker's flat-engine merge
-//! loop allocates nothing. A connection thread never builds a design or
+//! `evaluate` / `verify` whose key has a filled, unlocked cache slot — a
+//! replay plus, for `verify`, the linear-time lint suite. Everything
+//! else (misses, forced routes, `eco`, the debug commands) is enqueued
+//! as a `Job` on the bounded queue. `workers` threads pop jobs and
+//! compute through per-worker reusable engine scratch
+//! ([`WorkerScratch`]) — so a warm worker's flat-engine merge loop
+//! allocates nothing. A connection thread never builds a design or
 //! routes, and it handles one request at a time. Responses go back
 //! through a per-connection writer mutex, so a worker and the connection
 //! thread never interleave bytes on one socket.
+//!
+//! ## One cache slot per design key
+//!
+//! A filled slot holds a key's design and its routing, so neither
+//! outlives the other. A worker fills an empty slot while holding the
+//! slot's lock (never the LRU's), so concurrent requests for the key
+//! wait for that fill and are hits: each key is routed once. The
+//! connection thread only `try_lock`s a slot and never waits.
 //!
 //! ## Backpressure and deadlines
 //!
@@ -25,8 +33,8 @@
 //! pool (the NDJSON analogue of HTTP 429 + Retry-After). Only engine
 //! work is shed this way: a cache hit takes no queue slot. A request may
 //! carry `deadline_ms`; if it spends longer than that *queued*, the
-//! worker answers with an error instead of doing stale work. A hit never
-//! queues, so its deadline cannot expire.
+//! worker answers with an error instead of doing stale work. A hit
+//! answered inline never queues, so its deadline cannot expire.
 //!
 //! ## Panics
 //!
@@ -34,10 +42,11 @@
 //! worker or on a connection thread alike; the request is answered with
 //! an error, the `gcrd.panics` counter is bumped, and serving continues
 //! (a worker also discards its possibly inconsistent scratch for a fresh
-//! one). A bug in one request's input never wedges the daemon. The
-//! shared caches are never locked across engine calls, and every shared
-//! lock is poison-tolerant ([`PoisonError::into_inner`]), so even a
-//! panic at an unlucky point cannot poison another thread's path.
+//! one). A bug in one request's input never wedges the daemon. Every
+//! shared lock is poison-tolerant ([`PoisonError::into_inner`]), so
+//! even a panic at an unlucky point cannot poison another thread's
+//! path; a panic or engine error while filling a slot leaves it empty,
+//! and the next request for the key fills it again.
 //!
 //! ## Graceful shutdown
 //!
@@ -51,7 +60,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -74,10 +83,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; a full queue rejects with a retry hint.
     pub queue_capacity: usize,
-    /// Design-cache entries (parsed workload + scanned tables).
-    pub design_cache: usize,
-    /// Routing-cache entries (completed routings; a hit is pure replay).
-    pub routing_cache: usize,
+    /// Cached design keys; each entry holds the design (parsed workload
+    /// and scanned tables) and its routing (a hit is pure replay).
+    pub cache: usize,
     /// Engine worker-thread count; `None` resolves once at startup via
     /// [`gcr_trace::threads::resolve`] and is pinned from then on —
     /// request handling never re-reads `GCR_THREADS`.
@@ -97,8 +105,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            design_cache: 16,
-            routing_cache: 32,
+            cache: 32,
             threads: None,
             retry_after_ms: 100,
             default_stream_len: 2_000,
@@ -109,8 +116,8 @@ impl Default for ServiceConfig {
 }
 
 /// Locks `m` tolerating poison: the daemon's shared state is counters
-/// and caches whose invariants hold between operations, so a panicking
-/// holder leaves them usable.
+/// and cache slots whose invariants hold between operations, so a
+/// panicking holder leaves them usable.
 fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -208,14 +215,23 @@ impl Queue {
     }
 }
 
+/// A filled cache slot: one design key's design and its routing.
+struct Entry {
+    design: Arc<DesignEntry>,
+    routing: Arc<RoutingEntry>,
+}
+
+/// One design key's cache slot, empty until a worker fills it while
+/// holding its lock.
+type Slot = Arc<Mutex<Option<Arc<Entry>>>>;
+
 struct Shared {
     config: ServiceConfig,
     /// Engine thread count, resolved exactly once at startup.
     threads: usize,
     tracer: Tracer,
     queue: Queue,
-    designs: Mutex<LruCache<Arc<DesignEntry>>>,
-    routings: Mutex<LruCache<Arc<RoutingEntry>>>,
+    cache: Mutex<LruCache<Slot>>,
     /// Work requests accepted (enqueued or being answered inline) but
     /// not yet answered. Bumped *before* the queue push or the inline
     /// lookup, so `draining && outstanding == 0` means truly idle.
@@ -269,8 +285,7 @@ impl Service {
         let shared = Arc::new(Shared {
             threads,
             queue: Queue::new(config.queue_capacity),
-            designs: Mutex::new(LruCache::new(config.design_cache)),
-            routings: Mutex::new(LruCache::new(config.routing_cache)),
+            cache: Mutex::new(LruCache::new(config.cache)),
             outstanding: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
@@ -444,10 +459,10 @@ fn handle_line(shared: &Arc<Shared>, line: &str, writer: &Arc<ConnWriter>) {
     }
 }
 
-/// Answers `request` on the connection thread if it is a cache hit:
-/// its routing, and for `verify` its design, are already cached.
-/// Returns `false`, having sent nothing, when the service is draining
-/// or an entry is missing; the caller then enqueues the request, and
+/// Answers `request` on the connection thread if it is a cache hit: its
+/// key's slot is filled and not locked by a worker. Returns `false`,
+/// having sent nothing, when the service is draining or the slot is
+/// missing, empty or busy; the caller then enqueues the request, and
 /// the worker's lookup counts the hit or miss.
 fn answer_hit(shared: &Shared, request: &Request, writer: &ConnWriter) -> bool {
     // Bumped before the draining check, so a `shutdown` that saw
@@ -471,19 +486,21 @@ fn answer_hit(shared: &Shared, request: &Request, writer: &ConnWriter) -> bool {
 }
 
 /// The reply to a non-forced `route` / `evaluate` / `verify` built from
-/// the caches alone, or `None` if an entry it needs is not cached.
+/// the cache alone, or `None` if its key's slot is missing, empty or
+/// locked by a worker.
 fn cached_reply(shared: &Shared, request: &Request) -> Option<Response> {
     let key = design_key(shared, request).ok()?;
     let canonical = key.canonical();
     let hash = key.hash();
     let cache_start = shared.tracer.now_ns();
-    let entry = lock_tolerant(&shared.routings).get(hash, &canonical)?;
-    let design = match request.cmd {
-        Command::Verify => Some(lock_tolerant(&shared.designs).get(hash, &canonical)?),
-        _ => None,
-    };
+    let slot = lock_tolerant(&shared.cache).get(hash, &canonical)?;
+    let entry = match slot.try_lock() {
+        Ok(filled) => filled.clone(),
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().clone(),
+        Err(TryLockError::WouldBlock) => None,
+    }?;
     count_hit(shared, cache_start);
-    Some(routing_reply(request, key, &entry, true, design.as_deref()))
+    Some(routing_reply(request, key, &entry, true))
 }
 
 /// Counts a panic while answering request `id` and returns its reply.
@@ -598,6 +615,9 @@ fn design_key(shared: &Shared, request: &Request) -> Result<DesignKey, String> {
     let stream_len = request
         .stream_len
         .unwrap_or(shared.config.default_stream_len);
+    if stream_len < 2 {
+        return Err(format!("stream_len {stream_len} is below the minimum 2"));
+    }
     if stream_len > MAX_STREAM_LEN {
         return Err(format!(
             "stream_len {stream_len} exceeds the maximum {MAX_STREAM_LEN}"
@@ -610,47 +630,54 @@ fn design_key(shared: &Shared, request: &Request) -> Result<DesignKey, String> {
     })
 }
 
-/// Fetches (or builds and caches) the design for `key`. The cache lock
-/// is never held across the build, so a slow workload generation stalls
-/// only requests for that same design's first arrival — at worst two
-/// workers build it concurrently and the second insert wins.
-fn design_for(shared: &Shared, key: DesignKey) -> Result<Arc<DesignEntry>, String> {
-    let canonical = key.canonical();
-    let hash = key.hash();
-    if let Some(entry) = lock_tolerant(&shared.designs).get(hash, &canonical) {
-        return Ok(entry);
-    }
-    let entry = Arc::new(build_design(key)?);
-    lock_tolerant(&shared.designs).insert(hash, &canonical, Arc::clone(&entry));
-    Ok(entry)
-}
-
-/// Fetches (or computes and caches) the routing for `key`. Returns the
-/// entry plus whether it was a cache hit. `force` bypasses the cache
-/// *read* but still refreshes the entry.
-fn routing_for(
+/// Fetches (or builds, routes and caches) the entry for `key`. Returns
+/// the entry plus whether it was a cache hit; a request that waited for
+/// another worker's fill of the key is a hit. `force` re-routes a filled
+/// slot's design and then stores the new routing.
+fn entry_for(
     shared: &Shared,
     key: DesignKey,
     force: bool,
     scratch: &mut WorkerScratch,
-) -> Result<(Arc<RoutingEntry>, bool), String> {
+) -> Result<(Arc<Entry>, bool), String> {
     let canonical = key.canonical();
     let hash = key.hash();
     let cache_start = shared.tracer.now_ns();
-    if !force {
-        if let Some(entry) = lock_tolerant(&shared.routings).get(hash, &canonical) {
-            count_hit(shared, cache_start);
-            return Ok((entry, true));
+    let slot = {
+        let mut cache = lock_tolerant(&shared.cache);
+        match cache.get(hash, &canonical) {
+            Some(slot) => slot,
+            None => {
+                let slot = Slot::default();
+                cache.insert(hash, &canonical, Arc::clone(&slot));
+                slot
+            }
         }
+    };
+    let filled = lock_tolerant(&slot);
+    let cached = filled.clone();
+    if let (Some(entry), false) = (&cached, force) {
+        drop(filled);
+        count_hit(shared, cache_start);
+        return Ok((Arc::clone(entry), true));
     }
     shared.tracer.complete_span(
         "gcrd.cache",
         cache_start,
         shared.tracer.now_ns() - cache_start,
     );
-    let design = design_for(shared, key)?;
+    // An empty slot stays locked while it is filled, so requests for the
+    // key wait for this fill instead of routing it again; a forced route
+    // releases its slot, so hits keep replaying the old entry meanwhile.
+    let (design, filling) = match cached {
+        Some(entry) => {
+            drop(filled);
+            (Arc::clone(&entry.design), None)
+        }
+        None => (Arc::new(build_design(key)?), Some(filled)),
+    };
     let route_start = shared.tracer.now_ns();
-    let entry = Arc::new(route_design(&design, shared.threads, scratch)?);
+    let routing = Arc::new(route_design(&design, shared.threads, scratch)?);
     shared.tracer.complete_span(
         "gcrd.route",
         route_start,
@@ -660,12 +687,13 @@ fn routing_for(
     shared
         .tracer
         .counter("gcrd.misses", shared.misses.load(Ordering::Relaxed) as f64);
-    lock_tolerant(&shared.routings).insert(hash, &canonical, Arc::clone(&entry));
+    let entry = Arc::new(Entry { design, routing });
+    *filling.unwrap_or_else(|| lock_tolerant(&slot)) = Some(Arc::clone(&entry));
     Ok((entry, false))
 }
 
-/// Counts a routing-cache hit and records its `gcrd.cache` span, begun
-/// at `cache_start`.
+/// Counts a cache hit and records its `gcrd.cache` span, begun at
+/// `cache_start`.
 fn count_hit(shared: &Shared, cache_start: u64) {
     shared.hits.fetch_add(1, Ordering::Relaxed);
     shared
@@ -679,39 +707,64 @@ fn count_hit(shared: &Shared, cache_start: u64) {
 }
 
 /// The reply to a `route` / `evaluate` / `verify` request answered from
-/// the routing `entry`, on a worker or inline alike. `design` is given
-/// exactly for `verify`, whose reply runs the lint suite over `entry`.
-fn routing_reply(
-    request: &Request,
-    key: DesignKey,
-    entry: &RoutingEntry,
-    hit: bool,
-    design: Option<&DesignEntry>,
-) -> Response {
+/// `entry`, on a worker or inline alike; a `verify` reply runs the lint
+/// suite over the entry's routing.
+fn routing_reply(request: &Request, key: DesignKey, entry: &Entry, hit: bool) -> Response {
+    let routing = &entry.routing;
     let mut resp = Response::ok(&request.id);
     resp.cmd = Some(request.cmd.name());
     resp.cache = Some(if hit { "hit" } else { "miss" });
     resp.benchmark = Some(key.benchmark.name().to_owned());
     resp.sinks = Some(key.benchmark.num_sinks() as u64);
-    resp.merges = Some(entry.decisions.len() as u64);
-    resp.loop_allocs = Some(entry.loop_allocs);
-    resp.log_hash = Some(entry.log_hash);
+    resp.merges = Some(routing.decisions.len() as u64);
+    resp.loop_allocs = Some(routing.loop_allocs);
+    resp.log_hash = Some(routing.log_hash);
     if request.want_log {
-        resp.decision_log = Some(Arc::clone(&entry.log));
+        resp.decision_log = Some(Arc::clone(&routing.log));
     }
-    resp.total_switched_cap = Some(entry.report.total_switched_cap);
-    resp.clock_switched_cap = Some(entry.report.clock_switched_cap);
-    resp.control_switched_cap = Some(entry.report.control_switched_cap);
+    resp.total_switched_cap = Some(routing.report.total_switched_cap);
+    resp.clock_switched_cap = Some(routing.report.clock_switched_cap);
+    resp.control_switched_cap = Some(routing.report.control_switched_cap);
     if request.cmd == Command::Evaluate {
-        resp.total_area = Some(entry.report.total_area);
-        resp.num_devices = Some(entry.report.num_devices as u64);
+        resp.total_area = Some(routing.report.total_area);
+        resp.num_devices = Some(routing.report.num_devices as u64);
     }
-    if let Some(design) = design {
-        let (errors, warns) = verify_routing(design, entry);
+    if request.cmd == Command::Verify {
+        let (errors, warns) = verify_routing(&entry.design, routing);
         resp.verify_errors = Some(errors);
         resp.verify_warnings = Some(warns);
     }
     resp
+}
+
+/// The reply to a `route` / `evaluate` / `verify` / `eco` request on a
+/// worker; an `eco` re-routes its key's cached entry incrementally,
+/// outside every lock.
+fn engine_reply(
+    shared: &Shared,
+    request: &Request,
+    scratch: &mut WorkerScratch,
+) -> Result<Response, String> {
+    let key = design_key(shared, request)?;
+    let eco = request.cmd == Command::Eco;
+    let (entry, hit) = entry_for(shared, key, request.force && !eco, scratch)?;
+    if !eco {
+        return Ok(routing_reply(request, key, &entry, hit));
+    }
+    let answer = eco_design(&entry.design, &entry.routing, &request.edits, scratch)?;
+    let mut resp = Response::ok(&request.id);
+    resp.cmd = Some("eco");
+    resp.cache = Some(if hit { "hit" } else { "miss" });
+    resp.benchmark = Some(key.benchmark.name().to_owned());
+    resp.pure_replay = Some(answer.outcome.pure_replay);
+    resp.replayed = Some(answer.outcome.replayed as u64);
+    resp.spliced = Some(answer.outcome.spliced as u64);
+    resp.dirty_nodes = Some(answer.outcome.dirty_nodes.len() as u64);
+    resp.loop_allocs = Some(answer.outcome.profile.loop_allocs);
+    resp.total_switched_cap = Some(answer.report.total_switched_cap);
+    resp.clock_switched_cap = Some(answer.report.clock_switched_cap);
+    resp.control_switched_cap = Some(answer.report.control_switched_cap);
+    Ok(resp)
 }
 
 fn handle_job(
@@ -736,55 +789,9 @@ fn handle_job(
             resp
         }
         Command::Panic => panic!("injected test panic"),
-        Command::Route | Command::Evaluate | Command::Verify => {
-            let key = match design_key(shared, request) {
-                Ok(k) => k,
-                Err(msg) => return Response::error(&request.id, msg),
-            };
-            let (entry, hit) = match routing_for(shared, key, request.force, scratch) {
-                Ok(pair) => pair,
-                Err(msg) => return Response::error(&request.id, msg),
-            };
-            let design = match request.cmd {
-                Command::Verify => match design_for(shared, key) {
-                    Ok(d) => Some(d),
-                    Err(msg) => return Response::error(&request.id, msg),
-                },
-                _ => None,
-            };
-            routing_reply(request, key, &entry, hit, design.as_deref())
-        }
-        Command::Eco => {
-            let key = match design_key(shared, request) {
-                Ok(k) => k,
-                Err(msg) => return Response::error(&request.id, msg),
-            };
-            let (entry, hit) = match routing_for(shared, key, false, scratch) {
-                Ok(pair) => pair,
-                Err(msg) => return Response::error(&request.id, msg),
-            };
-            let design = match design_for(shared, key) {
-                Ok(d) => d,
-                Err(msg) => return Response::error(&request.id, msg),
-            };
-            match eco_design(&design, &entry, &request.edits, scratch) {
-                Ok(answer) => {
-                    let mut resp = Response::ok(&request.id);
-                    resp.cmd = Some("eco");
-                    resp.cache = Some(if hit { "hit" } else { "miss" });
-                    resp.benchmark = Some(key.benchmark.name().to_owned());
-                    resp.pure_replay = Some(answer.outcome.pure_replay);
-                    resp.replayed = Some(answer.outcome.replayed as u64);
-                    resp.spliced = Some(answer.outcome.spliced as u64);
-                    resp.dirty_nodes = Some(answer.outcome.dirty_nodes.len() as u64);
-                    resp.loop_allocs = Some(answer.outcome.profile.loop_allocs);
-                    resp.total_switched_cap = Some(answer.report.total_switched_cap);
-                    resp.clock_switched_cap = Some(answer.report.clock_switched_cap);
-                    resp.control_switched_cap = Some(answer.report.control_switched_cap);
-                    resp
-                }
-                Err(msg) => Response::error(&request.id, msg),
-            }
+        Command::Route | Command::Evaluate | Command::Verify | Command::Eco => {
+            engine_reply(shared, request, scratch)
+                .unwrap_or_else(|msg| Response::error(&request.id, msg))
         }
         // Inline commands never reach the queue.
         Command::Ping | Command::Stats | Command::Shutdown => {

@@ -584,31 +584,88 @@ fn inline_hits_are_counted() {
     daemon.join().unwrap();
 }
 
-/// A `verify` whose routing is cached but whose design was evicted
-/// goes to a worker, which rebuilds the design: the reply is still an
-/// `ok` hit with no verifier errors, and the hit is counted once.
+/// Concurrent requests for one key route it once: with three workers,
+/// a pipelined `route`, `route` and `verify` of one uncached design get
+/// exactly one `"cache":"miss"`, and the other two wait for that fill
+/// and are hits.
 #[test]
-fn verify_with_evicted_design_is_served_by_a_worker() {
+fn concurrent_misses_on_one_key_route_it_once() {
     let (addr, daemon) = start(ServiceConfig {
-        workers: 1,
-        design_cache: 1,
+        workers: 3,
         ..ServiceConfig::default()
     });
-    let routed = send_batch(
+    let replies = send_batch(
         &addr,
-        &[r1_request("a", "route", 1_998), r1_request("b", "route", 7)],
+        &[
+            r1_request("a", "route", 1_998),
+            r1_request("b", "route", 1_998),
+            r1_request("c", "verify", 1_998),
+        ],
     );
-    assert!(routed.iter().all(|r| str_field(r, "cache") == "miss"));
+    assert!(replies.iter().all(|r| status(r) == "ok"), "{replies:?}");
+    let misses = replies
+        .iter()
+        .filter(|r| str_field(r, "cache") == "miss")
+        .count();
+    assert_eq!(misses, 1, "{replies:?}");
+    let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
+    assert_eq!(stat(&stats[0], "misses"), Some(1.0));
+    assert_eq!(stat(&stats[0], "hits"), Some(2.0));
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// A design and its routing are evicted together: with one cache entry,
+/// routing a second key evicts the first, so a `verify` of the first is
+/// a miss that routes it again, and verifies clean.
+#[test]
+fn evicted_key_is_routed_again() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        cache: 1,
+        ..ServiceConfig::default()
+    });
+    let routed = send_batch(&addr, &[r1_request("a", "route", 1_998)]);
+    assert_eq!(str_field(&routed[0], "cache"), "miss");
+    let routed = send_batch(&addr, &[r1_request("b", "route", 7)]);
+    assert_eq!(str_field(&routed[0], "cache"), "miss");
     let verify = send_batch(&addr, &[r1_request("v", "verify", 1_998)]);
     assert_eq!(status(&verify[0]), "ok", "{:?}", verify[0]);
-    assert_eq!(str_field(&verify[0], "cache"), "hit");
+    assert_eq!(str_field(&verify[0], "cache"), "miss");
     assert_eq!(
         verify[0].get("verify_errors").and_then(Json::as_f64),
         Some(0.0)
     );
     let stats = send_batch(&addr, &[r#"{"id":"st","cmd":"stats"}"#.to_owned()]);
-    assert_eq!(stat(&stats[0], "hits"), Some(1.0));
-    assert_eq!(stat(&stats[0], "misses"), Some(2.0));
+    assert_eq!(stat(&stats[0], "hits"), Some(0.0));
+    assert_eq!(stat(&stats[0], "misses"), Some(3.0));
+    shutdown(&addr);
+    daemon.join().unwrap();
+}
+
+/// Requests whose key is rejected take no cache capacity: with one
+/// cache entry, `stream_len` 0 and 1 and an unknown benchmark between
+/// two requests for a cached key leave the second request a hit.
+#[test]
+fn rejected_keys_take_no_cache_capacity() {
+    let (addr, daemon) = start(ServiceConfig {
+        workers: 1,
+        cache: 1,
+        ..ServiceConfig::default()
+    });
+    let first = send_batch(&addr, &[r1_request("a", "route", 1_998)]);
+    assert_eq!(str_field(&first[0], "cache"), "miss");
+    for bad in [
+        r#"{"id":"len0","cmd":"route","benchmark":"r1","stream_len":0}"#,
+        r#"{"id":"len1","cmd":"route","benchmark":"r1","stream_len":1}"#,
+        r#"{"id":"r99","cmd":"route","benchmark":"r99"}"#,
+    ] {
+        let reply = send_batch(&addr, &[bad.to_owned()]);
+        assert_eq!(status(&reply[0]), "error", "{:?}", reply[0]);
+    }
+    let again = send_batch(&addr, &[r1_request("b", "route", 1_998)]);
+    assert_eq!(status(&again[0]), "ok", "{:?}", again[0]);
+    assert_eq!(str_field(&again[0], "cache"), "hit");
     shutdown(&addr);
     daemon.join().unwrap();
 }

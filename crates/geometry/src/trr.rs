@@ -37,12 +37,6 @@ pub struct Trr {
 }
 
 impl Trr {
-    /// Creates a region from rotated-coordinate intervals.
-    #[must_use]
-    pub fn from_rotated(u: Interval, v: Interval) -> Self {
-        Self { u, v }
-    }
-
     /// The degenerate region containing exactly one layout point.
     #[must_use]
     pub fn point(p: Point) -> Self {

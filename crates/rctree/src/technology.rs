@@ -132,12 +132,6 @@ impl Technology {
         self.control_wire_width
     }
 
-    /// Capacitance of a control wire of `length` layout units.
-    #[must_use]
-    pub fn control_wire_cap(&self, length: f64) -> f64 {
-        self.control_unit_cap * length
-    }
-
     /// Area of a control wire of `length` layout units.
     #[must_use]
     pub fn control_wire_area(&self, length: f64) -> f64 {
@@ -425,7 +419,6 @@ mod tests {
         assert!(t.control_unit_cap() < t.unit_cap());
         assert!(t.control_wire_width() < t.wire_width());
         assert_eq!(t.control_wire_area(100.0), 100.0);
-        assert!((t.control_wire_cap(1000.0) - 1000.0 * t.control_unit_cap()).abs() < 1e-15);
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl RcTree {
         self.nodes[node.0].device = Some(device);
     }
 
-    /// Removes the device at `node`, if any, and returns it.
-    pub fn clear_device(&mut self, node: NodeId) -> Option<Device> {
-        self.nodes[node.0].device.take()
-    }
-
     /// The device at `node`, if any.
     #[must_use]
     pub fn device(&self, node: NodeId) -> Option<Device> {
@@ -283,20 +278,6 @@ impl RcTree {
     pub fn source_device(&self) -> Device {
         self.source
     }
-
-    /// The path from `node` back to the root, inclusive on both ends
-    /// (node first) — with [`DelayAnalysis::critical_sink`], the critical
-    /// path of the network.
-    #[must_use]
-    pub fn path_to_root(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.nodes[cur.0].parent {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -398,18 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_device_round_trip() {
-        let mut t = RcTree::new(src());
-        let a = t.add_node(t.root(), 1.0, 0.1);
-        let d = Device::new(0.04, 250.0, 40.0, 0.0);
-        t.set_device(a, d);
-        assert_eq!(t.device(a), Some(d));
-        assert_eq!(t.clear_device(a), Some(d));
-        assert_eq!(t.device(a), None);
-        assert_eq!(t.clear_device(a), None);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown parent")]
     fn bad_parent_rejected() {
         let mut t = RcTree::new(src());
@@ -441,7 +410,5 @@ mod tests {
         t.set_load(slow, 0.4);
         let an = t.analyze();
         assert_eq!(an.critical_sink(&[fast, slow]), slow);
-        assert_eq!(t.path_to_root(slow), vec![slow, mid, t.root()]);
-        assert_eq!(t.path_to_root(t.root()), vec![t.root()]);
     }
 }
