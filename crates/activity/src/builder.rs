@@ -74,7 +74,8 @@ const LANE_FLUSH_PAIRS: usize = 64 * 1024;
 #[derive(Clone, Debug)]
 pub struct ScanParams {
     /// Worker threads; `None` resolves `GCR_THREADS`, then
-    /// `available_parallelism()`. Clamped to `1..=16`.
+    /// `available_parallelism()`. Clamped to `1..=16`; an unparsable
+    /// `GCR_THREADS` warns under `activity.threads` and resolves to 1.
     pub threads: Option<usize>,
     /// Cycles per chunk read or borrowed block (min 1; default
     /// [`DEFAULT_CHUNK_CYCLES`]).
@@ -131,19 +132,6 @@ impl ScanProfile {
             0.0
         }
     }
-}
-
-/// Worker-thread count for this scan: explicit [`ScanParams::threads`],
-/// else the `GCR_THREADS` environment variable, else
-/// `available_parallelism()`; clamped to `1..=16`. Long-lived services
-/// resolve once at startup and pin [`ScanParams::threads`] instead.
-///
-/// Delegates to the workspace-shared resolver
-/// ([`gcr_trace::threads::resolve`]) so the rejection policy and warn
-/// wording stay bit-identical to the greedy engine's; an unparsable
-/// `GCR_THREADS` warns under `activity.threads` and resolves to 1.
-fn resolve_threads(explicit: Option<usize>, tracer: &Tracer) -> usize {
-    gcr_trace::threads::resolve(explicit, "activity.threads", tracer)
 }
 
 /// One worker's exact `u64` pair counts (the ITMATT numerators, from
@@ -519,7 +507,7 @@ pub fn scan_source(
     let k = rtl.num_instructions();
     Itmatt::check_capacity(k)?;
     let chunk = params.chunk_cycles.max(1);
-    let threads = resolve_threads(params.threads, tracer);
+    let threads = gcr_trace::threads::resolve(params.threads, "activity.threads", tracer);
     let borrowed = source.take_slice();
     let buf = if borrowed.is_some() { 0 } else { chunk };
     scratch.ensure(k, buf, threads);

@@ -1,9 +1,8 @@
 use gcr_activity::{set_bits, ActivityTables, EnableStats, Itmatt, ModuleSet};
 use gcr_cts::{
-    clone_preserving_capacity, embed_sized, run_greedy_coarsened, run_greedy_with_scratch,
-    BoundRows, BoundTerms, ClockTree, CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment,
-    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeArena, MergeObjective,
-    MergeOutcome, Sink, SizingLimits, Topology,
+    clone_preserving_capacity, embed_sized, run_greedy_coarsened, BoundRows, BoundTerms, ClockTree,
+    CoarsenParams, CoarsenScratch, CtsError, DeviceAssignment, GreedyProfile, MergeArena,
+    MergeObjective, MergeOutcome, Sink, SizingLimits, Topology,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::{Device, Technology};
@@ -746,6 +745,10 @@ pub fn route_gated(
 /// share its enable probability, so the router naturally groups them; the
 /// reduction and evaluation machinery is unchanged.
 ///
+/// Flat at every size: this is [`route_gated_with_scratch`] with one
+/// region as large as the design, so the flat pruned engine merges every
+/// sink even above the coarsening cut-over.
+///
 /// # Errors
 ///
 /// Returns [`RouteError::SinkModuleMismatch`] when `module_of` does not
@@ -757,45 +760,13 @@ pub fn route_gated_mapped(
     tables: &ActivityTables,
     config: &RouterConfig,
 ) -> Result<GatedRouting, RouteError> {
-    route_with(sinks, module_of, tables, config, |objective| {
-        let params = GreedyParams::default();
-        run_greedy_with_scratch(sinks.len(), objective, &params, &mut GreedyScratch::new())
-    })
-    .map(|(routing, _)| routing)
-}
-
-/// The body shared by the flat and coarsened routers: validate, build the
-/// objective under `route.objective`, `merge`, gate every edge, embed
-/// with sizing, and collect the node statistics, all in a `route.gated`
-/// span. Returns the routing and the merge engine's profile.
-fn route_with(
-    sinks: &[Sink],
-    module_of: &[usize],
-    tables: &ActivityTables,
-    config: &RouterConfig,
-    merge: impl FnOnce(
-        &mut GatedObjective<'_>,
-    ) -> Result<(Topology, GreedyStats, GreedyProfile), CtsError>,
-) -> Result<(GatedRouting, GreedyProfile), RouteError> {
-    check_module_of(sinks, module_of, tables)?;
-    let tracer = Tracer::current();
-    let _route = tracer.span("route.gated");
-    let mut objective = {
-        let _span = tracer.span("route.objective");
-        GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of)
+    let flat = CoarsenParams {
+        target_region_size: sinks.len(),
+        ..CoarsenParams::default()
     };
-    tracer.counter("route.sinks", sinks.len() as f64);
-    let (topology, _, profile) = merge(&mut objective)?;
-    let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
-    let routing = GatedRouting::embed(
-        topology,
-        assignment,
-        sinks,
-        config,
-        objective.node_stats(),
-        objective.node_modules(),
-    )?;
-    Ok((routing, profile))
+    let mut scratch = CoarsenScratch::new();
+    route_gated_with_scratch(sinks, module_of, tables, config, &flat, &mut scratch)
+        .map(|(routing, _)| routing)
 }
 
 /// A region-objective factory over `sinks` for the coarsened greedy
@@ -852,7 +823,11 @@ pub fn route_gated_coarsened(
 
 /// [`route_gated_coarsened`] through the caller's reusable `scratch`:
 /// the whole gated-routing flow at any size, for long-lived callers
-/// that route many designs. Returns the routing and the merge engine's
+/// that route many designs, and the one body behind every `route_gated*`
+/// router but [`route_gated_eco`](crate::route_gated_eco): validate,
+/// build the objective under `route.objective`, merge, gate every edge
+/// and embed with sizing, all in a `route.gated` span. Returns the
+/// routing and the merge engine's
 /// profile; when `params.greedy.log_decisions` is set, the run's
 /// decision log stays readable from
 /// [`CoarsenScratch::decisions`](gcr_cts::CoarsenScratch::decisions)
@@ -870,11 +845,28 @@ pub fn route_gated_with_scratch(
     params: &CoarsenParams,
     scratch: &mut CoarsenScratch,
 ) -> Result<(GatedRouting, GreedyProfile), RouteError> {
-    route_with(sinks, module_of, tables, config, |objective| {
-        let factory =
-            gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
-        run_greedy_coarsened(sinks.len(), objective, factory, params, scratch)
-    })
+    check_module_of(sinks, module_of, tables)?;
+    let tracer = Tracer::current();
+    let _route = tracer.span("route.gated");
+    let mut objective = {
+        let _span = tracer.span("route.objective");
+        GatedObjective::new(config.tech(), config.controller(), tables, sinks, module_of)
+    };
+    tracer.counter("route.sinks", sinks.len() as f64);
+    let factory =
+        gated_region_factory(config.tech(), config.controller(), tables, sinks, module_of);
+    let (topology, _, profile) =
+        run_greedy_coarsened(sinks.len(), &mut objective, factory, params, scratch)?;
+    let assignment = DeviceAssignment::everywhere(&topology, config.tech().and_gate());
+    let routing = GatedRouting::embed(
+        topology,
+        assignment,
+        sinks,
+        config,
+        objective.node_stats(),
+        objective.node_modules(),
+    )?;
+    Ok((routing, profile))
 }
 
 #[cfg(test)]

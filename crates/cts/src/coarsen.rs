@@ -51,18 +51,20 @@ use gcr_geometry::Point;
 use gcr_trace::Tracer;
 
 use crate::greedy::{
-    elapsed_ns, resolve_threads, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch,
-    GreedyParams, GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
+    elapsed_ns, run_greedy_exhaustive_with_scratch, run_greedy_with_scratch, GreedyParams,
+    GreedyProfile, GreedyScratch, GreedyStats, MergeDecision, MergeObjective,
 };
 use crate::{BoundRows, BoundTerms, CtsError, Topology};
 
 /// Tuning knobs of a coarsened run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoarsenParams {
-    /// Worker threads and decision logging, shared with the constituent
-    /// engine runs. Threads size the region pool and the exhaustive
-    /// root-level merge, resolved as [`GreedyParams::threads`] describes
-    /// (explicit, then `GCR_THREADS`, then available parallelism).
+    /// Worker threads and decision logging. The threads size the region
+    /// pool, the one reader of [`GreedyParams::threads`], resolved as it
+    /// describes (explicit, then `GCR_THREADS`, then available
+    /// parallelism); every region run and the root merge price on their
+    /// own thread. The count lives in `GreedyParams` rather than here
+    /// only because `flowbench` names it in `GreedyParams` literals.
     pub greedy: GreedyParams,
     /// Aimed-for sinks per region; `0` picks [`DEFAULT_REGION_SIZE`].
     /// Instances below twice this size skip coarsening entirely and run
@@ -424,7 +426,7 @@ where
         scratch.decisions.extend_from_slice(scratch.top.decisions());
         return Ok(out);
     }
-    let threads = resolve_threads(&params.greedy, tracer);
+    let threads = gcr_trace::threads::resolve(params.greedy.threads, "greedy.threads", tracer);
 
     // Solve every region on the worker pool: each worker pulls the next
     // region from one shared cursor over the schedule and solves it with
@@ -449,9 +451,9 @@ where
     if scratch.worker_logs.len() < workers {
         scratch.worker_logs.resize_with(workers, WorkerLog::default);
     }
-    let region_params = GreedyParams {
-        threads: Some(1),
+    let logged = GreedyParams {
         log_decisions: true,
+        ..GreedyParams::default()
     };
     let region_objective = &region_objective;
     let regions_ref = &regions;
@@ -479,7 +481,7 @@ where
                         let (_, stats, profile) = run_greedy_with_scratch(
                             members.len(),
                             &mut local,
-                            &region_params,
+                            &logged,
                             region_scratch,
                         )?;
                         let start = log.decisions.len() as u32;
@@ -568,13 +570,9 @@ where
         map: &mut roots,
         next_global,
     };
-    let top_params = GreedyParams {
-        threads: Some(threads),
-        log_decisions: true,
-    };
     let (_, top_stats, top_profile) = {
         let _untraced = Tracer::disabled().enter();
-        run_greedy_exhaustive_with_scratch(num_roots, &mut top, &top_params, &mut scratch.top)?
+        run_greedy_exhaustive_with_scratch(num_roots, &mut top, &logged, &mut scratch.top)?
     };
     add_stats(&mut stats, &top_stats);
     add_profile(&mut profile, &top_profile);

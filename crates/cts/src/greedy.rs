@@ -20,9 +20,8 @@ use crate::{BoundColumns, BoundRows, BoundTerms, CtsError, Topology};
 /// * the Equation-3 switched-capacitance objective in `gcr-core` (the
 ///   paper's contribution).
 ///
-/// `cost` and the bound methods take `&self` (and the trait requires
-/// [`Sync`]) so the exhaustive engine can evaluate exact-cost batches on
-/// multiple threads; all mutation happens in `merge`.
+/// `cost` and the bound methods take `&self`; all mutation happens in
+/// `merge`.
 ///
 /// # Exactness contract
 ///
@@ -154,15 +153,18 @@ pub struct GreedyStats {
 /// behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GreedyParams {
-    /// Worker threads of the engines that fan out: the exhaustive
-    /// engine's exact-cost batches of at least 4 096 pairs and the
-    /// coarsened engine's region pool. The pruned engine prices on the
-    /// calling thread and never reads it. Resolution order: this field,
+    /// Worker threads of the coarsened engine's region pool
+    /// ([`run_greedy_coarsened`](crate::run_greedy_coarsened)), the
+    /// field's only reader: the pruned and exhaustive engines price every
+    /// batch on the calling thread. It stays in `GreedyParams` rather
+    /// than [`CoarsenParams`](crate::CoarsenParams) because `flowbench`
+    /// names it in struct literals. Resolution order: this field,
     /// then the `GCR_THREADS` environment variable, then
     /// `std::thread::available_parallelism()`; the result is clamped to
-    /// `1..=16`. Pin it (or set `GCR_THREADS=1`) for reproducible timings
-    /// on shared CI runners — the committed merges are identical at any
-    /// thread count, only wall time varies.
+    /// `1..=16`; an unparsable `GCR_THREADS` warns under `greedy.threads`
+    /// and resolves to 1. Pin it (or set `GCR_THREADS=1`) for reproducible
+    /// timings on shared CI runners — the committed merges are identical
+    /// at any thread count, only wall time varies.
     pub threads: Option<usize>,
     /// Record a [`MergeDecision`] per committed merge into the scratch's
     /// decision log (read back with [`GreedyScratch::decisions`]). Off by
@@ -430,24 +432,6 @@ impl MinHeap {
         self.data.retain(|e| e.is_live(alive));
         self.rebuild();
     }
-}
-
-/// Exact-cost batches of the exhaustive engine below this size are
-/// evaluated on the calling thread.
-const PARALLEL_THRESHOLD: usize = 4_096;
-
-/// Worker-thread count for this run: explicit [`GreedyParams::threads`],
-/// else the `GCR_THREADS` environment variable, else
-/// `available_parallelism()`; clamped to `1..=MAX_THREADS`. Called once
-/// per run (reading the environment allocates). Long-lived services
-/// resolve once at startup and pin [`GreedyParams::threads`] instead.
-///
-/// Delegates to the workspace-shared resolver
-/// ([`gcr_trace::threads::resolve`]) so the rejection policy and warn
-/// wording cannot drift between engines; an unparsable `GCR_THREADS`
-/// warns under `greedy.threads` and resolves to 1.
-pub(crate) fn resolve_threads(params: &GreedyParams, tracer: &Tracer) -> usize {
-    gcr_trace::threads::resolve(params.threads, "greedy.threads", tracer)
 }
 
 /// One row of the deferred-candidate slab: the [`row_key`]-packed
@@ -806,41 +790,19 @@ mod shadow {
     pub(super) fn finite_location(_loc: Point, _node: usize) {}
 }
 
-/// Evaluates the exact cost of every pair, appending `KIND_EXACT` entries
-/// to `out` (the exhaustive engine's batch path). Batches of at least
-/// [`PARALLEL_THRESHOLD`] fan out across `threads` workers.
-/// Deterministic: per-pair results do not depend on evaluation order, and
-/// the heap's strict total order makes the pop sequence independent of
-/// insertion order.
-#[expect(
-    clippy::expect_used,
-    reason = "a panicking cost worker must propagate, not be swallowed"
-)]
+/// Evaluates the exact cost of every pair on the calling thread,
+/// appending `KIND_EXACT` entries to `out` (the exhaustive engine's batch
+/// path).
 fn evaluate_exact_pairs_into<O: MergeObjective>(
     objective: &O,
     pairs: &[(u32, u32)],
-    threads: usize,
     out: &mut Vec<Entry>,
 ) {
-    let eval = move |&(a, b): &(u32, u32)| {
+    out.extend(pairs.iter().map(|&(a, b)| {
         let key = objective.cost(a as usize, b as usize);
         assert!(!key.is_nan(), "merge cost of ({a}, {b}) is NaN");
         Entry::new(key, KIND_EXACT, a, b)
-    };
-    if pairs.len() < PARALLEL_THRESHOLD || threads == 1 {
-        out.extend(pairs.iter().map(eval));
-        return;
-    }
-    let chunk = pairs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || slice.iter().map(eval).collect::<Vec<_>>()))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("cost worker panicked"));
-        }
-    });
+    }));
 }
 
 /// The first `n` slots of the kernel output column, growing it only when
@@ -1555,9 +1517,11 @@ fn emit_greedy_counters(tracer: &Tracer, stats: &GreedyStats, profile: &GreedyPr
 /// (~N²/2 initial candidates plus a full live-set sweep per merge). Kept
 /// as the reference implementation for [`run_greedy_checked`], the
 /// property tests, and the `BENCH_greedy` baselines. Takes the same
-/// `params` and caller-owned `scratch` as [`run_greedy_with_scratch`],
-/// and reports through [`Tracer::current`] (outer span
-/// `greedy.exhaustive`, phases `greedy.seed` / `greedy.loop`).
+/// `params` and caller-owned `scratch` as [`run_greedy_with_scratch`]
+/// (every batch, the all-pairs seed included, is priced on the calling
+/// thread, so `params.threads` goes unread), and reports through
+/// [`Tracer::current`] (outer span `greedy.exhaustive`, phases
+/// `greedy.seed` / `greedy.loop`).
 ///
 /// # Errors
 ///
@@ -1590,7 +1554,6 @@ pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
     let seed_span_start = tracer.now_ns();
     let seed_start = Instant::now();
     let seed_allocs0 = alloc_count();
-    let threads = resolve_threads(params, tracer);
     // Checked before any storage is sized: past this limit the packed
     // heap tags and the u32 arena/tree columns would silently truncate
     // node indices, so the only safe answer is an error up front.
@@ -1613,15 +1576,15 @@ pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
         ..
     } = scratch;
 
-    // Initial candidate set: all leaf pairs, evaluated in parallel, then
-    // heapified in one shot.
+    // Initial candidate set: all leaf pairs, evaluated, then heapified in
+    // one shot.
     for i in 0..num_leaves {
         for j in (i + 1)..num_leaves {
             batch.push((i as u32, j as u32));
         }
     }
     stats.exact_cost_evals += batch.len() as u64;
-    evaluate_exact_pairs_into(&*objective, batch, threads, &mut heap.data);
+    evaluate_exact_pairs_into(&*objective, batch, &mut heap.data);
     heap.rebuild();
     profile.seed_ms = seed_start.elapsed().as_secs_f64() * 1e3;
     profile.seed_allocs = alloc_count() - seed_allocs0;
@@ -1660,7 +1623,7 @@ pub fn run_greedy_exhaustive_with_scratch<O: MergeObjective>(
         batch.extend(live.iter().map(|&n| (n, next as u32)));
         stats.exact_cost_evals += batch.len() as u64;
         entries.clear();
-        evaluate_exact_pairs_into(&*objective, batch, threads, entries);
+        evaluate_exact_pairs_into(&*objective, batch, entries);
         for &e in &*entries {
             heap.push(e);
         }
@@ -1837,34 +1800,6 @@ mod tests {
             run_pruned(4, &mut obj).unwrap().0
         };
         assert_eq!(run(), run());
-    }
-
-    /// The parallel batch path (> `PARALLEL_THRESHOLD` initial pairs) must
-    /// produce the same topology run to run — determinism is independent
-    /// of threading.
-    #[test]
-    fn parallel_path_is_deterministic() {
-        // 128 leaves -> 8128 initial pairs > PARALLEL_THRESHOLD.
-        let points: Vec<Point> = (0..128)
-            .map(|i| Point::new(f64::from(i * 37 % 997), f64::from(i * 71 % 983)))
-            .collect();
-        let run = |threads: Option<usize>| {
-            let mut obj = PointObjective {
-                points: points.clone(),
-            };
-            let mut scratch = GreedyScratch::new();
-            let params = GreedyParams {
-                threads,
-                ..GreedyParams::default()
-            };
-            run_greedy_exhaustive_with_scratch(128, &mut obj, &params, &mut scratch)
-                .unwrap()
-                .0
-        };
-        assert_eq!(run(None), run(None));
-        // Any explicit thread count commits the same merges.
-        assert_eq!(run(None), run(Some(1)));
-        assert_eq!(run(Some(1)), run(Some(7)));
     }
 
     /// The pruned engine must commit the exact same merges as the
@@ -2534,44 +2469,6 @@ mod tests {
                 last = Some(topo);
             }
         }
-    }
-
-    /// Explicit thread counts resolve as given (clamped); the default
-    /// resolves to at least one worker.
-    #[test]
-    fn thread_resolution_clamps() {
-        let tracer = Tracer::disabled();
-        assert_eq!(
-            resolve_threads(
-                &GreedyParams {
-                    threads: Some(7),
-                    ..GreedyParams::default()
-                },
-                &tracer
-            ),
-            7
-        );
-        assert_eq!(
-            resolve_threads(
-                &GreedyParams {
-                    threads: Some(0),
-                    ..GreedyParams::default()
-                },
-                &tracer
-            ),
-            1
-        );
-        assert_eq!(
-            resolve_threads(
-                &GreedyParams {
-                    threads: Some(999),
-                    ..GreedyParams::default()
-                },
-                &tracer
-            ),
-            gcr_trace::threads::MAX_THREADS
-        );
-        assert!(resolve_threads(&GreedyParams::default(), &tracer) >= 1);
     }
 
     /// A pruned run under an active memory sink commits the same topology

@@ -4,6 +4,11 @@
 //! node statistics and module sets as `gcr_core::route_gated` on the
 //! r1–r3 smoke designs, and as `gcr_core::route_gated_coarsened` on the
 //! coarsened r6 design.
+//!
+//! The split is deliberate. `route_gated` (what `gcr route` runs) is
+//! flat at every size, while the daemon coarsens from twice
+//! `DEFAULT_REGION_SIZE` (4 096 sinks) up. So the daemon matches
+//! `route_gated` only below the cut-over: on r1–r3, not on r6.
 
 // Test code: unwrap/expect on infallible setup is idiomatic here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

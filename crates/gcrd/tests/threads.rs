@@ -6,8 +6,9 @@
 //! an unparsable `GCR_THREADS` through **both engines end to end** and
 //! asserts they emit the same warn event (same message, their own
 //! category names) and both pin to a single worker. The greedy side runs
-//! the exhaustive engine: the pruned engine never reads its thread
-//! setting.
+//! the coarsened engine over two regions: its region pool is the one
+//! reader of `GreedyParams::threads`, and the pruned and exhaustive
+//! engines it runs underneath never read a thread setting.
 //!
 //! One `#[test]` only: the test mutates the process environment, which
 //! must not race another test in this binary.
@@ -19,7 +20,8 @@ use std::sync::Arc;
 
 use gcr_activity::{scan_source, CpuModel, ScanParams, ScanScratch, SliceSource};
 use gcr_cts::{
-    run_greedy_exhaustive_with_scratch, GreedyParams, GreedyScratch, NearestNeighborObjective, Sink,
+    partition_regions, run_greedy_coarsened, CoarsenParams, CoarsenScratch, GreedyParams,
+    NearestNeighborObjective, Sink,
 };
 use gcr_geometry::Point;
 use gcr_rctree::Technology;
@@ -41,12 +43,31 @@ fn greedy_and_activity_emit_identical_threads_warning() {
         })
         .collect();
     let mut objective = NearestNeighborObjective::new(&tech, &sinks, None);
-    let params = GreedyParams {
-        threads: None,
-        log_decisions: false,
+    let region_objective = |members: &[u32]| {
+        let members: Vec<Sink> = members.iter().map(|&i| sinks[i as usize]).collect();
+        NearestNeighborObjective::new(&tech, &members, None)
     };
-    let mut scratch = GreedyScratch::new();
-    run_greedy_exhaustive_with_scratch(sinks.len(), &mut objective, &params, &mut scratch).unwrap();
+    // Regions of about 2 sinks: the 6 sinks reach the cut-over (2 × 2)
+    // and the diagonal splits into 2 grid cells, so the pool resolves
+    // its thread count.
+    let params = CoarsenParams {
+        greedy: GreedyParams {
+            threads: None,
+            log_decisions: false,
+        },
+        target_region_size: 2,
+    };
+    let locations: Vec<Point> = sinks.iter().map(Sink::location).collect();
+    assert!(partition_regions(&locations, params.target_region_size).len() >= 2);
+    let mut scratch = CoarsenScratch::new();
+    run_greedy_coarsened(
+        sinks.len(),
+        &mut objective,
+        region_objective,
+        &params,
+        &mut scratch,
+    )
+    .unwrap();
     drop(entered);
 
     // Activity scanner path: same env, same `threads: None`.

@@ -41,6 +41,7 @@ const USAGE: &str = "\
 usage: gcr route --sinks F --rtl F --trace F [--die W H] [--strength S]
                  [--svg OUT] [--spice OUT] [--save OUT] [--controllers K]
                  [--optimal] [--trace-out OUT]
+           (routes flat at any size: one greedy merge over every sink)
        gcr evaluate --design F --rtl F --trace F
        gcr experiment NAME [FLAGS], where NAME [FLAGS] is one of
            table4 | fig3 | fig6 | optimal_reduction [--quick]

@@ -16,7 +16,10 @@
 //! be requested by name; the same flow routes them through the
 //! hierarchical coarsening engine, whose decision logs are audited with
 //! exactly the same machinery (they are sequential and canonical, like
-//! the flat engine's).
+//! the flat engine's). Only there does the thread axis change what runs:
+//! r1–r5 stay below the coarsening cut-over, where the flow runs the
+//! serial flat engine at every thread count, and the coarsened region
+//! pool is the one reader of the thread setting.
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -4,19 +4,25 @@
 //! bit-identical across worker-thread counts (the contract the
 //! `gcr-verify audit` subcommand enforces on the scale benchmarks), and
 //! the routed result must pass the full `gcr-verify` lint deck with
-//! complete activity context.
+//! complete activity context. `route_gated_mapped`, the flow `gcr route`
+//! runs, must stay flat above the cut-over.
 // Test code: unwrap/expect on infallible setup is idiomatic here, in
 // helpers as well as in #[test] functions.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::Arc;
+
 use gcr_activity::{ActivityTables, CpuModel};
-use gcr_core::{route_gated_with_scratch, GatedRouting, RouterConfig};
+use gcr_core::{
+    route_gated_mapped, route_gated_with_scratch, GatedObjective, GatedRouting, RouterConfig,
+};
 use gcr_cts::{
-    canonical_decision_log, partition_regions, CoarsenParams, CoarsenScratch, GreedyParams,
-    MergeDecision, Sink,
+    canonical_decision_log, partition_regions, run_greedy_with_scratch, CoarsenParams,
+    CoarsenScratch, GreedyParams, GreedyScratch, MergeDecision, Sink, DEFAULT_REGION_SIZE,
 };
 use gcr_geometry::{BBox, Point};
 use gcr_rctree::Technology;
+use gcr_trace::{MemorySink, Tracer};
 use gcr_verify::{Verifier, VerifyInput};
 use proptest::prelude::*;
 
@@ -220,4 +226,56 @@ fn coarsened_route_is_schedule_invariant_on_uneven_regions() {
             );
         }
     }
+}
+
+/// `route_gated_mapped` is flat at every size. On exactly twice
+/// [`DEFAULT_REGION_SIZE`] sinks, where the default coarsened flow
+/// partitions, it opens no `coarsen.run` span and commits the topology
+/// of the flat pruned engine on a fresh objective.
+#[test]
+fn route_gated_mapped_stays_flat_at_the_cut_over() {
+    let n = 2 * DEFAULT_REGION_SIZE;
+    let sinks: Vec<Sink> = (0..n)
+        .map(|i| {
+            let p = Point::new(((i * 7_919) % 39_989) as f64, ((i * 6_007) % 39_971) as f64);
+            Sink::new(p, 0.01 + 0.01 * (i % 5) as f64)
+        })
+        .collect();
+    let locations: Vec<Point> = sinks.iter().map(Sink::location).collect();
+    assert!(partition_regions(&locations, DEFAULT_REGION_SIZE).len() >= 2);
+    let die = BBox::new(Point::ORIGIN, Point::new(SIDE, SIDE));
+    let config = RouterConfig::new(Technology::default(), die);
+    let modules = 16;
+    let tables = tables_for(modules, 5);
+    let module_of: Vec<usize> = (0..n).map(|i| i % modules).collect();
+
+    let sink = Arc::new(MemorySink::new());
+    let routing = {
+        let _entered = Tracer::new(sink.clone()).enter();
+        route_gated_mapped(&sinks, &module_of, &tables, &config).unwrap()
+    };
+    let spans: Vec<&str> = sink
+        .nesting()
+        .unwrap()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    assert!(spans.contains(&"greedy.run"), "{spans:?}");
+    assert!(!spans.contains(&"coarsen.run"), "{spans:?}");
+
+    let mut objective = GatedObjective::new(
+        config.tech(),
+        config.controller(),
+        &tables,
+        &sinks,
+        &module_of,
+    );
+    let (flat, _, _) = run_greedy_with_scratch(
+        n,
+        &mut objective,
+        &GreedyParams::default(),
+        &mut GreedyScratch::new(),
+    )
+    .unwrap();
+    assert_eq!(routing.topology, flat);
 }
