@@ -48,7 +48,7 @@ use gcr_trace::{alloc_count, Tracer};
 
 use crate::{ActivityError, ActivityTables, Ift, InstructionId, Itmatt, Rtl, TraceSource};
 
-/// Default cycles per chunk: 64 Ki cycles = 256 KiB per worker buffer,
+/// Default cycles per chunk: 64 Ki cycles = 128 KiB per worker buffer,
 /// small enough to stay cache-friendly, large enough that the mutex on
 /// the source is uncontended.
 pub const DEFAULT_CHUNK_CYCLES: usize = 64 * 1024;

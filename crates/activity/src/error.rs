@@ -37,13 +37,15 @@ pub enum ActivityError {
         /// The offending value.
         value: f64,
     },
-    /// A table would exceed a hard capacity limit (checked *before* the
-    /// dense K² allocation is attempted, mirroring
-    /// `CtsError::CapacityExceeded`).
+    /// An instruction count would exceed a hard capacity limit, checked
+    /// before anything is allocated or truncated (mirroring
+    /// `CtsError::CapacityExceeded`): the dense K² table
+    /// ([`crate::Itmatt::MAX_INSTRUCTIONS`]) or the 16-bit
+    /// [`crate::InstructionId`] space (65 536 instructions).
     CapacityExceeded {
         /// Requested instruction count K.
         instructions: usize,
-        /// The hard limit ([`crate::Itmatt::MAX_INSTRUCTIONS`]).
+        /// The hard limit.
         limit: usize,
     },
 }
@@ -78,7 +80,7 @@ impl fmt::Display for ActivityError {
                 limit,
             } => write!(
                 f,
-                "instruction count {instructions} exceeds the dense table capacity ({limit})"
+                "instruction count {instructions} exceeds the capacity limit ({limit})"
             ),
         }
     }

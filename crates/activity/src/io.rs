@@ -43,8 +43,9 @@ pub const MAX_INFERRED_MODULES: usize = 1 << 16;
 ///
 /// Returns [`ActivityError::InvalidStream`] for malformed lines or module
 /// tokens, and for an inferred universe above [`MAX_INFERRED_MODULES`];
-/// the usual builder errors for out-of-range indices or empty
-/// descriptions.
+/// [`ActivityError::CapacityExceeded`] at the instruction line after the
+/// 65 536th, which a 16-bit [`InstructionId`] cannot name; the usual
+/// builder errors for out-of-range indices or empty descriptions.
 pub fn parse_rtl(text: &str, num_modules: Option<usize>) -> Result<Rtl, ActivityError> {
     let mut entries: Vec<(String, Vec<usize>)> = Vec::new();
     let mut universe = num_modules.unwrap_or(0);
@@ -141,7 +142,7 @@ pub fn parse_trace(rtl: &Rtl, text: &str) -> Result<InstructionStream, ActivityE
 #[derive(Debug)]
 pub struct TextTraceSource<R> {
     reader: R,
-    by_name: HashMap<String, u32>,
+    by_name: HashMap<String, InstructionId>,
     num_instructions: usize,
     /// Current line; `pos..end` is the unconsumed, comment-stripped tail.
     line: String,
@@ -156,7 +157,7 @@ impl<R: BufRead> TextTraceSource<R> {
     pub fn new(rtl: &Rtl, reader: R) -> Self {
         let by_name = rtl
             .instruction_ids()
-            .map(|id| (rtl.name(id).to_owned(), id.index() as u32))
+            .map(|id| (rtl.name(id).to_owned(), id))
             .collect();
         Self {
             reader,
@@ -204,8 +205,8 @@ impl<R: BufRead> TextTraceSource<R> {
     /// Resolves one token to a validated instruction id.
     fn resolve(&self, start: usize, stop: usize) -> Result<InstructionId, ActivityError> {
         let tok = &self.line[start..stop];
-        if let Some(&i) = self.by_name.get(tok) {
-            return Ok(InstructionId(i));
+        if let Some(&id) = self.by_name.get(tok) {
+            return Ok(id);
         }
         if let Ok(i) = tok.parse::<usize>() {
             if i >= self.num_instructions {
@@ -214,7 +215,8 @@ impl<R: BufRead> TextTraceSource<R> {
                     num_instructions: self.num_instructions,
                 });
             }
-            return Ok(InstructionId(i as u32));
+            // Below the RTL's instruction count, which fits 16 bits.
+            return Ok(InstructionId(i as u16));
         }
         Err(ActivityError::InvalidStream {
             reason: format!("unknown instruction `{tok}`"),
@@ -389,6 +391,24 @@ I4: M3 M4  # integer/memory
         let rtl = parse_rtl(&format!("I1: {last}\n"), None).unwrap();
         assert_eq!(rtl.num_modules(), MAX_INFERRED_MODULES);
         assert!(parse_rtl(&format!("I1: {MAX_INFERRED_MODULES}\n"), None).is_err());
+    }
+
+    #[test]
+    fn rtl_text_beyond_the_id_space_is_rejected() {
+        let lines = |n: usize| (1..=n).map(|i| format!("I{i}: M1\n")).collect::<String>();
+        let rtl = parse_rtl(&lines(65_536), None).unwrap();
+        assert_eq!(rtl.num_instructions(), 65_536);
+        // A trace naming the last instruction by index resolves to it.
+        let s = parse_trace(&rtl, "0 65535 I65536").unwrap();
+        assert_eq!(s.instructions()[1], s.instructions()[2]);
+        assert_eq!(s.instructions()[1].index(), 65_535);
+        assert_eq!(
+            parse_rtl(&lines(65_537), None).unwrap_err(),
+            ActivityError::CapacityExceeded {
+                instructions: 65_537,
+                limit: 65_536,
+            }
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::rtl::MAX_INSTRUCTIONS;
 use crate::{ActivityError, InstructionId, InstructionStream, Rtl, TraceSource};
 
 /// A synthetic processor model: a randomly generated RTL description plus a
@@ -39,11 +40,22 @@ pub struct CpuModel {
     rtl: Rtl,
     base_probs: Vec<f64>,
     cumulative: Vec<f64>,
+    /// Guide table of the base sampler: bucket `b` holds the number of
+    /// cumulative values `c` with `⌊c·G⌋ < b`, where `G = guide.len()`.
+    guide: Vec<u32>,
     persistence: f64,
     phases: usize,
-    phase_length: usize,
+    /// Program phase of each instruction, `i % phases`.
+    phase_of: Vec<usize>,
+    /// Per-cycle phase-switch probability, `1 / phase_length`.
+    phase_switch: f64,
     seed: u64,
 }
+
+/// Guide-table buckets per instruction (rounded up to a power of two in
+/// total): the base sampler's forward scan then visits about one
+/// cumulative value per draw.
+const GUIDE_BUCKETS_PER_INSTRUCTION: usize = 4;
 
 impl CpuModel {
     /// Starts building a model over `num_modules` modules.
@@ -167,13 +179,35 @@ impl CpuModel {
     /// `phases <= num_instructions`).
     fn sample_base(&self, rng: &mut StdRng, phase: usize) -> InstructionId {
         loop {
-            let x: f64 = rng.gen();
-            let idx = match self.cumulative.binary_search_by(|c| c.total_cmp(&x)) {
-                Ok(i) | Err(i) => i.min(self.base_probs.len() - 1),
-            };
-            if self.phases <= 1 || idx % self.phases == phase {
-                return InstructionId(idx as u32);
+            let idx = self.base_index(rng.gen());
+            if self.phases <= 1 || self.phase_of[idx] == phase {
+                // `build` caps K at 2^16, so the index fits.
+                return InstructionId(idx as u16);
             }
+        }
+    }
+
+    /// The instruction a uniform draw `x ∈ [0, 1)` selects: exactly
+    /// `cumulative.binary_search_by(total_cmp)`, clamped to K − 1, found
+    /// through the guide table. Bucket `⌊x·G⌋` starts the scan at a count
+    /// of cumulative values known to lie below `x` (G is a power of two,
+    /// so `x·G` is exact and monotone), and the scan stops at the first
+    /// value not below `x`. On an exact tie the binary search may land on
+    /// any of several equal values, so a tie replays it.
+    fn base_index(&self, x: f64) -> usize {
+        let cum = &self.cumulative;
+        let last = cum.len() - 1;
+        let bucket = ((x * self.guide.len() as f64) as usize).min(self.guide.len() - 1);
+        let mut i = self.guide[bucket] as usize;
+        while i < last && cum[i] < x {
+            i += 1;
+        }
+        if cum[i] == x {
+            match cum.binary_search_by(|c| c.total_cmp(&x)) {
+                Ok(j) | Err(j) => j.min(last),
+            }
+        } else {
+            i
         }
     }
 }
@@ -198,26 +232,34 @@ pub struct ModelTraceSource<'m> {
 
 impl TraceSource for ModelTraceSource<'_> {
     fn next_chunk(&mut self, buf: &mut [InstructionId]) -> Result<usize, ActivityError> {
-        let mut written = 0usize;
         let model = self.model;
-        for slot in buf.iter_mut() {
-            if self.remaining == 0 {
-                break;
-            }
-            if !self.started {
+        let n = usize::try_from(self.remaining).map_or(buf.len(), |r| r.min(buf.len()));
+        let mut slots = buf[..n].iter_mut();
+        // The Markov state lives in locals for the whole chunk.
+        let mut rng = self.rng.clone();
+        let mut phase = self.phase;
+        let mut current = self.current;
+        if !self.started {
+            if let Some(slot) = slots.next() {
                 self.started = true;
-                self.current = model.sample_base(&mut self.rng, self.phase);
-            } else if model.phases > 1 && self.rng.gen::<f64>() < 1.0 / model.phase_length as f64 {
-                self.phase = (self.phase + 1) % model.phases;
-                self.current = model.sample_base(&mut self.rng, self.phase);
-            } else if self.rng.gen::<f64>() >= model.persistence {
-                self.current = model.sample_base(&mut self.rng, self.phase);
+                current = model.sample_base(&mut rng, phase);
+                *slot = current;
             }
-            *slot = self.current;
-            self.remaining -= 1;
-            written += 1;
         }
-        Ok(written)
+        for slot in slots {
+            if model.phases > 1 && rng.gen::<f64>() < model.phase_switch {
+                phase = (phase + 1) % model.phases;
+                current = model.sample_base(&mut rng, phase);
+            } else if rng.gen::<f64>() >= model.persistence {
+                current = model.sample_base(&mut rng, phase);
+            }
+            *slot = current;
+        }
+        self.rng = rng;
+        self.phase = phase;
+        self.current = current;
+        self.remaining -= n as u64;
+        Ok(n)
     }
 }
 
@@ -320,12 +362,20 @@ impl CpuModelBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ActivityError::InvalidParameter`] for out-of-range knobs
-    /// and [`ActivityError::EmptyRtl`] when `num_modules` or
-    /// `num_instructions` is zero.
+    /// Returns [`ActivityError::InvalidParameter`] for out-of-range knobs,
+    /// [`ActivityError::EmptyRtl`] when `num_modules` or
+    /// `num_instructions` is zero, and [`ActivityError::CapacityExceeded`]
+    /// for more than 65 536 instructions (the 16-bit
+    /// [`InstructionId`] space), before anything is generated.
     pub fn build(self) -> Result<CpuModel, ActivityError> {
         if self.num_modules == 0 || self.num_instructions == 0 {
             return Err(ActivityError::EmptyRtl);
+        }
+        if self.num_instructions > MAX_INSTRUCTIONS {
+            return Err(ActivityError::CapacityExceeded {
+                instructions: self.num_instructions,
+                limit: MAX_INSTRUCTIONS,
+            });
         }
         if !(self.usage_fraction > 0.0 && self.usage_fraction <= 1.0) {
             return Err(ActivityError::InvalidParameter {
@@ -445,17 +495,42 @@ impl CpuModelBuilder {
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
+        let guide = guide_table(&cumulative);
 
         Ok(CpuModel {
             rtl,
             base_probs,
             cumulative,
+            guide,
             persistence: self.persistence,
             phases: self.phases,
-            phase_length: self.phase_length,
+            phase_of: (0..self.num_instructions)
+                .map(|i| i % self.phases)
+                .collect(),
+            phase_switch: 1.0 / self.phase_length as f64,
             seed: self.seed,
         })
     }
+}
+
+/// The base sampler's guide table over non-decreasing `cumulative`
+/// values: G buckets, [`GUIDE_BUCKETS_PER_INSTRUCTION`]·K rounded up to a
+/// power of two, bucket `b` holding `#{i : ⌊cumulative[i]·G⌋ < b}`.
+/// Every value counted there lies below any `x` with `⌊x·G⌋ = b`, so
+/// [`CpuModel::base_index`] may start its scan at that count.
+fn guide_table(cumulative: &[f64]) -> Vec<u32> {
+    let buckets = (cumulative.len() * GUIDE_BUCKETS_PER_INSTRUCTION).next_power_of_two();
+    let scale = buckets as f64;
+    let mut i = 0usize;
+    (0..buckets)
+        .map(|b| {
+            while i < cumulative.len() && ((cumulative[i] * scale) as usize) < b {
+                i += 1;
+            }
+            // At most K ≤ 2^16.
+            i as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -746,6 +821,76 @@ mod tests {
         // Average usage stays near the knob.
         let f = usage / n;
         assert!((f - 0.4).abs() < 0.12, "avg usage {f}");
+    }
+
+    #[test]
+    fn instruction_count_beyond_the_id_space_is_rejected() {
+        assert_eq!(
+            CpuModel::builder(4)
+                .instructions(65_537)
+                .build()
+                .unwrap_err(),
+            ActivityError::CapacityExceeded {
+                instructions: 65_537,
+                limit: 65_536,
+            }
+        );
+        let full = CpuModel::builder(1).instructions(65_536).build().unwrap();
+        assert_eq!(full.rtl().num_instructions(), 65_536);
+    }
+
+    /// The index the sampler replaced: `binary_search_by(total_cmp)`,
+    /// clamped to K − 1.
+    fn binary_search_index(cumulative: &[f64], x: f64) -> usize {
+        match cumulative.binary_search_by(|c| c.total_cmp(&x)) {
+            Ok(i) | Err(i) => i.min(cumulative.len() - 1),
+        }
+    }
+
+    /// The guide-table lookup returns the binary search's index on every
+    /// cumulative value (the exact ties), on each value's neighbours, on
+    /// both ends of `[0, 1)` and on random draws, including a skew so
+    /// steep that the tail's cumulative values repeat.
+    #[test]
+    fn guide_table_matches_binary_search() {
+        let models = [
+            CpuModel::builder(8).instructions(1).build().unwrap(),
+            CpuModel::builder(8).build().unwrap(),
+            CpuModel::builder(8)
+                .instructions(65)
+                .frequency_skew(0.0)
+                .build()
+                .unwrap(),
+            CpuModel::builder(8)
+                .instructions(1_000)
+                .frequency_skew(1.3)
+                .build()
+                .unwrap(),
+            CpuModel::builder(8)
+                .instructions(64)
+                .frequency_skew(400.0)
+                .build()
+                .unwrap(),
+        ];
+        let steep = &models[4].cumulative;
+        assert!(steep.windows(2).any(|w| w[0] == w[1]), "tail must repeat");
+        let mut rng = StdRng::seed_from_u64(5);
+        for model in &models {
+            let cum = &model.cumulative;
+            let mut xs = vec![0.0, 1.0f64.next_down()];
+            for &c in cum {
+                xs.extend([c, c.next_up(), c.next_down()]);
+            }
+            xs.extend((0..10_000).map(|_| rng.gen::<f64>()));
+            for x in xs {
+                assert_eq!(
+                    model.base_index(x),
+                    binary_search_index(cum, x),
+                    "K = {}, x = {x:e}",
+                    cum.len()
+                );
+            }
+        }
     }
 
     #[test]

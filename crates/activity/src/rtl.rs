@@ -4,10 +4,19 @@ use crate::{ActivityError, ModuleSet};
 
 /// Identifier of an instruction inside an [`Rtl`] description.
 ///
+/// Two bytes wide, so a materialized trace, a chunk buffer and every
+/// scan read cost 2 bytes per cycle; an [`Rtl`] therefore holds at most
+/// 65 536 instructions.
+///
 /// `Default` is the first instruction (index 0) — handy as a fill value
 /// for the chunk buffers the streaming scan reads into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct InstructionId(pub(crate) u32);
+pub struct InstructionId(pub(crate) u16);
+
+/// Largest instruction count an [`Rtl`] (and so a
+/// [`CpuModel`](crate::CpuModel) or a parsed RTL text) may define: every
+/// id must fit [`InstructionId`]'s 16 bits.
+pub(crate) const MAX_INSTRUCTIONS: usize = 1 << 16;
 
 impl InstructionId {
     /// Dense index of the instruction.
@@ -19,7 +28,7 @@ impl InstructionId {
 
 impl fmt::Display for InstructionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "I{}", self.0 + 1)
+        write!(f, "I{}", u32::from(self.0) + 1)
     }
 }
 
@@ -98,7 +107,9 @@ impl Rtl {
 
     /// Iterator over all instruction ids in order.
     pub fn instruction_ids(&self) -> impl Iterator<Item = InstructionId> + '_ {
-        (0..self.usage.len() as u32).map(InstructionId)
+        // `RtlBuilder::instruction` caps the count at `MAX_INSTRUCTIONS`,
+        // so every index fits 16 bits.
+        (0..self.usage.len()).map(|i| InstructionId(i as u16))
     }
 
     /// Checked conversion from a raw index.
@@ -109,7 +120,8 @@ impl Rtl {
     /// a valid instruction.
     pub fn instruction(&self, index: usize) -> Result<InstructionId, ActivityError> {
         if index < self.usage.len() {
-            Ok(InstructionId(index as u32))
+            // Below the count, which `RtlBuilder::instruction` caps at 2^16.
+            Ok(InstructionId(index as u16))
         } else {
             Err(ActivityError::InstructionOutOfRange {
                 instruction: index,
@@ -143,13 +155,21 @@ impl RtlBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ActivityError::ModuleOutOfRange`] for bad module indices
-    /// and [`ActivityError::EmptyInstruction`] when `modules` is empty.
+    /// Returns [`ActivityError::ModuleOutOfRange`] for bad module indices,
+    /// [`ActivityError::EmptyInstruction`] when `modules` is empty and
+    /// [`ActivityError::CapacityExceeded`] for the instruction after the
+    /// 65 536th, whose id would not fit 16 bits.
     pub fn instruction<I: IntoIterator<Item = usize>>(
         mut self,
         name: &str,
         modules: I,
     ) -> Result<Self, ActivityError> {
+        if self.usage.len() == MAX_INSTRUCTIONS {
+            return Err(ActivityError::CapacityExceeded {
+                instructions: MAX_INSTRUCTIONS + 1,
+                limit: MAX_INSTRUCTIONS,
+            });
+        }
         let mut set = ModuleSet::new(self.num_modules);
         let mut any = false;
         for m in modules {
@@ -278,6 +298,34 @@ mod tests {
             rtl.instruction(4),
             Err(ActivityError::InstructionOutOfRange { .. })
         ));
+    }
+
+    /// 65 536 instructions fill the 16-bit id space; the next one is a
+    /// structured error, never a wrapped id.
+    #[test]
+    fn instruction_after_the_id_space_is_rejected() {
+        let mut builder = Rtl::builder(1);
+        for i in 0..MAX_INSTRUCTIONS {
+            builder = builder.instruction(&format!("I{}", i + 1), [0]).unwrap();
+        }
+        let full = builder.clone().build().unwrap();
+        assert_eq!(full.num_instructions(), 65_536);
+        let last = full.instruction(65_535).unwrap();
+        assert_eq!(full.name(last), "I65536");
+        assert_eq!(full.instruction_ids().last(), Some(last));
+        assert_eq!(
+            builder.instruction("I65537", [0]).unwrap_err(),
+            ActivityError::CapacityExceeded {
+                instructions: 65_537,
+                limit: 65_536,
+            }
+        );
+    }
+
+    #[test]
+    fn largest_id_displays_without_overflow() {
+        assert_eq!(InstructionId(u16::MAX).to_string(), "I65536");
+        assert_eq!(InstructionId(u16::MAX).index(), 65_535);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{InstructionStream, Rtl};
+use crate::{InstructionId, InstructionStream, Rtl};
 
 /// Summary statistics of an instruction stream against an RTL description —
 /// the quantities reported in Table 4 of the paper.
@@ -44,26 +44,42 @@ fn ratio_or_zero(num: f64, den: f64) -> f64 {
 }
 
 impl StreamStats {
-    /// Scans `stream` once and collects the statistics.
+    /// Collects the statistics in `O(B + Σ|M(I_k)|)`: one pass counts the
+    /// cycles of each instruction, then each instruction's count is added
+    /// to every module it uses. The integer counts equal a per-cycle walk
+    /// over each cycle's modules, so every field is bit-identical to it.
     ///
     /// Degenerate inputs produce well-defined zeros rather than NaN:
     /// with no cycles or no modules, `avg_module_activity` and every
     /// `module_activity` entry are 0.
     #[must_use]
     pub fn collect(rtl: &Rtl, stream: &InstructionStream) -> Self {
+        Self::from_ids(rtl, stream.instructions())
+    }
+
+    /// [`Self::collect`] over raw ids, at any length: the tests reach the
+    /// empty and one-cycle guards through it.
+    fn from_ids(rtl: &Rtl, ids: &[InstructionId]) -> Self {
         let n = rtl.num_modules();
+        let mut cycles_of = vec![0usize; rtl.num_instructions()];
+        for &i in ids {
+            cycles_of[i.index()] += 1;
+        }
         let mut active_cycles = vec![0usize; n];
         let mut active_total = 0usize;
-        for &i in stream.instructions() {
+        for (i, &count) in rtl.instruction_ids().zip(&cycles_of) {
+            if count == 0 {
+                continue;
+            }
             let used = rtl.modules_used(i);
-            active_total += used.len();
+            active_total += count * used.len();
             for m in used.iter() {
-                active_cycles[m] += 1;
+                active_cycles[m] += count;
             }
         }
-        let b = stream.len() as f64;
+        let b = ids.len() as f64;
         Self {
-            num_cycles: stream.len(),
+            num_cycles: ids.len(),
             num_instructions: rtl.num_instructions(),
             num_modules: n,
             avg_module_activity: ratio_or_zero(active_total as f64, b * n as f64),
@@ -92,6 +108,83 @@ impl fmt::Display for StreamStats {
 mod tests {
     use super::*;
     use crate::{paper_example_rtl, ActivityTables, CpuModel, ModuleSet};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-cycle walk: every cycle adds one to each module its
+    /// instruction uses. The oracle the count-based `collect` must match
+    /// bit for bit.
+    fn per_cycle_oracle(rtl: &Rtl, ids: &[InstructionId]) -> StreamStats {
+        let n = rtl.num_modules();
+        let mut active_cycles = vec![0usize; n];
+        let mut active_total = 0usize;
+        for &i in ids {
+            let used = rtl.modules_used(i);
+            active_total += used.len();
+            for m in used.iter() {
+                active_cycles[m] += 1;
+            }
+        }
+        let b = ids.len() as f64;
+        StreamStats {
+            num_cycles: ids.len(),
+            num_instructions: rtl.num_instructions(),
+            num_modules: n,
+            avg_module_activity: ratio_or_zero(active_total as f64, b * n as f64),
+            module_activity: active_cycles
+                .iter()
+                .map(|&c| ratio_or_zero(c as f64, b))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Count-based statistics == the per-cycle walk, every field to
+        /// the bit, over instruction counts and module universes around
+        /// word boundaries and streams short enough to hit the zero
+        /// guards.
+        #[test]
+        fn counts_match_per_cycle_walk(
+            k in prop_oneof![Just(1usize), Just(2), Just(32), Just(65)],
+            modules in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(1_903)],
+            len in prop_oneof![Just(0usize), Just(1), Just(2), Just(20_000)],
+            density in 0.01..0.9f64,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut builder = Rtl::builder(modules);
+            for i in 0..k {
+                let mut used: Vec<usize> =
+                    (0..modules).filter(|_| rng.gen::<f64>() < density).collect();
+                if used.is_empty() {
+                    used.push(rng.gen_range(0..modules));
+                }
+                builder = builder.instruction(&format!("I{i}"), used).unwrap();
+            }
+            let rtl = builder.build().unwrap();
+            // A skewed mix, so some instructions never run.
+            let ids: Vec<InstructionId> = (0..len)
+                .map(|_| {
+                    let x: f64 = rng.gen();
+                    rtl.instruction(((x * x * x) * k as f64) as usize).unwrap()
+                })
+                .collect();
+            let got = StreamStats::from_ids(&rtl, &ids);
+            let want = per_cycle_oracle(&rtl, &ids);
+            prop_assert_eq!(got.num_cycles, want.num_cycles);
+            prop_assert_eq!(got.num_instructions, want.num_instructions);
+            prop_assert_eq!(got.num_modules, want.num_modules);
+            prop_assert_eq!(
+                got.avg_module_activity.to_bits(),
+                want.avg_module_activity.to_bits()
+            );
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.module_activity), bits(&want.module_activity));
+        }
+    }
 
     #[test]
     fn per_module_activity_matches_brute_force() {

@@ -195,9 +195,10 @@ impl Itmatt {
             .enumerate()
             .filter(|&(_, &p)| p > 0.0)
             .map(move |(i, &p)| {
+                // Both indices are below K ≤ `MAX_INSTRUCTIONS`: 16 bits.
                 (
-                    InstructionId((i / k) as u32),
-                    InstructionId((i % k) as u32),
+                    InstructionId((i / k) as u16),
+                    InstructionId((i % k) as u16),
                     p,
                 )
             })
@@ -658,11 +659,11 @@ mod tests {
         let dense: Vec<_> = (0..k * k)
             .map(|i| {
                 (
-                    InstructionId((i / k) as u32),
-                    InstructionId((i % k) as u32),
+                    InstructionId((i / k) as u16),
+                    InstructionId((i % k) as u16),
                     t.pair_probability(
-                        InstructionId((i / k) as u32),
-                        InstructionId((i % k) as u32),
+                        InstructionId((i / k) as u16),
+                        InstructionId((i % k) as u16),
                     ),
                 )
             })

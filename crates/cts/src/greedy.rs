@@ -51,7 +51,7 @@ use crate::{BoundColumns, BoundRows, BoundTerms, CtsError, Topology};
 /// still uses the exact `cost` — but the merge *order* can then diverge
 /// from the exhaustive engine. [`run_greedy_checked`] asserts the
 /// equivalence at runtime.
-pub trait MergeObjective: Sync {
+pub trait MergeObjective {
     /// Cost of merging the live subtrees rooted at topology nodes `a` and
     /// `b`. Must depend only on the states of `a` and `b` (both immutable
     /// once created) so that heap entries never go stale.

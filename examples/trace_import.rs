@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gcr_activity::{io, ActivityTables, Ift, Itmatt, ScanParams, ScanScratch};
+use gcr_activity::{io, ActivityTables, Ift, InstructionId, Itmatt, ScanParams, ScanScratch};
 use gcr_core::{
     evaluate_with_mask, reduce_gates_optimal, route_gated, simulate_stream, RouterConfig,
 };
@@ -73,7 +73,7 @@ I1 I2 I4 I1 I3 I2 I1 I1 I2 I1
 I3 I1 I2 I3 I1 I1 I2 I2 I4 I2
 ";
 
-/// Streamed trace length: long enough that materializing it (4 bytes per
+/// Streamed trace length: long enough that materializing it (2 bytes per
 /// cycle) would dwarf the scan's working set, short enough for CI.
 const STREAM_CYCLES: u64 = 2_000_000;
 
@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // *would* occupy if collected.
     let scenario = ActivityScenario::PhaseChanging;
     let model = scenario.model(96, 17)?;
-    let trace_bytes = STREAM_CYCLES * std::mem::size_of::<u32>() as u64;
+    let trace_bytes = STREAM_CYCLES * std::mem::size_of::<InstructionId>() as u64;
     println!(
         "\nstreaming {STREAM_CYCLES} cycles of the `{scenario}` scenario \
          ({}; materialized the trace would be {:.1} MiB)",
